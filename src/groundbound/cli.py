@@ -28,6 +28,7 @@ from .oracle import (
     ConvergenceError,
     Grid1D,
     Grid2D,
+    OracleResult,
     solve_1d_ground_state,
     solve_2d_dirichlet_ground_state,
 )
@@ -35,6 +36,7 @@ from .output import envelope, render_csv, render_json, write_text_atomic
 from .refine import default_centers, new_refinement_state, optimize_bump_amplitude
 from .search import EmptySearchRegionError, SearchConfig, bounds_of_field
 from .systems import (
+    VARIANTS,
     AnnularBilliard,
     MagneticHydrogen,
     QuarticOscillator,
@@ -52,16 +54,6 @@ EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_UNBOUNDED = 3
 EXIT_NUMERICAL = 4
-
-BOUNDS_SYSTEMS = ("annular-billiard", "helium", "magnetic-hydrogen", "quartic", "hydrogen")
-FIELD_SYSTEMS = ("quartic", "hydrogen-radial", "annular-billiard", "magnetic-hydrogen")
-ORACLE_SYSTEMS = ("quartic", "annular-billiard", "harmonic", "hydrogen-radial", "disk")
-SWEEP_PARAMS = {
-    "annular-billiard": ("r", "delta"),
-    "helium": ("Z",),
-    "magnetic-hydrogen": ("B",),
-    "quartic": ("rr", "delta2"),
-}
 
 
 class SpecError(ValueError):
@@ -83,6 +75,191 @@ class RunSpec:
     extras: dict
 
 
+# ---------------------------------------------------------------------------
+# the shipped systems
+
+
+@dataclass(frozen=True)
+class System:
+    """Everything the commands know about one system.
+
+    ``params`` maps each parameter to ``(default, help)``; the default's type
+    parses the flag and config values.  ``check`` raises ``ValueError`` for a
+    bad parameter set (non-finite floats are refused for every system).  A
+    command whose builder is ``None`` does not support the system:
+
+    - ``bounds(params, cfg)`` returns a :class:`BoundsResult` (also used by
+      ``sweep`` for each value of a ``sweepable`` parameter);
+    - ``field(params)`` returns the parameters it used and the field, dumped
+      under ``columns``;
+    - ``oracle(params, n, box)`` returns an :class:`OracleResult`;
+    - ``refine(params)`` returns the Hamiltonian, the base log-trial and the
+      asymptotic limits of a one-dimensional system.
+    """
+
+    dim: int
+    params: dict[str, tuple[Any, str]]
+    check: Callable[[dict], object] = lambda p: None
+    grid_n: int | None = None
+    oracle_grid_n: int | None = None  # reference solves want finer grids
+    sweepable: tuple[str, ...] = ()
+    bounds: Callable[[dict, SearchConfig], BoundsResult] | None = None
+    field: Callable[[dict], tuple[dict, LocalEnergyField]] | None = None
+    columns: tuple[str, ...] = ()
+    oracle: Callable[[dict, int, tuple | None], OracleResult] | None = None
+    refine: Callable[[dict], tuple] | None = None
+
+
+# Builders reach the system constructors through this module's globals, so
+# replacing e.g. ``cli.quartic_field`` affects every field the commands build.
+
+
+def _billiard(p: dict) -> LocalEnergyField:
+    return billiard_local_energy_field(AnnularBilliard(p["r"], p["delta"]))
+
+
+def _check_helium(p: dict) -> None:
+    if p["Z"] < 1.0:
+        raise ValueError("helium-like bounds need Z >= 1")
+
+
+def _check_magnetic(p: dict) -> None:
+    MagneticHydrogen(p["B"])
+    if p["variant"] not in (*VARIANTS, "trivial"):
+        raise ValueError(f"unknown variant {p['variant']!r}")
+    if p["variant"] == "improved" and p["B"] <= 0:
+        raise ValueError("the improved trial needs B > 0")
+
+
+def _magnetic_bounds(p: dict, cfg: SearchConfig) -> BoundsResult:
+    mh = MagneticHydrogen(p["B"])
+    if p["variant"] == "trivial":
+        return magnetic_trivial_bounds(mh, cfg)
+    return bounds_of_field(magnetic_hydrogen_field(mh, p["variant"]), cfg)
+
+
+def _magnetic_field(p: dict) -> tuple[dict, LocalEnergyField]:
+    # the trivial sandwich is two fields; its lower one is dumped
+    p = {**p, "variant": "lower" if p["variant"] == "trivial" else p["variant"]}
+    return p, magnetic_hydrogen_field(MagneticHydrogen(p["B"]), p["variant"])
+
+
+def _quartic(p: dict) -> QuarticOscillator:
+    return QuarticOscillator(p["rr"], p["eta"], p["delta2"])
+
+
+def _quartic_refine(p: dict) -> tuple:
+    qo = _quartic(p)
+    return (*quartic_system(qo), quartic_field(qo).asymptotic_limits)
+
+
+def _line(box, default: tuple[float, float], n: int) -> Grid1D:
+    return Grid1D(*(box[0] if box else default), n)
+
+
+def _dirichlet_2d(field: LocalEnergyField, n: int, box) -> OracleResult:
+    return solve_2d_dirichlet_ground_state(field.domain, Grid2D(box or field.domain.box, n))
+
+
+SYSTEMS: dict[str, System] = {
+    "annular-billiard": System(
+        dim=2,
+        params={"r": (0.75, "billiard inner radius"), "delta": (0.1, "billiard center offset")},
+        check=lambda p: AnnularBilliard(p["r"], p["delta"]),
+        grid_n=101,
+        oracle_grid_n=400,
+        sweepable=("r", "delta"),
+        bounds=lambda p, cfg: bounds_of_field(_billiard(p), cfg),
+        field=lambda p: (p, _billiard(p)),
+        columns=("x", "y", "e_loc"),
+        oracle=lambda p, n, box: _dirichlet_2d(_billiard(p), n, box),
+    ),
+    "helium": System(
+        dim=3,
+        params={"Z": (2.0, "helium-like nuclear charge")},
+        check=_check_helium,
+        grid_n=61,
+        sweepable=("Z",),
+        bounds=lambda p, cfg: helium_bounds(p["Z"]),
+    ),
+    "magnetic-hydrogen": System(
+        dim=2,
+        params={
+            "B": (1.0, "magnetic field strength"),
+            "variant": ("trivial", "magnetic trial: lower, upper, improved or trivial"),
+        },
+        check=_check_magnetic,
+        grid_n=161,
+        sweepable=("B",),
+        bounds=_magnetic_bounds,
+        field=_magnetic_field,
+        columns=("rho", "z", "e_loc"),
+    ),
+    "quartic": System(
+        dim=1,
+        params={
+            "rr": (1.0 / math.sqrt(2.0), "quartic stiffness"),
+            "eta": (-1, "quartic potential sign (+1 or -1)"),
+            "delta2": (8.0, "quartic well offset (delta^2)"),
+        },
+        check=_quartic,
+        grid_n=401,
+        oracle_grid_n=2000,
+        sweepable=("rr", "delta2"),
+        bounds=lambda p, cfg: bounds_of_field(quartic_field(_quartic(p)), cfg),
+        field=lambda p: (p, quartic_field(_quartic(p))),
+        columns=("q", "e_loc"),
+        oracle=lambda p, n, box: solve_1d_ground_state(_quartic(p).potential, _line(box, (-8.0, 8.0), n)),
+        refine=_quartic_refine,
+    ),
+    "hydrogen": System(
+        dim=1,
+        params={},
+        grid_n=401,
+        bounds=lambda p, cfg: bounds_of_field(hydrogen_radial_field(1.0), cfg),
+    ),
+    "hydrogen-radial": System(
+        dim=1,
+        params={},
+        grid_n=401,
+        oracle_grid_n=4000,
+        field=lambda p: (p, hydrogen_radial_field(1.0)),
+        columns=("r", "e_loc"),
+        oracle=lambda p, n, box: solve_1d_ground_state(
+            lambda r: -1.0 / r, _line(box, (0.0, 40.0), n), dirichlet_edges=(True, False)
+        ),
+    ),
+    "harmonic": System(
+        dim=1,
+        params={},
+        oracle_grid_n=2000,
+        oracle=lambda p, n, box: solve_1d_ground_state(lambda x: 0.5 * x * x, _line(box, (-10.0, 10.0), n)),
+    ),
+    "disk": System(
+        dim=2,
+        params={},
+        oracle_grid_n=200,
+        oracle=lambda p, n, box: _dirichlet_2d(unit_disk_field(), n, box),
+    ),
+}
+
+
+def _checked(system: System, params: dict) -> dict:
+    """``params`` if they are valid for ``system``, else a :class:`SpecError`."""
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SpecError(f"parameter {key} must be finite, got {value!r}")
+    try:
+        system.check(params)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
+    return params
+
+
+# ---------------------------------------------------------------------------
+# input parsing
+
+
 def _parse_box(text: str, dim: int) -> tuple[tuple[float, float], ...]:
     axes = [t for t in text.split(",") if t.strip()]
     if len(axes) == 1 and dim > 1:
@@ -95,8 +272,8 @@ def _parse_box(text: str, dim: int) -> tuple[tuple[float, float], ...]:
             lo, hi = (float(v) for v in axis.split(":"))
         except ValueError as exc:
             raise SpecError(f"bad --box component {axis!r} (want lo:hi)") from exc
-        if not hi > lo:
-            raise SpecError(f"empty --box range {axis!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise SpecError(f"empty or infinite --box range {axis!r}")
         out.append((lo, hi))
     return tuple(out)
 
@@ -105,9 +282,21 @@ def _parse_float_list(text: str) -> list[float]:
     items = [t.strip() for t in text.split(",")]
     items = [t for t in items if t]
     try:
-        return [float(t) for t in items]
+        values = [float(t) for t in items]
     except ValueError as exc:
         raise SpecError(f"bad numeric list {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise SpecError(f"non-finite value in {text!r}")
+    return values
+
+
+def _one_of(*choices: str) -> Callable[[str], str]:
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValueError(text)
+        return text
+
+    return convert
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -171,6 +360,10 @@ def _search_config(m: _Merger, grid_default: int, levels_default: int = 3,
         raise SpecError(str(exc)) from exc
 
 
+# ---------------------------------------------------------------------------
+# commands
+
+
 def _witness_dict(report) -> dict:
     return {
         "kind": report.kind,
@@ -209,37 +402,10 @@ def _emit(spec: RunSpec, document: dict, csv_text: str | None, started: float) -
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# per-command system builders
-
-
-def _bounds_for_system(spec: RunSpec) -> tuple[dict, BoundsResult]:
-    name = spec.system
-    p = spec.params
-    if name == "annular-billiard":
-        field = billiard_local_energy_field(AnnularBilliard(p["r"], p["delta"]))
-        return {"name": name, "r": p["r"], "delta": p["delta"]}, bounds_of_field(field, spec.search)
-    if name == "helium":
-        return {"name": name, "Z": p["Z"]}, helium_bounds(p["Z"])
-    if name == "magnetic-hydrogen":
-        mh = MagneticHydrogen(p["B"])
-        meta = {"name": name, "B": p["B"], "variant": p["variant"]}
-        if p["variant"] == "trivial":
-            return meta, magnetic_trivial_bounds(mh, spec.search)
-        field = magnetic_hydrogen_field(mh, p["variant"])
-        return meta, bounds_of_field(field, spec.search)
-    if name == "quartic":
-        qo = QuarticOscillator(p["rr"], p["eta"], p["delta2"])
-        meta = {"name": name, "rr": p["rr"], "eta": p["eta"], "delta2": p["delta2"]}
-        return meta, bounds_of_field(quartic_field(qo), spec.search)
-    if name == "hydrogen":
-        return {"name": name}, bounds_of_field(hydrogen_radial_field(1.0), spec.search)
-    raise SpecError(f"unknown bounds system {name!r}")
-
-
 def cmd_bounds(spec: RunSpec) -> int:
     started = time.perf_counter()
-    meta, result = _bounds_for_system(spec)
+    result = SYSTEMS[spec.system].bounds(spec.params, spec.search)
+    meta = {"name": spec.system, **spec.params}
     doc = envelope("bounds", meta, _config_dict(spec), _bounds_result_dict(result))
     rows = [
         ["lower", result.lower],
@@ -263,18 +429,10 @@ def _loc_str(location) -> str:
 
 def cmd_refine(spec: RunSpec) -> int:
     started = time.perf_counter()
-    if spec.system != "quartic":
-        raise SpecError("refine supports one-dimensional systems only (quartic)")
-    p = spec.params
-    qo = QuarticOscillator(p["rr"], p["eta"], p["delta2"])
-    h, base = quartic_system(qo)
-    asym = quartic_field(qo).asymptotic_limits
-
-    centers_text = spec.extras["centers"]
-    if centers_text is None:
+    h, base, asym = SYSTEMS[spec.system].refine(spec.params)
+    centers = spec.extras["centers"]
+    if centers is None:
         centers = default_centers(sweeps=spec.extras["sweeps"])
-    else:
-        centers = _parse_float_list(centers_text)
     sigma = spec.extras["sigma"]
 
     state = new_refinement_state(h, base, asym, cfg=spec.search)
@@ -283,8 +441,7 @@ def cmd_refine(spec: RunSpec) -> int:
         s_star, state = optimize_bump_amplitude(state, center, sigma, cfg=spec.search)
         rows.append([step, center, s_star, state.current_lower])
 
-    meta = {"name": "quartic", "rr": p["rr"], "eta": p["eta"], "delta2": p["delta2"],
-            "sigma": sigma, "n_centers": len(centers)}
+    meta = {"name": spec.system, **spec.params, "sigma": sigma, "n_centers": len(centers)}
     history = [
         {"step": r[0], "center": r[1], "s_star": r[2], "lower_bound": r[3]} for r in rows
     ]
@@ -295,28 +452,11 @@ def cmd_refine(spec: RunSpec) -> int:
 
 def cmd_sweep(spec: RunSpec) -> int:
     started = time.perf_counter()
+    bounds = SYSTEMS[spec.system].bounds
     param = spec.extras["param"]
-    allowed = SWEEP_PARAMS.get(spec.system, ())
-    if param not in allowed:
-        raise SpecError(
-            f"system {spec.system!r} has no sweepable parameter {param!r} "
-            f"(allowed: {', '.join(allowed) or 'none'})"
-        )
-    values = _parse_float_list(spec.extras["values"]) if spec.extras["values"] else []
     rows = []
-    for v in values:
-        sub = RunSpec(
-            command="bounds",
-            system=spec.system,
-            params={**spec.params, param: (int(v) if param == "eta" else v)},
-            search=spec.search,
-            fmt=spec.fmt,
-            out=None,
-            seed=spec.seed,
-            timing=False,
-            extras={},
-        )
-        _, result = _bounds_for_system(sub)
+    for v in spec.extras["values"]:
+        result = bounds({**spec.params, param: v}, spec.search)
         rows.append([param, v, result.lower, result.upper])
     meta = {"name": spec.system, **spec.params, "swept": param}
     doc = envelope(
@@ -328,28 +468,10 @@ def cmd_sweep(spec: RunSpec) -> int:
     return _emit(spec, doc, render_csv(["param", "value", "lower", "upper"], rows), started)
 
 
-def _field_for_system(spec: RunSpec) -> tuple[dict, LocalEnergyField, list[str]]:
-    p = spec.params
-    if spec.system == "quartic":
-        qo = QuarticOscillator(p["rr"], p["eta"], p["delta2"])
-        meta = {"name": spec.system, "rr": p["rr"], "eta": p["eta"], "delta2": p["delta2"]}
-        return meta, quartic_field(qo), ["q", "e_loc"]
-    if spec.system == "hydrogen-radial":
-        return {"name": spec.system}, hydrogen_radial_field(1.0), ["r", "e_loc"]
-    if spec.system == "annular-billiard":
-        field = billiard_local_energy_field(AnnularBilliard(p["r"], p["delta"]))
-        return {"name": spec.system, "r": p["r"], "delta": p["delta"]}, field, ["x", "y", "e_loc"]
-    if spec.system == "magnetic-hydrogen":
-        variant = p["variant"] if p["variant"] != "trivial" else "lower"
-        field = magnetic_hydrogen_field(MagneticHydrogen(p["B"]), variant)
-        meta = {"name": spec.system, "B": p["B"], "variant": variant}
-        return meta, field, ["rho", "z", "e_loc"]
-    raise SpecError(f"unknown field system {spec.system!r}")
-
-
 def cmd_field(spec: RunSpec) -> int:
     started = time.perf_counter()
-    meta, field, columns = _field_for_system(spec)
+    system = SYSTEMS[spec.system]
+    params, field = system.field(spec.params)
     dim = field.domain.dimension
     if dim > 2:
         raise SpecError("field dumps support one- and two-dimensional systems only")
@@ -367,41 +489,17 @@ def cmd_field(spec: RunSpec) -> int:
     rows = [[*map(float, q), float(v)] for q, v in zip(qs, vals)]
     doc = envelope(
         "field",
-        meta,
+        {"name": spec.system, **params},
         _config_dict(spec),
-        {"columns": columns, "rows": rows},
+        {"columns": system.columns, "rows": rows},
     )
-    return _emit(spec, doc, render_csv(columns, rows), started)
+    return _emit(spec, doc, render_csv(system.columns, rows), started)
 
 
 def cmd_oracle(spec: RunSpec) -> int:
     started = time.perf_counter()
-    p = spec.params
-    n = spec.search.grid_points_per_axis
-    box = spec.search.box
-
     try:
-        if spec.system == "quartic":
-            qo = QuarticOscillator(p["rr"], p["eta"], p["delta2"])
-            res = solve_1d_ground_state(qo.potential, Grid1D(*(box[0] if box else (-8.0, 8.0)), n))
-            meta = {"name": spec.system, "rr": p["rr"], "eta": p["eta"], "delta2": p["delta2"]}
-        elif spec.system == "harmonic":
-            res = solve_1d_ground_state(lambda x: 0.5 * x * x, Grid1D(*(box[0] if box else (-10.0, 10.0)), n))
-            meta = {"name": spec.system}
-        elif spec.system == "hydrogen-radial":
-            grid = Grid1D(*(box[0] if box else (0.0, 40.0)), n)
-            res = solve_1d_ground_state(lambda r: -1.0 / r, grid, dirichlet_edges=(True, False))
-            meta = {"name": spec.system}
-        elif spec.system == "annular-billiard":
-            field = billiard_local_energy_field(AnnularBilliard(p["r"], p["delta"]))
-            res = solve_2d_dirichlet_ground_state(field.domain, Grid2D(box or field.domain.box, n))
-            meta = {"name": spec.system, "r": p["r"], "delta": p["delta"]}
-        elif spec.system == "disk":
-            field = unit_disk_field()
-            res = solve_2d_dirichlet_ground_state(field.domain, Grid2D(box or field.domain.box, n))
-            meta = {"name": spec.system}
-        else:
-            raise SpecError(f"unknown oracle system {spec.system!r}")
+        res = SYSTEMS[spec.system].oracle(spec.params, spec.search.grid_points_per_axis, spec.search.box)
     except ValueError as exc:  # grid validation
         raise SpecError(str(exc)) from exc
 
@@ -412,7 +510,7 @@ def cmd_oracle(spec: RunSpec) -> int:
         "fine_value": res.fine_value,
         "detail": res.detail,
     }
-    doc = envelope("oracle", meta, _config_dict(spec), result)
+    doc = envelope("oracle", {"name": spec.system, **spec.params}, _config_dict(spec), result)
     rows = [[k, v] for k, v in result.items()]
     return _emit(spec, doc, render_csv(["key", "value"], rows), started)
 
@@ -427,20 +525,25 @@ def _config_dict(spec: RunSpec) -> dict:
     }
 
 
+# command -> (runner, the System builder it needs)
+_COMMANDS = {
+    "bounds": (cmd_bounds, "bounds"),
+    "refine": (cmd_refine, "refine"),
+    "sweep": (cmd_sweep, "bounds"),
+    "field": (cmd_field, "field"),
+    "oracle": (cmd_oracle, "oracle"),
+}
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--system", required=True)
-    sub.add_argument("--variant", choices=["lower", "upper", "improved", "trivial"])
-    sub.add_argument("--r", type=float, help="billiard inner radius")
-    sub.add_argument("--delta", type=float, help="billiard center offset")
-    sub.add_argument("--Z", type=float, help="helium-like nuclear charge")
-    sub.add_argument("--B", type=float, help="magnetic field strength")
-    sub.add_argument("--eta", type=int, choices=[-1, 1], help="quartic potential sign")
-    sub.add_argument("--delta2", type=float, help="quartic well offset (delta^2)")
-    sub.add_argument("--rr", type=float, help="quartic stiffness")
+    sub.add_argument("--system", required=True, help=", ".join(SYSTEMS))
+    params = {key: spec for system in SYSTEMS.values() for key, spec in system.params.items()}
+    for key, (default, helptext) in params.items():
+        sub.add_argument(f"--{key}", type=type(default), help=helptext)
     sub.add_argument("--grid-n", type=int, help="grid points per axis")
     sub.add_argument("--levels", type=int, help="refinement levels of the search")
     sub.add_argument("--multistarts", type=int, help="random polish starts")
@@ -456,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groundbound",
         description="Two-sided ground-state energy bounds from local-energy extrema.",
-        epilog="GROUNDBOUND_THREADS caps worker threads used by grid scans.",
     )
     parser.add_argument("--version", action="version", version=f"groundbound {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -483,107 +585,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SYSTEM_DEFAULTS: dict[str, dict[str, tuple[Any, Callable]]] = {
-    "annular-billiard": {"r": (0.75, float), "delta": (0.1, float)},
-    "helium": {"Z": (2.0, float)},
-    "magnetic-hydrogen": {"B": (1.0, float), "variant": (None, str)},
-    "quartic": {"rr": (1.0 / math.sqrt(2.0), float), "eta": (-1, int), "delta2": (8.0, float)},
-    "hydrogen": {},
-    "hydrogen-radial": {},
-    "harmonic": {},
-    "disk": {},
-}
-
-_GRID_DEFAULTS = {
-    "annular-billiard": 101,
-    "helium": 61,
-    "magnetic-hydrogen": 161,
-    "quartic": 401,
-    "hydrogen": 401,
-    "hydrogen-radial": 401,
-    "harmonic": 2000,
-    "disk": 200,
-}
-
-# reference solves want finer grids than extremum searches
-_ORACLE_GRID_DEFAULTS = {
-    "quartic": 2000,
-    "annular-billiard": 400,
-    "harmonic": 2000,
-    "hydrogen-radial": 4000,
-    "disk": 200,
-}
-
-_DIMENSIONS = {
-    "annular-billiard": 2,
-    "helium": 3,
-    "magnetic-hydrogen": 2,
-    "quartic": 1,
-    "hydrogen": 1,
-    "hydrogen-radial": 1,
-    "harmonic": 1,
-    "disk": 2,
-}
-
-
 def _build_spec(args: argparse.Namespace) -> RunSpec:
     m = _Merger(args)
-    system = args.system
-    if system not in _SYSTEM_DEFAULTS:
-        raise SpecError(f"unknown system {system!r}")
+    system = SYSTEMS.get(args.system)
+    if system is None:
+        raise SpecError(f"unknown system {args.system!r}")
+    if getattr(system, _COMMANDS[args.command][1]) is None:
+        raise SpecError(f"{args.command} does not support system {args.system!r}")
+    params = _checked(system, {
+        key: m.get(key, default, type(default)) for key, (default, _) in system.params.items()
+    })
 
-    params: dict[str, Any] = {}
-    for key, (default, conv) in _SYSTEM_DEFAULTS[system].items():
-        val = m.get(key if key != "variant" else "variant", default, conv)
-        params[key] = val
-    if system == "magnetic-hydrogen" and params.get("variant") is None:
-        params["variant"] = "trivial"
-
-    # validate parameters against the named system before any computation
-    try:
-        if system == "annular-billiard":
-            AnnularBilliard(params["r"], params["delta"])
-        elif system == "helium":
-            if params["Z"] < 1.0:
-                raise ValueError("helium-like bounds need Z >= 1")
-        elif system == "magnetic-hydrogen":
-            MagneticHydrogen(params["B"])
-            if params["variant"] == "improved" and params["B"] <= 0:
-                raise ValueError("the improved trial needs B > 0")
-        elif system == "quartic":
-            QuarticOscillator(params["rr"], params["eta"], params["delta2"])
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-
-    if args.command == "oracle":
-        grid_default = _ORACLE_GRID_DEFAULTS.get(system, _GRID_DEFAULTS[system])
-    else:
-        grid_default = _GRID_DEFAULTS[system]
+    grid_default = system.oracle_grid_n if args.command == "oracle" else system.grid_n
     levels_default = 2 if args.command == "refine" else 3
     multistarts_default = 1 if args.command == "refine" else 8
-    search = _search_config(m, grid_default, levels_default, multistarts_default,
-                            dim=_DIMENSIONS[system])
+    search = _search_config(m, grid_default, levels_default, multistarts_default, dim=system.dim)
 
     default_fmt = "json" if args.command in ("bounds", "oracle") else "csv"
     extras: dict[str, Any] = {}
     if args.command == "refine":
-        extras["centers"] = m.get("centers", None)
+        centers = m.get("centers", None)
+        extras["centers"] = None if centers is None else _parse_float_list(centers)
         extras["sigma"] = m.get("sigma", 1.0, float)
         extras["sweeps"] = m.get("sweeps", 12, int)
-        if extras["sigma"] <= 0:
-            raise SpecError("--sigma must be positive")
+        if not (math.isfinite(extras["sigma"]) and extras["sigma"] > 0):
+            raise SpecError("--sigma must be positive and finite")
+        if extras["sweeps"] < 1:
+            raise SpecError("--sweeps must be at least 1")
     if args.command == "sweep":
-        extras["param"] = args.param
-        extras["values"] = m.get("values", "")
+        param = args.param
+        if param not in system.sweepable:
+            raise SpecError(
+                f"system {args.system!r} has no sweepable parameter {param!r} "
+                f"(allowed: {', '.join(system.sweepable) or 'none'})"
+            )
+        extras["param"] = param
+        extras["values"] = _parse_float_list(m.get("values", ""))
+        for v in extras["values"]:
+            _checked(system, {**params, param: v})
     if args.command == "field":
-        extras["singular"] = m.get("singular", "limit")
+        extras["singular"] = m.get("singular", "limit", _one_of("limit", "nan"))
 
     spec = RunSpec(
         command=args.command,
-        system=system,
+        system=args.system,
         params=params,
         search=search,
-        fmt=m.get("format", default_fmt),
+        fmt=m.get("format", default_fmt, _one_of("json", "csv")),
         out=m.get("out", None),
         seed=search.rng_seed,
         timing=bool(args.timing),
@@ -593,27 +641,12 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
     return spec
 
 
-_COMMANDS = {
-    "bounds": cmd_bounds,
-    "refine": cmd_refine,
-    "sweep": cmd_sweep,
-    "field": cmd_field,
-    "oracle": cmd_oracle,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         spec = _build_spec(args)
-        if spec.command == "bounds" and spec.system not in BOUNDS_SYSTEMS:
-            raise SpecError(f"bounds does not support system {spec.system!r}")
-        if spec.command == "field" and spec.system not in FIELD_SYSTEMS:
-            raise SpecError(f"field does not support system {spec.system!r}")
-        if spec.command == "oracle" and spec.system not in ORACLE_SYSTEMS:
-            raise SpecError(f"oracle does not support system {spec.system!r}")
-        return _COMMANDS[spec.command](spec)
+        return _COMMANDS[spec.command][0](spec)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -123,6 +123,14 @@ class SingularSet:
             object.__setattr__(self, "max_limit", self.limit)
 
 
+def _tube_mask(sets: tuple[SingularSet, ...], qs: np.ndarray) -> np.ndarray:
+    """Points of the ``(n, dim)`` batch ``qs`` inside any of the sets' tubes."""
+    mask = np.zeros(qs.shape[0], dtype=bool)
+    for s in sets:
+        mask |= np.asarray(s.tube(qs), dtype=bool)
+    return mask
+
+
 @dataclass(frozen=True)
 class AsymptoticLimit:
     """Directional limit of the local energy as ``|q| -> inf``."""
@@ -166,11 +174,7 @@ class Domain:
         return mask
 
     def singular_mask(self, qs: np.ndarray) -> np.ndarray:
-        qs = as_batch(qs, self.dimension)
-        mask = np.zeros(qs.shape[0], dtype=bool)
-        for s in self.excluded_singular_sets:
-            mask |= np.asarray(s.tube(qs), dtype=bool)
-        return mask
+        return _tube_mask(self.excluded_singular_sets, as_batch(qs, self.dimension))
 
     def searchable_mask(self, qs: np.ndarray) -> np.ndarray:
         """Interior points outside every declared singular tube."""
@@ -261,11 +265,7 @@ class LocalEnergyField:
     label: str = ""
 
     def singular_mask(self, qs: np.ndarray) -> np.ndarray:
-        qs = as_batch(qs, self.domain.dimension)
-        mask = np.zeros(qs.shape[0], dtype=bool)
-        for s in self.singularities:
-            mask |= np.asarray(s.tube(qs), dtype=bool)
-        return mask
+        return _tube_mask(self.singularities, as_batch(qs, self.domain.dimension))
 
     def valid_mask(self, qs: np.ndarray) -> np.ndarray:
         return self.domain.interior_mask(qs) & ~self.singular_mask(qs)

@@ -10,7 +10,6 @@ family's control vector with a full inner extremum search per probe.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -96,34 +95,6 @@ class ExtremumReport:
     history: tuple[float, ...]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GROUNDBOUND_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _chunked_eval(f: Callable[[np.ndarray], np.ndarray], qs: np.ndarray) -> np.ndarray:
-    """Evaluate a vectorized field, optionally fanning chunks over threads.
-
-    Chunks are disjoint and merged in index order, so the result is identical
-    to a sequential evaluation regardless of GROUNDBOUND_THREADS.
-    """
-    workers = _worker_count()
-    if workers <= 1 or qs.shape[0] < 4 * workers:
-        return np.asarray(f(qs), dtype=float)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(np.arange(qs.shape[0]), workers)
-    out = np.empty(qs.shape[0], dtype=float)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(idx, pool.submit(f, qs[idx])) for idx in chunks if idx.size]
-        for idx, fut in futures:
-            out[idx] = np.asarray(fut.result(), dtype=float)
-    return out
-
-
 def _grid_points(box: Sequence[tuple[float, float]], n_per_axis: int) -> np.ndarray:
     axes = [np.linspace(lo, hi, n_per_axis) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -135,7 +106,7 @@ def _masked_values(field: LocalEnergyField, qs: np.ndarray, sign: float) -> np.n
     ok = field.valid_mask(qs)
     vals = np.full(qs.shape[0], np.inf)
     if ok.any():
-        v = sign * _chunked_eval(field.evaluate, qs[ok])
+        v = sign * field.evaluate(qs[ok])
         v[~np.isfinite(v)] = np.inf
         vals[ok] = v
     return vals
@@ -185,7 +156,7 @@ def _fd_gradient_norm(field: LocalEnergyField, x: np.ndarray, sign: float) -> fl
         pair = np.stack([x + e, x - e])
         if not field.valid_mask(pair).all():
             return None
-        vp, vm = _chunked_eval(field.evaluate, pair)
+        vp, vm = field.evaluate(pair)
         g[i] = (vp - vm) / (2 * h)
     return float(np.linalg.norm(g))
 

@@ -339,24 +339,16 @@ def magnetic_hamiltonian(mh: MagneticHydrogen) -> Hamiltonian:
 def magnetic_trivial_bounds(mh: MagneticHydrogen, cfg=None) -> BoundsResult:
     """Sandwich from the two trivial trials: lower from ``h = 0``, upper from
     ``h = -B/4`` (each certifies only its own side)."""
-    from ..search import SearchConfig, global_max, global_min
+    from ..search import SearchConfig, _caveat, global_max, global_min
 
     cfg = cfg or SearchConfig()
-    lo = global_min(magnetic_hydrogen_field(mh, "lower"), cfg=cfg)
+    lower = magnetic_hydrogen_field(mh, "lower")
+    lo = global_min(lower, cfg=cfg)
     hi = global_max(magnetic_hydrogen_field(mh, "upper"), cfg=cfg)
-    from ..core import ResolutionCaveat
-
-    box = mh.box()
     return BoundsResult(
         lower=lo.value,
         upper=hi.value,
         lower_witness=lo,
         upper_witness=hi,
-        resolution_caveat=ResolutionCaveat(
-            grid_points_per_axis=cfg.grid_points_per_axis,
-            refinement_levels=cfg.refinement_levels,
-            multistart_count=cfg.multistart_count,
-            box=box,
-            final_grid_spacing=max(hi0 - lo0 for lo0, hi0 in box) / (cfg.grid_points_per_axis - 1),
-        ),
+        resolution_caveat=_caveat(lower, cfg),
     )

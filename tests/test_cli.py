@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -192,16 +193,48 @@ def test_field_singular_nan_flag(tmp_path):
 
 
 def test_exit_codes_for_bad_specs(tmp_path):
-    assert main(["bounds", "--system", "nonsense"]) == 2
-    assert main(["bounds", "--system", "annular-billiard", "--r", "1.5"]) == 2
-    assert main(["bounds", "--system", "helium", "--Z", "0.5"]) == 2
-    assert main(["refine", "--system", "annular-billiard"]) == 2
-    assert main(["field", "--system", "helium"]) == 2
-    assert main(["sweep", "--system", "helium", "--param", "Q", "--values", "1"]) == 2
-    assert main(["oracle", "--system", "helium"]) == 2
+    conf = tmp_path / "bad.conf"
+    conf.write_text("B = nan\nvariant = bogus\n")
+    out = tmp_path / "out"
+    bad_specs = [
+        "bounds --system nonsense",
+        "bounds --system annular-billiard --r 1.5",
+        "bounds --system helium --Z 0.5",
+        "refine --system annular-billiard",
+        "field --system helium",
+        "sweep --system helium --param Q --values 1",
+        "oracle --system helium",
+        "bounds --system magnetic-hydrogen --B nan",
+        "bounds --system quartic --rr nan",
+        "bounds --system quartic --delta2 inf",
+        "bounds --system helium --Z nan",
+        f"bounds --system magnetic-hydrogen --config {conf}",
+        "refine --system quartic --sigma nan --centers 0",
+        "refine --system quartic --sweeps -3",
+        "refine --system quartic --sweeps 0",
+        "sweep --system annular-billiard --param r --values 2",
+        "sweep --system helium --param Z --values 0.5",
+        "sweep --system magnetic-hydrogen --param B --values -1",
+        "sweep --system magnetic-hydrogen --variant improved --param B --values 0",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in bad_specs:
+            assert main([*argv.split(), "--out", str(out)]) == 2, argv
+            assert not out.exists(), argv
     with pytest.raises(SystemExit) as err:
         main(["bogus"])
     assert err.value.code == 2
+
+
+def test_trivial_magnetic_caveat_echoes_box(tmp_path):
+    box = ["--box", "0.01:6,-6:6", "--grid-n", "41"]
+    _, trivial = run(tmp_path, "bounds", "--system", "magnetic-hydrogen", *box, name="trivial")
+    _, lower = run(tmp_path, "bounds", "--system", "magnetic-hydrogen", "--variant", "lower", *box,
+                   name="lower")
+    caveat = json.loads(trivial)["result"]["resolution_caveat"]
+    assert caveat["box"] == [[0.01, 6.0], [-6.0, 6.0]]
+    assert caveat == json.loads(lower)["result"]["resolution_caveat"]
 
 
 @pytest.mark.parametrize(

@@ -215,14 +215,3 @@ def test_unknown_objective_rejected():
     fam = hydrogen_exponent_family()
     with pytest.raises(ValueError):
         optimize_parameters(fam, None, "background-check", SearchConfig())
-
-
-def test_thread_env_does_not_change_results(monkeypatch):
-    f = billiard_local_energy_field(AnnularBilliard(r=0.75, delta=0.1))
-    cfg = SearchConfig(rng_seed=5)
-    monkeypatch.delenv("GROUNDBOUND_THREADS", raising=False)
-    sequential = global_min(f, cfg=cfg)
-    monkeypatch.setenv("GROUNDBOUND_THREADS", "4")
-    threaded = global_min(f, cfg=cfg)
-    assert sequential.value == threaded.value
-    assert np.array_equal(sequential.location, threaded.location)
