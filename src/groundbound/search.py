@@ -4,8 +4,12 @@
 resolution plus a derivative-free polish; the winning candidate is compared
 against every declared singular-set limit and asymptotic limit, so a search
 box on an unbounded domain is legitimate exactly when those limits are
-supplied.  ``optimize_parameters`` runs the outer sup/inf over a trial
-family's control vector with a full inner extremum search per probe.
+supplied.  The polish runs the grid winner and every multistart in lockstep:
+each coordinate probe sends one candidate per running start to a single
+batched field call, and each start keeps its own greedy acceptance and step
+halving, so the result is the same as polishing the starts one by one.
+``optimize_parameters`` runs the outer sup/inf over a trial family's control
+vector with a full inner extremum search per probe.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ class SearchConfig:
     grid_points_per_axis: int = 101
     refinement_levels: int = 3
     multistart_count: int = 8
-    local_tol: float = 1e-6
     box: tuple[tuple[float, float], ...] | None = None
     rng_seed: int = 0
 
@@ -104,60 +107,85 @@ def _grid_points(box: Sequence[tuple[float, float]], n_per_axis: int) -> np.ndar
 def _masked_values(field: LocalEnergyField, qs: np.ndarray, sign: float) -> np.ndarray:
     """Field values with invalid/singular/non-finite points set to +inf (after sign)."""
     ok = field.valid_mask(qs)
-    vals = np.full(qs.shape[0], np.inf)
-    if ok.any():
-        v = sign * field.evaluate(qs[ok])
-        v[~np.isfinite(v)] = np.inf
-        vals[ok] = v
+    if ok.all():
+        vals = sign * field.evaluate(qs)
+    else:
+        vals = np.full(qs.shape[0], np.inf)
+        if ok.any():
+            vals[ok] = sign * field.evaluate(qs[ok])
+    vals[~np.isfinite(vals)] = np.inf
     return vals
 
 
 def _polish(
-    objective: Callable[[np.ndarray], float],
-    x0: np.ndarray,
+    objective: Callable[[np.ndarray], np.ndarray],
+    starts: np.ndarray,
     box: Sequence[tuple[float, float]],
     initial_step: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Derivative-free coordinate descent with shrinking steps.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative-free coordinate descent with shrinking steps, run in lockstep.
 
-    Minimizes ``objective`` (already sign-adjusted).  A sweep that improves by
-    less than ``POLISH_VALUE_STOP`` counts as stalled, so steps keep halving
-    until they drop below ``POLISH_STEP_STOP``; this drives the location in to
-    step resolution rather than quitting on the first flat sweep.
+    Minimizes ``objective`` (already sign-adjusted), which maps a ``(k, dim)``
+    batch of points to a new array of ``k`` values, from every row of
+    ``starts`` at once.
+    Each start keeps its own point, value and step vector.  At each
+    ``(coordinate, +/-step)`` probe every running start offers one candidate,
+    all candidates go to one ``objective`` call, and each start takes its own
+    candidate when it is strictly better.  A sweep that improves a start by
+    less than ``POLISH_VALUE_STOP`` counts as stalled, so that start's steps
+    keep halving until they drop below ``POLISH_STEP_STOP``, where it stops;
+    this drives each location in to step resolution rather than quitting on
+    the first flat sweep.  When ``objective`` is batch invariant (a row's
+    value does not depend on the other rows), every start follows exactly the
+    trajectory it would follow alone.  Returns the polished points and values.
     """
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
-    x = np.clip(np.asarray(x0, dtype=float).copy(), lo, hi)
+    x = np.clip(np.asarray(starts, dtype=float), lo, hi)
     fx = objective(x)
-    step = np.asarray(initial_step, dtype=float).copy()
-    while np.max(step) >= POLISH_STEP_STOP:
-        start = fx
-        improved = False
-        for i in range(x.shape[0]):
-            for s in (+step[i], -step[i]):
-                cand = x.copy()
-                cand[i] = min(max(cand[i] + s, lo[i]), hi[i])
-                fc = objective(cand)
-                if fc < fx:
-                    x, fx = cand, fc
-                    improved = True
-        if not improved or (start - fx) < POLISH_VALUE_STOP:
-            step *= 0.5
-    return x, fx
+    dim = x.shape[1]
+    step = np.tile(np.asarray(initial_step, dtype=float), (x.shape[0], 1))
+    out_x, out_f = x.copy(), fx.copy()
+    rows = np.arange(x.shape[0])  # output row of each running start
+    running = step.max(axis=1) >= POLISH_STEP_STOP
+    # a start stuck at +inf gives inf - inf in the stall test; it stalls either way
+    with np.errstate(invalid="ignore"):
+        while True:
+            if not running.all():
+                out_x[rows[~running]] = x[~running]
+                out_f[rows[~running]] = fx[~running]
+                rows, x, fx, step = rows[running], x[running], fx[running], step[running]
+                if rows.size == 0:
+                    return out_x, out_f
+            start = fx.copy()
+            for i in range(dim):
+                xi = x[:, i]  # a view: accepted moves land in x
+                for s in (step[:, i], -step[:, i]):
+                    col = xi + s
+                    # exactly min(max(c, lo), hi); np.clip may flip the sign of a zero
+                    col = np.where(lo[i] > col, lo[i], col)
+                    col = np.where(hi[i] < col, hi[i], col)
+                    cand = x.copy()
+                    cand[:, i] = col
+                    fc = objective(cand)
+                    better = fc < fx
+                    np.copyto(xi, col, where=better)
+                    np.copyto(fx, fc, where=better)
+            # acceptance is strict, so a start improved exactly when fx < start
+            step[~(fx < start) | ((start - fx) < POLISH_VALUE_STOP)] *= 0.5
+            running = step.max(axis=1) >= POLISH_STEP_STOP
 
 
 def _fd_gradient_norm(field: LocalEnergyField, x: np.ndarray, sign: float) -> float | None:
     h = 1e-6
     dim = x.shape[0]
-    g = np.zeros(dim)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        pair = np.stack([x + e, x - e])
-        if not field.valid_mask(pair).all():
-            return None
-        vp, vm = field.evaluate(pair)
-        g[i] = (vp - vm) / (2 * h)
+    e = h * np.eye(dim)
+    # rows x + h e_0, x - h e_0, x + h e_1, ...
+    pts = np.stack([x + e, x - e], axis=1).reshape(2 * dim, dim)
+    if not field.valid_mask(pts).all():
+        return None
+    v = field.evaluate(pts)
+    g = (v[0::2] - v[1::2]) / (2 * h)
     return float(np.linalg.norm(g))
 
 
@@ -172,9 +200,6 @@ def _search_extremum(field: LocalEnergyField, cfg: SearchConfig, kind: str) -> E
             "refusing to truncate an unbounded domain without declared asymptotic limits"
         )
     box = tuple((float(lo), float(hi)) for lo, hi in box)
-
-    def objective(x: np.ndarray) -> float:
-        return float(_masked_values(field, x[None, :], sign)[0])
 
     # level 0: full-box scan, then zoomed re-grids around the running best
     history: list[float] = []
@@ -202,11 +227,8 @@ def _search_extremum(field: LocalEnergyField, cfg: SearchConfig, kind: str) -> E
             for d in range(len(box))
         )
 
-    # polish the grid winner and the multistarts
+    # polish the grid winner and the multistarts together
     spacing = np.array([(hi - lo) / (cfg.grid_points_per_axis - 1) for lo, hi in box])
-    candidates: list[tuple[np.ndarray, float]] = []
-    if best_x is not None:
-        candidates.append(_polish(objective, best_x, box, spacing.copy()))
     rng = np.random.default_rng(cfg.rng_seed)
     try:
         starts = sample_interior(
@@ -217,12 +239,13 @@ def _search_extremum(field: LocalEnergyField, cfg: SearchConfig, kind: str) -> E
         # a sliver domain can defeat rejection sampling; the grid scan already
         # covered it, so multistarts are merely skipped
         starts = np.empty((0, len(box)))
-    for x0 in starts:
-        candidates.append(_polish(objective, x0, box, spacing.copy()))
+    # level 0 either raised or found a finite grid winner
+    starts = np.concatenate([best_x[None, :], starts])
+    xs, vs = _polish(lambda qs: _masked_values(field, qs, sign), starts, box, spacing)
 
     # ties on the value broken by lexicographically smallest location
     interior_x, interior_v = None, np.inf
-    for x, v in candidates:
+    for x, v in zip(xs, vs.tolist()):
         if v < interior_v or (v == interior_v and interior_x is not None and tuple(x) < tuple(interior_x)):
             interior_x, interior_v = x, v
     if interior_x is not None and np.isfinite(interior_v):
@@ -392,17 +415,19 @@ def optimize_parameters(
     sign = -1.0 if want_lower else 1.0  # minimize sign*val
     rng = np.random.default_rng(cfg.rng_seed)
 
-    cache: dict[tuple[float, ...], float] = {}
+    cache: dict[tuple[float, ...], tuple[float, BoundsResult]] = {}
     probes: list[tuple[tuple[float, ...], float]] = []
 
     def objective_fn(lam: np.ndarray) -> float:
         key = tuple(float(v) for v in lam)
         if key not in cache:
-            val, _ = score(np.array(key))
-            cache[key] = val
-            probes.append((key, val))
-        v = cache[key]
+            cache[key] = score(np.array(key))
+            probes.append((key, cache[key][0]))
+        v = cache[key][0]
         return np.inf if not np.isfinite(v) else sign * v
+
+    def objective_rows(lams: np.ndarray) -> np.ndarray:
+        return np.array([objective_fn(lam) for lam in lams])
 
     random_probes = rng.uniform(lo, hi, size=(RANDOM_PROBE_COUNT, lo.shape[0]))
     corner_probes = [lo, hi, (lo + hi) / 2]
@@ -418,11 +443,13 @@ def optimize_parameters(
     n_starts = min(cfg.multistart_count, len(start_vals))
     best_x, best_f = None, np.inf
     step0 = (hi - lo) / 8.0
+    # one start per polish, so the probe record keeps its sequential order
     for _, key in start_vals[:n_starts]:
-        x, f = _polish(objective_fn, np.array(key), family.control_box, step0.copy())
-        if f < best_f:
-            best_x, best_f = x, f
-    val, b = score(best_x)
+        xs, fs = _polish(objective_rows, np.array([key]), family.control_box, step0)
+        if fs[0] < best_f:
+            best_x, best_f = xs[0], fs[0]
+    # every polished point was probed, so its inner bounds are cached
+    _, b = cache[tuple(float(v) for v in best_x)]
     return ParameterSearchResult(
         best_params=best_x,
         bounds=b,
