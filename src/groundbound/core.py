@@ -220,15 +220,16 @@ class Hamiltonian:
 class LogTrialFunction:
     """Trial state stored as ``S = ln phi`` with analytic derivatives.
 
-    ``hess_s`` (full Hessian, shape ``(n, dim, dim)``) is only needed when the
-    Hamiltonian's inverse-mass form has off-diagonal entries.
+    ``derivs(qs)`` returns ``(grad, second)`` for a batch of points: the
+    gradient of ``S``, shape ``(n, dim)``, and either its Laplacian, shape
+    ``(n,)``, or its full Hessian, shape ``(n, dim, dim)``.  The Hessian is
+    only needed when the Hamiltonian's inverse-mass form is not a multiple of
+    the identity.
     """
 
     params: np.ndarray
     s: Callable[[np.ndarray], np.ndarray]
-    grad_s: Callable[[np.ndarray], np.ndarray]
-    lap_s: Callable[[np.ndarray], np.ndarray]
-    hess_s: Callable[[np.ndarray], np.ndarray] | None = None
+    derivs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     normalizable: bool = True
     label: str = ""
 
@@ -344,23 +345,28 @@ class CrossCheckReport:
 # local-energy evaluation
 
 
+def _laplacian(second: np.ndarray) -> np.ndarray:
+    """The Laplacian from the second output of ``derivs``, tracing a Hessian."""
+    return second if second.ndim == 1 else np.trace(second, axis1=1, axis2=2)
+
+
 def local_energy_log_batch(h: Hamiltonian, trial: LogTrialFunction, qs: np.ndarray) -> np.ndarray:
     """Vectorized ``V - sum_ij a_ij (d_i d_j S + d_i S d_j S)``; no validity checks."""
     qs = as_batch(qs, h.domain.dimension)
     v = np.asarray(h.potential(qs), dtype=float)
-    g = np.asarray(trial.grad_s(qs), dtype=float)
+    g, second = trial.derivs(qs)
+    g = np.asarray(g, dtype=float)
+    second = np.asarray(second, dtype=float)
     c = h.isotropic_coefficient
     if c is not None:
-        lap = np.asarray(trial.lap_s(qs), dtype=float)
-        return v - c * (lap + np.sum(g * g, axis=1))
-    if trial.hess_s is None:
+        return v - c * (_laplacian(second) + np.sum(g * g, axis=1))
+    if second.ndim == 1:
         raise ValueError(
             "trial supplies no Hessian but the inverse-mass form is not a multiple "
             "of the identity; the Laplacian alone cannot contract against it"
         )
-    hess = np.asarray(trial.hess_s(qs), dtype=float)
     a = h.inverse_mass_form
-    kin = np.einsum("ij,nij->n", a, hess) + np.einsum("ij,ni,nj->n", a, g, g)
+    kin = np.einsum("ij,nij->n", a, second) + np.einsum("ij,ni,nj->n", a, g, g)
     return v - kin
 
 
@@ -516,16 +522,18 @@ def derivative_consistency(
     h_grad: float = 1e-5,
     h_lap: float = 1e-4,
 ) -> tuple[float, float]:
-    """Max relative error of ``grad_s`` vs central differences of ``s`` and of
-    ``lap_s`` vs the finite-difference divergence of ``grad_s``.
+    """Max relative error of the gradient from ``derivs`` vs central
+    differences of ``s``, and of its Laplacian (a Hessian's trace) vs the
+    finite-difference divergence of the gradient.
 
     Step sizes follow the usual central-difference optimum; the returned pair
     is compared against (1e-6, 1e-5) by the shipped-trial consistency tests.
     """
     qs = np.asarray(qs, dtype=float)
     n, dim = qs.shape
-    g = np.asarray(trial.grad_s(qs), dtype=float)
-    lap = np.asarray(trial.lap_s(qs), dtype=float)
+    g, second = trial.derivs(qs)
+    g = np.asarray(g, dtype=float)
+    lap = _laplacian(np.asarray(second, dtype=float))
 
     g_fd = np.empty_like(g)
     div_fd = np.zeros(n)
@@ -533,8 +541,8 @@ def derivative_consistency(
         e = np.zeros(dim)
         e[i] = 1.0
         g_fd[:, i] = (trial.s(qs + h_grad * e) - trial.s(qs - h_grad * e)) / (2 * h_grad)
-        gp = np.asarray(trial.grad_s(qs + h_lap * e), dtype=float)[:, i]
-        gm = np.asarray(trial.grad_s(qs - h_lap * e), dtype=float)[:, i]
+        gp = np.asarray(trial.derivs(qs + h_lap * e)[0], dtype=float)[:, i]
+        gm = np.asarray(trial.derivs(qs - h_lap * e)[0], dtype=float)[:, i]
         div_fd += (gp - gm) / (2 * h_lap)
 
     g_scale = np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1.0)

@@ -121,7 +121,8 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
     """S = S_base + sum of bumps, with derivatives assembled analytically.
 
     The bump sum is evaluated as one broadcast over the stacked (s, a, sigma)
-    arrays, so hundreds of committed bumps stay cheap.
+    arrays, so hundreds of committed bumps stay cheap.  The base trial's
+    ``derivs`` must return a Laplacian, not a Hessian.
     """
     base, bumps = state.base, state.bumps
     if not bumps:
@@ -146,21 +147,17 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
         q = flat(qs)
         return np.asarray(base.s(qs), dtype=float) + parts(q)[0]
 
-    def grad_s(qs):
-        q = flat(qs)
-        out = np.asarray(base.grad_s(qs), dtype=float).copy()
-        out[:, 0] += parts(q)[1]
-        return out
-
-    def lap_s(qs):
-        q = flat(qs)
-        return np.asarray(base.lap_s(qs), dtype=float) + parts(q)[2]
+    def derivs(qs):
+        g0, lap0 = base.derivs(qs)
+        _, d1, d2 = parts(flat(qs))
+        grad = np.array(g0, dtype=float)
+        grad[:, 0] += d1
+        return grad, np.asarray(lap0, dtype=float) + d2
 
     return LogTrialFunction(
         params=np.concatenate([base.params, s_arr]),
         s=s,
-        grad_s=grad_s,
-        lap_s=lap_s,
+        derivs=derivs,
         normalizable=base.normalizable,
         label=base.label + f" + {len(bumps)} bump(s)",
     )
@@ -239,8 +236,9 @@ class _AmplitudeCurve:
         qs = qs[ok]
         trial = perturbed_trial(state)
         v = np.asarray(state.hamiltonian.potential(qs), dtype=float)
-        grad0 = np.asarray(trial.grad_s(qs), dtype=float)[:, 0]
-        lap0 = np.asarray(trial.lap_s(qs), dtype=float)
+        grad, lap0 = trial.derivs(qs)
+        grad0 = np.asarray(grad, dtype=float)[:, 0]
+        lap0 = np.asarray(lap0, dtype=float)
         g1, g2 = _unit_bump_parts(self.grid, a, sigma)
         self.alpha = v - 0.5 * (lap0 + grad0 * grad0)
         self.beta = -0.5 * (g2 + 2.0 * grad0 * g1)

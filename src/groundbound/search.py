@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     BoundsResult,
-    Domain,
     Hamiltonian,
     LocalEnergyField,
     LogTrialFunction,
@@ -176,7 +175,7 @@ def _polish(
             running = step.max(axis=1) >= POLISH_STEP_STOP
 
 
-def _fd_gradient_norm(field: LocalEnergyField, x: np.ndarray, sign: float) -> float | None:
+def _fd_gradient_norm(field: LocalEnergyField, x: np.ndarray) -> float | None:
     h = 1e-6
     dim = x.shape[0]
     e = h * np.eye(dim)
@@ -203,7 +202,7 @@ def _search_extremum(field: LocalEnergyField, cfg: SearchConfig, kind: str) -> E
 
     # level 0: full-box scan, then zoomed re-grids around the running best
     history: list[float] = []
-    best_x: np.ndarray | None = None
+    best_x: np.ndarray  # level 0 either raises or sets it
     best_v = np.inf
     window = box
     for level in range(cfg.refinement_levels):
@@ -219,8 +218,6 @@ def _search_extremum(field: LocalEnergyField, cfg: SearchConfig, kind: str) -> E
                 best_v = float(vals[i])
                 best_x = pts[i].copy()
         history.append(best_v)
-        if best_x is None:
-            break
         widths = np.array([hi - lo for lo, hi in window]) * 0.25
         window = tuple(
             (max(box[d][0], best_x[d] - widths[d] / 2), min(box[d][1], best_x[d] + widths[d] / 2))
@@ -239,7 +236,6 @@ def _search_extremum(field: LocalEnergyField, cfg: SearchConfig, kind: str) -> E
         # a sliver domain can defeat rejection sampling; the grid scan already
         # covered it, so multistarts are merely skipped
         starts = np.empty((0, len(box)))
-    # level 0 either raised or found a finite grid winner
     starts = np.concatenate([best_x[None, :], starts])
     xs, vs = _polish(lambda qs: _masked_values(field, qs, sign), starts, box, spacing)
 
@@ -273,7 +269,7 @@ def _search_extremum(field: LocalEnergyField, cfg: SearchConfig, kind: str) -> E
         value = sign * winner_value
     else:
         location = interior_x
-        grad_norm = _fd_gradient_norm(field, interior_x, sign)
+        grad_norm = _fd_gradient_norm(field, interior_x)
         value = sign * interior_v
     hist = tuple(sign * h for h in history)
     if at_limit:
@@ -289,20 +285,14 @@ def _search_extremum(field: LocalEnergyField, cfg: SearchConfig, kind: str) -> E
     )
 
 
-def global_min(field: LocalEnergyField, domain: Domain | None = None, cfg: SearchConfig | None = None) -> ExtremumReport:
-    """Global minimum of the field over the domain, including declared limits."""
-    cfg = cfg or SearchConfig()
-    if domain is not None and domain is not field.domain:
-        field = replace(field, domain=domain)
-    return _search_extremum(field, cfg, "min")
+def global_min(field: LocalEnergyField, cfg: SearchConfig | None = None) -> ExtremumReport:
+    """Global minimum of the field over its domain, including declared limits."""
+    return _search_extremum(field, cfg or SearchConfig(), "min")
 
 
-def global_max(field: LocalEnergyField, domain: Domain | None = None, cfg: SearchConfig | None = None) -> ExtremumReport:
+def global_max(field: LocalEnergyField, cfg: SearchConfig | None = None) -> ExtremumReport:
     """Mirror of :func:`global_min`."""
-    cfg = cfg or SearchConfig()
-    if domain is not None and domain is not field.domain:
-        field = replace(field, domain=domain)
-    return _search_extremum(field, cfg, "max")
+    return _search_extremum(field, cfg or SearchConfig(), "max")
 
 
 def _caveat(field: LocalEnergyField, cfg: SearchConfig) -> ResolutionCaveat:

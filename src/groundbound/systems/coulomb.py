@@ -249,7 +249,11 @@ def trial_is_normalizable(cs: CoulombSystem, n_dirs: int = 256, seed: int = 7) -
 
 def coulomb_log_trial(cs: CoulombSystem, check_normalizable: bool = True) -> LogTrialFunction:
     """The pair-exponential trial S = -sum_{i<j} lam_ij r_ij with analytic
-    gradient, Laplacian and full Hessian over the flat coordinates."""
+    gradient and full Hessian over the flat coordinates.
+
+    The Hessian, not just its trace, is needed because a finite nucleus mass
+    couples the relative coordinates in the inverse-mass form.
+    """
     lam = cs.cusp_coefficients
     n, d = cs.n_particles, cs.space_dim
     iu = np.triu_indices(n, k=1)
@@ -258,49 +262,26 @@ def coulomb_log_trial(cs: CoulombSystem, check_normalizable: bool = True) -> Log
         r = _batch_distances(_flat_to_positions(cs, qs))
         return -np.sum(lam[iu] * r[:, iu[0], iu[1]], axis=1)
 
-    def grad_s(qs: np.ndarray) -> np.ndarray:
+    def derivs(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pos = _flat_to_positions(cs, qs)
         m = pos.shape[0]
         x = np.concatenate([np.zeros((m, 1, d)), pos], axis=1)
         r = _batch_distances(pos)
         g = np.zeros((m, n - 1, d))
-        for k in range(1, n):
-            for j in range(n):
-                if j == k:
-                    continue
-                unit = (x[:, k] - x[:, j]) / r[:, k, j][:, None]
-                g[:, k - 1] += -lam[k, j] * unit
-        return g.reshape(m, cs.flat_dim)
-
-    def hess_s(qs: np.ndarray) -> np.ndarray:
-        pos = _flat_to_positions(cs, qs)
-        m = pos.shape[0]
-        x = np.concatenate([np.zeros((m, 1, d)), pos], axis=1)
-        r = _batch_distances(pos)
         h = np.zeros((m, n - 1, d, n - 1, d))
         eye = np.eye(d)
         for k in range(1, n):
             for j in range(n):
                 if j == k:
                     continue
-                v = x[:, k] - x[:, j]
+                unit = (x[:, k] - x[:, j]) / r[:, k, j][:, None]
+                g[:, k - 1] += -lam[k, j] * unit
                 rr = r[:, k, j][:, None, None]
-                unit = v / r[:, k, j][:, None]
                 proj = (eye[None, :, :] - unit[:, :, None] * unit[:, None, :]) / rr
                 h[:, k - 1, :, k - 1, :] += -lam[k, j] * proj
                 if j >= 1:
                     h[:, k - 1, :, j - 1, :] += lam[k, j] * proj
-        return h.reshape(m, cs.flat_dim, cs.flat_dim)
-
-    def lap_s(qs: np.ndarray) -> np.ndarray:
-        r = _batch_distances(_flat_to_positions(cs, qs))
-        out = np.zeros(qs.shape[0])
-        for k in range(1, n):
-            out += -lam[k, 0] * (d - 1) / r[:, k, 0]
-            for j in range(1, n):
-                if j != k:
-                    out += -lam[k, j] * (d - 1) / r[:, k, j]
-        return out
+        return g.reshape(m, cs.flat_dim), h.reshape(m, cs.flat_dim, cs.flat_dim)
 
     normalizable = trial_is_normalizable(cs) if check_normalizable else True
     if not normalizable:
@@ -313,9 +294,7 @@ def coulomb_log_trial(cs: CoulombSystem, check_normalizable: bool = True) -> Log
     return LogTrialFunction(
         params=lam[iu],
         s=s,
-        grad_s=grad_s,
-        lap_s=lap_s,
-        hess_s=hess_s,
+        derivs=derivs,
         normalizable=normalizable,
         label=f"pair-exponential trial (N={n}, D={d})",
     )

@@ -44,11 +44,14 @@ def hydrogen_trial_3d(lam: float = 1.0) -> LogTrialFunction:
     def r_of(qs: np.ndarray) -> np.ndarray:
         return np.linalg.norm(qs, axis=1)
 
+    def derivs(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = r_of(qs)
+        return -lam * qs / r[:, None], -2.0 * lam / r
+
     return LogTrialFunction(
         params=np.array([lam]),
         s=lambda qs: -lam * r_of(qs),
-        grad_s=lambda qs: -lam * qs / r_of(qs)[:, None],
-        lap_s=lambda qs: -2.0 * lam / r_of(qs),
+        derivs=derivs,
         normalizable=lam > 0,
         label=f"hydrogen exponential trial (lam={lam})",
     )

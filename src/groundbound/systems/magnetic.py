@@ -165,10 +165,10 @@ def magnetic_trial(mh: MagneticHydrogen, variant: str) -> LogTrialFunction:
         u = _u_parts(mh, variant, rho, az)[0]
         return -np.sqrt(rho * rho + z * z) + u
 
-    def grad_s(qs: np.ndarray) -> np.ndarray:
+    def derivs(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, y, z, rho, az = split(qs)
         r = np.sqrt(rho * rho + z * z)
-        _, u_r, u_z, *_ = _u_parts(mh, variant, rho, az)
+        _, u_r, u_z, u_rr, u_ror, u_zz = _u_parts(mh, variant, rho, az)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosphi = np.where(rho > 0, x / np.where(rho > 0, rho, 1.0), 0.0)
             sinphi = np.where(rho > 0, y / np.where(rho > 0, rho, 1.0), 0.0)
@@ -176,19 +176,12 @@ def magnetic_trial(mh: MagneticHydrogen, variant: str) -> LogTrialFunction:
         g[:, 0] = -x / r + cosphi * u_r
         g[:, 1] = -y / r + sinphi * u_r
         g[:, 2] = -z / r + np.sign(z) * u_z
-        return g
-
-    def lap_s(qs: np.ndarray) -> np.ndarray:
-        x, y, z, rho, az = split(qs)
-        r = np.sqrt(rho * rho + z * z)
-        _, _, _, u_rr, u_ror, u_zz = _u_parts(mh, variant, rho, az)
-        return -2.0 / r + u_rr + u_ror + u_zz
+        return g, -2.0 / r + u_rr + u_ror + u_zz
 
     return LogTrialFunction(
         params=np.array([mh.B]),
         s=s,
-        grad_s=grad_s,
-        lap_s=lap_s,
+        derivs=derivs,
         normalizable=True,
         label=f"magnetic hydrogen trial ({variant}, B={mh.B})",
     )

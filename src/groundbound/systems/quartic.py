@@ -113,11 +113,14 @@ class QuarticOscillator:
             q = np.asarray(qs, dtype=float)
             return q[:, 0] if q.ndim == 2 else q
 
+        def derivs(qs):
+            _, s1, s2 = self._s_parts(flat(qs))
+            return s1[:, None], s2
+
         return LogTrialFunction(
             params=np.array([self.r, float(self.eta), self.delta2]),
             s=lambda qs: self._s_parts(flat(qs))[0],
-            grad_s=lambda qs: self._s_parts(flat(qs))[1][:, None],
-            lap_s=lambda qs: self._s_parts(flat(qs))[2],
+            derivs=derivs,
             normalizable=True,
             label=f"quartic base trial (r={self.r}, eta={self.eta:+d}, d2={self.delta2})",
         )

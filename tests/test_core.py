@@ -20,6 +20,7 @@ from groundbound.core import (
     local_energy_ratio,
 )
 from groundbound.systems import (
+    CoulombSystem,
     MagneticHydrogen,
     QuarticOscillator,
     coulomb_log_trial,
@@ -42,8 +43,7 @@ def harmonic_trial():
     return LogTrialFunction(
         params=np.array([1.0]),
         s=lambda qs: -0.5 * qs[:, 0] ** 2,
-        grad_s=lambda qs: -qs,
-        lap_s=lambda qs: np.full(qs.shape[0], -1.0),
+        derivs=lambda qs: (-qs, np.full(qs.shape[0], -1.0)),
     )
 
 
@@ -160,8 +160,7 @@ def test_log_form_errors():
     bad = LogTrialFunction(
         params=np.array([1.0]),
         s=t.s,
-        grad_s=lambda qs: np.full_like(qs, np.nan),
-        lap_s=t.lap_s,
+        derivs=lambda qs: (np.full_like(qs, np.nan), t.derivs(qs)[1]),
     )
     with pytest.raises(NonFiniteEnergyError):
         local_energy_log(h, bad, [1.0, 0.0, 0.0])
@@ -174,8 +173,7 @@ def test_anisotropic_form_needs_hessian():
     t = LogTrialFunction(
         params=np.array([]),
         s=lambda qs: -qs[:, 0] ** 2 - qs[:, 1] ** 2,
-        grad_s=lambda qs: -2 * qs,
-        lap_s=lambda qs: np.full(qs.shape[0], -4.0),
+        derivs=lambda qs: (-2 * qs, np.full(qs.shape[0], -4.0)),
     )
     with pytest.raises(ValueError):
         local_energy_log(h, t, [0.3, 0.4])
@@ -251,7 +249,16 @@ def test_cross_check_fails_when_everything_is_singular():
 
 @pytest.mark.parametrize(
     "name",
-    ["hydrogen", "harmonic", "quartic", "coulomb-helium", "magnetic-lower", "magnetic-upper", "magnetic-improved"],
+    [
+        "hydrogen",
+        "harmonic",
+        "quartic",
+        "coulomb-helium",
+        "coulomb-finite-mass",
+        "magnetic-lower",
+        "magnetic-upper",
+        "magnetic-improved",
+    ],
 )
 def test_shipped_trial_derivatives_match_finite_differences(name):
     rng = np.random.default_rng(42)
@@ -267,6 +274,12 @@ def test_shipped_trial_derivatives_match_finite_differences(name):
         pts = rng.uniform(-6, 6, size=(n, 1))
     elif name == "coulomb-helium":
         trial = coulomb_log_trial(helium_system(2.0))
+        pts = rng.uniform(0.4, 2.5, size=(n, 6)) * rng.choice([-1.0, 1.0], size=(n, 6))
+    elif name == "coulomb-finite-mass":
+        # finite nucleus mass: the log form contracts this Hessian against a
+        # non-isotropic inverse-mass form
+        cs = CoulombSystem(3, 3, np.array([4.0, 1.0, 1.0]), np.array([2.0, -1.0, -1.0]))
+        trial = coulomb_log_trial(cs)
         pts = rng.uniform(0.4, 2.5, size=(n, 6)) * rng.choice([-1.0, 1.0], size=(n, 6))
     else:
         variant = name.split("-")[1]

@@ -70,6 +70,24 @@ def test_assembled_derivatives_match_finite_differences(quartic_state):
     assert lap_err <= 1e-5
 
 
+def test_perturbed_field_calls_base_derivs_once(quartic_state):
+    calls = []
+    base = quartic_state.base
+
+    def counted(qs):
+        calls.append(qs.shape[0])
+        return base.derivs(qs)
+
+    state = replace(
+        quartic_state,
+        base=replace(base, derivs=counted),
+        bumps=(GaussianBump(0.3, -1.0, 1.0), GaussianBump(-0.5, 2.0, 0.7)),
+    )
+    qs = np.linspace(-3.0, 3.0, 7)[:, None]
+    perturbed_field(state).evaluate(qs)
+    assert calls == [7]
+
+
 def test_history_must_be_non_decreasing(quartic_state):
     with pytest.raises(ValueError):
         replace(quartic_state, bound_history=((0, -3.0), (1, -3.5)))
