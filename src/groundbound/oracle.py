@@ -3,17 +3,17 @@
 These share no code with the local-energy machinery: the 1D path discretizes
 ``-(1/2) d^2/dq^2 + V`` on a uniform grid and finds the lowest eigenvalue of
 the symmetric tridiagonal matrix by bisection on its Sturm-sequence negative
-count; the 2D path applies inverse power iteration to the 5-point Dirichlet
-Laplacian on a masked grid, with conjugate-gradient inner solves (the operator
-is symmetric positive definite).  Both Richardson-extrapolate over a grid pair
-(the 1D scheme is second order; the masked 2D boundary is staircase-limited,
-so its pair difference is treated as first order).  The results are what the
-bound inequalities are validated against.
+count; the 2D path finds the lowest eigenpair of the 5-point Dirichlet
+Laplacian on a masked grid by block-size-1 LOBPCG (Knyazev, SIAM J. Sci.
+Comput. 23, 2001), preconditioned with a symmetric geometric-multigrid V-cycle
+(the operator is symmetric positive definite).  Both Richardson-extrapolate
+over a grid pair (the 1D scheme is second order; the masked 2D boundary is
+staircase-limited, so its pair difference is treated as first order).  The
+results are what the bound inequalities are validated against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,13 +35,20 @@ __all__ = [
 EDGE_DECAY_FRACTION = 1e-8
 BOX_RETRIES = 3
 
+# 2D eigensolver: LOBPCG with a geometric-multigrid V-cycle preconditioner
+LOBPCG_RTOL = 1e-9
+LOBPCG_MAX_ITER = 200
+JACOBI_OMEGA = 0.8
+SMOOTHING_SWEEPS = 2
+COARSEST_NODES = 28
+
 
 class BoxTooSmallError(RuntimeError):
     """The eigenfunction does not decay at the truncation edges."""
 
 
 class ConvergenceError(RuntimeError):
-    """An inner iterative solve exhausted its budget."""
+    """An iterative eigensolve exhausted its budget."""
 
 
 @dataclass(frozen=True)
@@ -237,103 +244,265 @@ def solve_1d_ground_state(
 
 
 # ---------------------------------------------------------------------------
-# 2D: masked 5-point Laplacian, inverse power iteration with CG solves
+# 2D: masked 5-point Laplacian, LOBPCG with a multigrid V-cycle
 
 
 def _mask_from_domain(domain: Domain, grid: Grid2D) -> np.ndarray:
     xs, ys = grid.axes()
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    mask = domain.interior_mask(pts).reshape(grid.n, grid.n)
+    pts = np.empty((grid.n, grid.n, 2))  # node (i, j) is (xs[i], ys[j])
+    pts[:, :, 0] = xs[:, None]
+    pts[:, :, 1] = ys[None, :]
+    mask = domain.interior_mask(pts.reshape(-1, 2)).reshape(grid.n, grid.n)
     # Dirichlet ring: never let mask touch the array border
     mask[0, :] = mask[-1, :] = False
     mask[:, 0] = mask[:, -1] = False
     return mask
 
 
+def _row_runs(mask: np.ndarray) -> np.ndarray:
+    """Label each maximal run of masked nodes along axis 1 (labels from 1;
+    values off the mask are meaningless)."""
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    return np.cumsum(starts, dtype=np.int32).reshape(mask.shape)
+
+
 def _assert_connected(mask: np.ndarray) -> None:
-    """Flood fill from one interior node; every masked node must be reached."""
+    """Every masked node must be 4-connected to the first one.
+
+    A dilation restricted to the mask that spreads the reached set along
+    whole runs of masked nodes, alternating rows and columns until it stops
+    growing: each pass costs a few array operations, and the number of
+    passes follows the turns of the domain, not its size in nodes.
+    """
     if not mask.any():
         raise ValueError("empty interior mask")
+    runs = (_row_runs(mask), _row_runs(mask.T).T)
     seen = np.zeros_like(mask)
-    start = tuple(np.argwhere(mask)[0])
-    stack = [start]
-    seen[start] = True
-    while stack:
-        i, j = stack.pop()
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = i + di, j + dj
-            if mask[ni, nj] and not seen[ni, nj]:
-                seen[ni, nj] = True
-                stack.append((ni, nj))
-    if seen.sum() != mask.sum():
+    seen.flat[np.argmax(mask)] = True  # the first masked node
+    count, before = 1, 0
+    while count != before:
+        before = count
+        for labels in runs:
+            hit = np.zeros(int(labels[-1, -1]) + 1, dtype=bool)  # the last label is the largest
+            hit[labels[seen]] = True
+            seen = mask & hit[labels]
+        count = int(seen.sum())
+    if count != int(mask.sum()):
         raise ValueError("interior mask is not connected")
 
 
-def _apply_h(u: np.ndarray, mask: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """H u for H = -(1/2) Laplacian with Dirichlet conditions off the mask."""
-    out = u * (1.0 / (hx * hx) + 1.0 / (hy * hy))
-    out[1:-1, :] -= 0.5 * (u[2:, :] + u[:-2, :]) / (hx * hx)
-    out[:, 1:-1] -= 0.5 * (u[:, 2:] + u[:, :-2]) / (hy * hy)
+def _apply_h(u: np.ndarray, mask: np.ndarray, hx: float, hy: float, out: np.ndarray) -> np.ndarray:
+    """out = H u for H = -(1/2) Laplacian with Dirichlet conditions off the
+    mask, written in place with no full-size temporary."""
+    ax, ay = 0.5 / (hx * hx), 0.5 / (hy * hy)
+    np.multiply(u, -2.0 * (ax + ay) / ax, out=out)
+    out[1:-1, :] += u[2:, :]
+    out[1:-1, :] += u[:-2, :]
+    out *= ax / ay
+    out[:, 1:-1] += u[:, 2:]
+    out[:, 1:-1] += u[:, :-2]
+    out *= -ay
     out *= mask
     return out
 
 
-def _cg_solve(
-    apply_a: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    x0: np.ndarray,
-    tol: float,
+def _transfer_pairs(fine_shape: tuple[int, int], coarse_shape: tuple[int, int]):
+    """The nine ``(fine slices, coarse slices, weight)`` terms of bilinear
+    prolongation from every other node: coarse node (i, j) sits on fine node
+    (2i, 2j), and a fine node past the last coarse line interpolates against
+    zero."""
+    per_axis = [
+        (
+            (slice(0, None, 2), slice(None), 1.0),  # on a coarse line
+            (slice(1, None, 2), slice(0, n // 2), 0.5),  # its lower neighbour
+            (slice(1, 2 * m - 2, 2), slice(1, m), 0.5),  # its upper neighbour
+        )
+        for n, m in zip(fine_shape, coarse_shape)
+    ]
+    return [
+        ((f0, f1), (c0, c1), w0 * w1)
+        for f0, c0, w0 in per_axis[0]
+        for f1, c1, w1 in per_axis[1]
+    ]
+
+
+def _prolong_add(coarse: np.ndarray, fine: np.ndarray) -> None:
+    """fine += P coarse."""
+    for f, c, weight in _transfer_pairs(fine.shape, coarse.shape):
+        fine[f] += weight * coarse[c]
+
+
+def _restrict(fine: np.ndarray, coarse: np.ndarray) -> None:
+    """coarse = P^T fine / 4: full weighting, the adjoint of ``_prolong_add``."""
+    coarse.fill(0.0)
+    for f, c, weight in _transfer_pairs(fine.shape, coarse.shape):
+        coarse[c] += 0.25 * weight * fine[f]
+
+
+class _Level:
+    """One grid of the V-cycle: its mask, spacings and work buffers."""
+
+    def __init__(self, mask: np.ndarray, hx: float, hy: float, finest: bool) -> None:
+        self.mask, self.hx, self.hy = mask, hx, hy
+        self.jacobi = JACOBI_OMEGA / (1.0 / (hx * hx) + 1.0 / (hy * hy))  # omega / diagonal of H
+        # the finest level works on the caller's residual and output arrays
+        self.r = None if finest else np.zeros(mask.shape)
+        self.z = None if finest else np.zeros(mask.shape)
+        self.t = np.empty(mask.shape)
+        self.nodes = self.inverse = None
+
+    def make_coarsest(self) -> None:
+        """Factor the level exactly: the inverse of its dense matrix."""
+        mask = self.mask
+        self.nodes = np.flatnonzero(mask)
+        index = np.full(mask.shape, -1)
+        index.flat[self.nodes] = np.arange(self.nodes.size)
+        ii, jj = np.nonzero(mask)
+        ax, ay = 0.5 / (self.hx * self.hx), 0.5 / (self.hy * self.hy)
+        dense = np.diag(np.full(self.nodes.size, 2.0 * (ax + ay)))
+        for di, dj, a in ((1, 0, ax), (-1, 0, ax), (0, 1, ay), (0, -1, ay)):
+            nb = index[ii + di, jj + dj]  # the mask never touches the border
+            inside = nb >= 0
+            dense[np.flatnonzero(inside), nb[inside]] = -a
+        self.inverse = np.linalg.inv(dense)
+
+
+class _VCycle:
+    """Symmetric geometric-multigrid V-cycle, an SPD approximation of H^-1.
+
+    Each coarser grid keeps every other node (``mask[::2, ::2]`` with a
+    false border) and rediscretizes the same stencil at twice the spacing;
+    prolongation is bilinear and restriction its transpose over 4.  Each
+    level runs ``SMOOTHING_SWEEPS`` damped-Jacobi sweeps before and after
+    its coarse correction, so the cycle is symmetric; the coarsest level
+    (at most ``COARSEST_NODES`` per axis) is solved exactly.
+    """
+
+    def __init__(self, mask: np.ndarray, hx: float, hy: float) -> None:
+        self.levels = [_Level(mask, hx, hy, finest=True)]
+        while max(mask.shape) > COARSEST_NODES:
+            mask = mask[::2, ::2].copy()
+            mask[0, :] = mask[-1, :] = False
+            mask[:, 0] = mask[:, -1] = False
+            hx, hy = 2.0 * hx, 2.0 * hy
+            self.levels.append(_Level(mask, hx, hy, finest=False))
+        self.levels[-1].make_coarsest()
+
+    def __call__(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = B r for a masked r."""
+        self._cycle(0, r, out)
+        return out
+
+    def _smooth(self, level: _Level, r: np.ndarray, z: np.ndarray) -> None:
+        t = _apply_h(z, level.mask, level.hx, level.hy, level.t)
+        np.subtract(r, t, out=t)
+        t *= level.jacobi
+        z += t
+
+    def _cycle(self, k: int, r: np.ndarray, z: np.ndarray) -> None:
+        level = self.levels[k]
+        if level.inverse is not None:
+            z.fill(0.0)
+            z.flat[level.nodes] = level.inverse @ r.flat[level.nodes]
+            return
+        np.multiply(r, level.jacobi, out=z)  # the first sweep, from zero
+        for _ in range(SMOOTHING_SWEEPS - 1):
+            self._smooth(level, r, z)
+        t = _apply_h(z, level.mask, level.hx, level.hy, level.t)
+        np.subtract(r, t, out=t)
+        coarse = self.levels[k + 1]
+        _restrict(t, coarse.r)
+        coarse.r *= coarse.mask
+        self._cycle(k + 1, coarse.r, coarse.z)
+        _prolong_add(coarse.z, z)
+        z *= level.mask
+        for _ in range(SMOOTHING_SWEEPS):
+            self._smooth(level, r, z)
+
+
+def _ritz(lam: float, basis: tuple[np.ndarray, ...], images: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Basis coefficients of the lowest Ritz vector of H on ``span(basis)``.
+
+    ``basis[0]`` has Rayleigh quotient ``lam`` and ``images`` is H applied
+    to ``basis[1:]``.  Raises LinAlgError when the basis Gram matrix is not
+    positive definite.
+    """
+    size = len(basis)
+    gram_h = np.empty((size, size))
+    gram_m = np.empty((size, size))
+    for i in range(size):
+        for j in range(i, size):
+            gram_h[i, j] = gram_h[j, i] = lam if j == 0 else np.vdot(basis[i], images[j - 1])
+            gram_m[i, j] = gram_m[j, i] = np.vdot(basis[i], basis[j])
+    inv_l = np.linalg.inv(np.linalg.cholesky(gram_m))
+    vecs = np.linalg.eigh(inv_l @ gram_h @ inv_l.T)[1]
+    return inv_l.T @ vecs[:, 0]
+
+
+def _lobpcg(
+    x: np.ndarray,
+    apply_h: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    precondition: Callable[[np.ndarray, np.ndarray], np.ndarray],
     max_iter: int,
-) -> np.ndarray:
-    x = x0.copy()
-    r = b - apply_a(x)
-    p = r.copy()
-    rs = float(np.vdot(r, r))
-    b_norm = math.sqrt(float(np.vdot(b, b))) or 1.0
+) -> float:
+    """Lowest eigenvalue of SPD H by block-size-1 LOBPCG (Knyazev 2001).
+
+    Each step runs Rayleigh-Ritz on ``[x, w, p]``: the iterate, the
+    preconditioned residual ``w = B (H x - lam x)`` and the previous step
+    ``p``.  ``apply_h(u, out)`` and ``precondition(r, out)`` write into
+    ``out``.  ``x`` (the start) is overwritten with the unit eigenvector.
+    Stops at ``|H x - lam x| <= LOBPCG_RTOL |lam|``.  H x is applied afresh
+    each step rather than kept, which saves a full-grid array.
+    """
+    w, hw, p, hp = (np.empty_like(x) for _ in range(4))
+    size = 2  # basis [x, w] until a previous step p exists
     for _ in range(max_iter):
-        if math.sqrt(rs) <= tol * b_norm:
-            return x
-        ap = apply_a(p)
-        alpha = rs / float(np.vdot(p, ap))
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.vdot(r, r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise ConvergenceError(f"conjugate gradient exhausted {max_iter} iterations")
+        x /= np.linalg.norm(x)
+        r = apply_h(x, hw)  # H x, then the residual, in the buffer of H w
+        lam = float(np.vdot(x, r))
+        r -= np.multiply(x, lam, out=w)  # w is free until the preconditioner fills it
+        if np.linalg.norm(r) <= LOBPCG_RTOL * abs(lam):
+            return lam
+        precondition(r, w)
+        w /= np.linalg.norm(w)
+        apply_h(w, hw)
+        try:
+            coef = _ritz(lam, (x, w, p)[:size], (hw, hp)[: size - 1])
+        except np.linalg.LinAlgError:  # the Gram matrix of [x, w, p] is not positive definite
+            size = 2
+            coef = _ritz(lam, (x, w), (hw,))
+        # p <- c_w w + c_p p (and H p alike), x <- c_x x + p
+        w *= coef[1]
+        hw *= coef[1]
+        if size == 3:
+            p *= coef[2]
+            hp *= coef[2]
+            p += w
+            hp += hw
+        else:
+            p, w, hp, hw = w, p, hw, hp
+        x *= coef[0]
+        x += p
+        scale = np.linalg.norm(p)
+        p /= scale
+        hp /= scale
+        size = 3
+    raise ConvergenceError(f"LOBPCG exhausted {max_iter} iterations")
 
 
 def _solve_2d_once(domain: Domain, grid: Grid2D, x0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair on one grid; a given start ``x0`` is overwritten."""
     mask = _mask_from_domain(domain, grid)
     _assert_connected(mask)
     hx, hy = grid.spacings
+    u = mask.astype(float) if x0 is None else x0
+    u *= mask
 
-    def apply_a(u: np.ndarray) -> np.ndarray:
-        return _apply_h(u, mask, hx, hy)
+    def apply_h(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _apply_h(v, mask, hx, hy, out)
 
-    if x0 is None:
-        u = mask.astype(float)
-    else:
-        u = x0 * mask
-    u /= np.linalg.norm(u)
-    lam = float(np.vdot(u, apply_a(u)))
-    rel_change = 1.0
-    for _ in range(200):
-        # inexact inverse iteration: the Rayleigh quotient error is quadratic
-        # in the eigenvector error, so solves can stay loose; warm-start at
-        # u/lam, the scale the converged solve would have
-        tol = min(1e-6, max(5e-10, 1e-3 * rel_change))
-        u_new = _cg_solve(apply_a, u, u / lam, tol=tol, max_iter=40 * grid.n)
-        u_new *= mask
-        u_new /= np.linalg.norm(u_new)
-        lam_new = float(np.vdot(u_new, apply_a(u_new)))
-        rel_change = abs(lam_new - lam) / max(1.0, abs(lam_new))
-        u, lam = u_new, lam_new
-        if rel_change <= 1e-7:
-            break
-    else:
-        raise ConvergenceError("inverse power iteration did not settle")
+    lam = _lobpcg(u, apply_h, _VCycle(mask, hx, hy), LOBPCG_MAX_ITER)
     return lam, u
 
 
@@ -344,7 +513,10 @@ def _interp_double(u: np.ndarray, n_fine: int) -> np.ndarray:
     i0 = np.clip(xi.astype(int), 0, n - 2)
     t = xi - i0
     rows = u[i0, :] * (1 - t)[:, None] + u[i0 + 1, :] * t[:, None]
-    cols = rows[:, i0] * (1 - t)[None, :] + rows[:, i0 + 1] * t[None, :]
+    # written into a C-ordered array: the eigensolver takes it over, and
+    # np.vdot would copy an F-ordered one on every call
+    cols = np.multiply(rows[:, i0], (1 - t)[None, :], out=np.empty((n_fine, n_fine)))
+    cols += rows[:, i0 + 1] * t[None, :]
     return cols
 
 
@@ -356,6 +528,12 @@ def solve_2d_dirichlet_ground_state(domain: Domain, grid: Grid2D) -> OracleResul
     (only the final pair enters the result).  The staircase mask makes the
     leading eigenvalue error O(h), so the pair is extrapolated linearly and
     ``|fine - coarse|`` is reported as the error bar.
+
+    Each level is one LOBPCG run: Rayleigh-Ritz on the iterate, the
+    V-cycle-preconditioned residual and the previous step, until
+    ``|H x - lam x| <= 1e-9 |lam|`` (``ConvergenceError`` after
+    ``LOBPCG_MAX_ITER`` steps).  The V-cycle coarsens to every other node,
+    smooths with damped Jacobi and solves its coarsest grid exactly.
     """
     if domain.kind != "bounded":
         raise ValueError("the 2D oracle needs a bounded domain")

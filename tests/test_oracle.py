@@ -13,7 +13,8 @@ from groundbound.oracle import (
     solve_2d_dirichlet_ground_state,
     sturm_count_below,
 )
-from groundbound.oracle import _cg_solve, _solve_1d_once
+from groundbound import oracle
+from groundbound.oracle import _solve_1d_once
 from groundbound.systems import AnnularBilliard, QuarticOscillator, billiard_local_energy_field, unit_disk_field
 
 DISK_EIGENVALUE = 2.8915929814733926  # j_{0,1}^2 / 2
@@ -81,15 +82,125 @@ def test_box_retries_are_bounded():
         solve_1d_ground_state(lambda x: 5e-4 * x * x, Grid1D(-2.0, 2.0, 500))
 
 
-def test_cg_budget_error():
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal((8, 8))
-
-    def apply_a(u):
-        return 1000.0 * u - np.roll(u, 1, axis=0) - np.roll(u, -1, axis=0)
-
+def test_lobpcg_budget_error(monkeypatch):
+    monkeypatch.setattr(oracle, "LOBPCG_MAX_ITER", 2)
+    field = unit_disk_field()
     with pytest.raises(ConvergenceError):
-        _cg_solve(apply_a, b, np.zeros_like(b), tol=1e-14, max_iter=1)
+        solve_2d_dirichlet_ground_state(field.domain, Grid2D(field.domain.box, 64))
+
+
+def test_lobpcg_restarts_without_p_when_the_gram_matrix_is_singular(monkeypatch):
+    x, w = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    with pytest.raises(np.linalg.LinAlgError):  # [x, w, p] with p = w
+        oracle._ritz(1.0, (x, w, w), (2.0 * w, 2.0 * w))
+
+    domain = unit_disk_field().domain
+    grid = Grid2D(domain.box, 64)
+    reference, _ = oracle._solve_2d_once(domain, grid)
+    ritz, sizes = oracle._ritz, []
+
+    def first_three_term_step_fails(lam, basis, images):
+        sizes.append(len(basis))
+        if sizes == [2, 3]:
+            raise np.linalg.LinAlgError("not positive definite")
+        return ritz(lam, basis, images)
+
+    monkeypatch.setattr(oracle, "_ritz", first_three_term_step_fails)
+    lam, _ = oracle._solve_2d_once(domain, grid)
+    assert sizes[:4] == [2, 3, 2, 3]  # the step is redone on [x, w], then p returns
+    assert lam == pytest.approx(reference, rel=1e-9)
+
+
+def _domain(name):
+    if name == "billiard":
+        return billiard_local_energy_field(AnnularBilliard(r=0.75, delta=0.1)).domain
+    if name == "disk":
+        return unit_disk_field().domain
+
+    # an ellipse on a non-square box, so the two grid spacings differ
+    def ellipse(qs):
+        return qs[:, 0] ** 2 + (qs[:, 1] / 1.5) ** 2 - 1.0
+
+    return Domain(2, "bounded", constraint=ellipse, box=((-1.1, 1.1), (-1.6, 1.6)))
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("billiard", 96), ("billiard", 97), ("disk", 96), ("disk", 97), ("ellipse", 90)],
+)
+def test_vcycle_is_symmetric_positive_definite(name, n):
+    domain = _domain(name)
+    grid = Grid2D(domain.box, n)
+    hx, hy = grid.spacings
+    if name == "ellipse":
+        assert hx != hy
+    mask = oracle._mask_from_domain(domain, grid)
+    vcycle = oracle._VCycle(mask, hx, hy)
+    assert len(vcycle.levels) >= 3  # smoothing, restriction and the exact solve all act
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        u, v = (rng.standard_normal(mask.shape) * mask for _ in range(2))
+        bu = vcycle(u, np.empty_like(u))
+        bv = vcycle(v, np.empty_like(v))
+        assert not np.any(bu[~mask])
+        vbu, ubv = np.vdot(v, bu), np.vdot(u, bv)
+        assert abs(vbu - ubv) <= 1e-12 * max(abs(vbu), abs(ubv))
+        assert np.vdot(u, bu) > 0.0 and np.vdot(v, bv) > 0.0
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_grid_transfers_are_bilinear_and_adjoint(n):
+    m = (n + 1) // 2
+    i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    fine = np.zeros((n, n))
+    oracle._prolong_add(3.0 * i - 2.0 * j + 1.0, fine)
+    k, l = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    inside = (k <= 2 * (m - 1)) & (l <= 2 * (m - 1))  # within the last coarse lines
+    assert np.allclose(fine[inside], (1.5 * k - 1.0 * l + 1.0)[inside], rtol=0, atol=1e-12)
+
+    rng = np.random.default_rng(n)
+    c, f = rng.standard_normal((m, m)), rng.standard_normal((n, n))
+    pc, rf = np.zeros((n, n)), np.empty((m, m))
+    oracle._prolong_add(c, pc)
+    oracle._restrict(f, rf)
+    assert np.vdot(pc, f) == pytest.approx(4.0 * np.vdot(c, rf), rel=1e-12)
+
+
+def _sparse_lowest_eigenvalue(mask, hx, hy):
+    sparse = pytest.importorskip("scipy.sparse")
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+
+    def second_difference(m, h):
+        a = 0.5 / (h * h)
+        return sparse.diags([np.full(m - 1, -a), np.full(m, 2.0 * a), np.full(m - 1, -a)], [-1, 0, 1])
+
+    n0, n1 = mask.shape
+    h = sparse.kron(second_difference(n0, hx), sparse.identity(n1)) + sparse.kron(
+        sparse.identity(n0), second_difference(n1, hy)
+    )
+    nodes = np.flatnonzero(mask)
+    h = h.tocsr()[nodes][:, nodes]
+    return float(linalg.eigsh(h, k=1, sigma=0.0, which="LM", return_eigenvectors=False)[0])
+
+
+@pytest.mark.parametrize("name", ["billiard", "disk"])
+def test_every_level_matches_sparse_eigsh(name, monkeypatch):
+    pytest.importorskip("scipy")
+    domain = _domain(name)
+    levels = []
+    solve_once = oracle._solve_2d_once
+
+    def recording(dom, grid, x0=None):
+        lam, vec = solve_once(dom, grid, x0=x0)
+        levels.append((grid, lam))
+        return lam, vec
+
+    monkeypatch.setattr(oracle, "_solve_2d_once", recording)
+    solve_2d_dirichlet_ground_state(domain, Grid2D(domain.box, 100))
+    assert [grid.n for grid, _ in levels] == [50, 100, 200]
+    for grid, lam in levels:
+        reference = _sparse_lowest_eigenvalue(oracle._mask_from_domain(domain, grid), *grid.spacings)
+        assert lam == pytest.approx(reference, rel=1e-8)
 
 
 def test_disk_ground_state():
@@ -107,6 +218,47 @@ def test_disconnected_mask_is_rejected():
     dom = Domain(2, "bounded", constraint=two_disks, box=((-1, 1), (-1, 1)))
     with pytest.raises(ValueError):
         solve_2d_dirichlet_ground_state(dom, Grid2D(((-1.0, 1.0), (-1.0, 1.0)), 64))
+
+    # two blocks that touch only at a corner are not 4-connected
+    diagonal = np.zeros((12, 12), dtype=bool)
+    diagonal[2:6, 2:6] = True
+    diagonal[6:10, 6:10] = True
+    with pytest.raises(ValueError):
+        oracle._assert_connected(diagonal)
+
+    # a one-node-wide serpentine corridor with many turns is one region
+    corridor = np.zeros((41, 41), dtype=bool)
+    corridor[1:-1:4, 1:-1] = True  # rows 1, 5, ..., 37
+    for k, row in enumerate(range(1, 37, 4)):
+        col = 1 if k % 2 else 39
+        corridor[row : row + 5, col] = True
+    oracle._assert_connected(corridor)
+    corridor[19, 39] = False  # cut one rung: now two regions
+    with pytest.raises(ValueError):
+        oracle._assert_connected(corridor)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_connectivity_matches_a_flood_fill(seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((30, 30)) < 0.62
+    mask[0, :] = mask[-1, :] = mask[:, 0] = mask[:, -1] = False
+    start = tuple(np.argwhere(mask)[0])
+    region = np.zeros_like(mask)
+    region[start] = True
+    stack = [start]
+    while stack:
+        i, j = stack.pop()
+        for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if mask[nb] and not region[nb]:
+                region[nb] = True
+                stack.append(nb)
+    oracle._assert_connected(region)
+    if region.sum() == mask.sum():
+        oracle._assert_connected(mask)
+    else:
+        with pytest.raises(ValueError):
+            oracle._assert_connected(mask)
 
 
 def test_concentric_annulus_matches_radial_reduction():
