@@ -2,12 +2,14 @@
 
 Configuration precedence is CLI flag > config file (``--config``, flat
 ``key = value`` lines) > built-in default.  Every command honors ``--seed``
-and emits either schema-versioned JSON or fixed-header CSV; infinities become
-the strings "+inf"/"-inf".  Wall time goes to stderr (and into the document
-only under ``--timing``) so that documents are byte-identical across reruns.
+and builds only the requested format: schema-versioned JSON or fixed-header
+CSV; infinities become the strings "+inf"/"-inf".  Wall time goes to stderr
+(and into a JSON document only under ``--timing``) so that documents are
+byte-identical across reruns.
 
-Exit codes: 0 success, 2 usage or spec error, 3 unbounded or degenerate
-result (the document is still written), 4 internal numerical failure.
+Exit codes: 0 success, 2 usage or spec error, 3 unbounded result (an infinite
+``lower`` or ``upper`` from ``bounds`` or in any ``sweep`` row; the document
+is still written), 4 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -68,11 +70,10 @@ class RunSpec:
     system: str
     params: dict
     search: SearchConfig
-    fmt: str
-    out: str | None
-    seed: int
-    timing: bool
     extras: dict
+    format: str
+    out: str | None
+    timing: bool
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +280,8 @@ def _parse_box(text: str, dim: int) -> tuple[tuple[float, float], ...]:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    items = [t.strip() for t in text.split(",")]
-    items = [t for t in items if t]
     try:
-        values = [float(t) for t in items]
+        values = [float(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise SpecError(f"bad numeric list {text!r}") from exc
     if not all(math.isfinite(v) for v in values):
@@ -325,9 +324,8 @@ class _Merger:
         self.used: set[str] = set()
 
     def get(self, key: str, default, convert: Callable[[str], Any] | None = None):
-        dest = "fmt" if key == "format" else key.replace("-", "_")
         self.used.add(key)
-        cli_val = self.args.get(dest)
+        cli_val = self.args.get(key.replace("-", "_"))
         if cli_val is not None:
             return cli_val
         if key in self.config:
@@ -344,15 +342,14 @@ class _Merger:
             raise SpecError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
 
-def _search_config(m: _Merger, grid_default: int, levels_default: int = 3,
-                   multistarts_default: int = 8, dim: int = 1) -> SearchConfig:
+def _search_config(m: _Merger, system: System, command: Command) -> SearchConfig:
     box_text = m.get("box", None)
-    box = _parse_box(box_text, dim) if box_text else None
+    box = _parse_box(box_text, system.dim) if box_text else None
     try:
         return SearchConfig(
-            grid_points_per_axis=m.get("grid-n", grid_default, int),
-            refinement_levels=m.get("levels", levels_default, int),
-            multistart_count=m.get("multistarts", multistarts_default, int),
+            grid_points_per_axis=m.get("grid-n", getattr(system, command.grid), int),
+            refinement_levels=m.get("levels", command.levels, int),
+            multistart_count=m.get("multistarts", command.multistarts, int),
             box=box,
             rng_seed=m.get("seed", 0, int),
         )
@@ -364,61 +361,49 @@ def _search_config(m: _Merger, grid_default: int, levels_default: int = 3,
 # commands
 
 
-def _witness_dict(report) -> dict:
-    return {
-        "kind": report.kind,
-        "location": None if report.location is None else list(report.location),
-        "value": report.value,
-        "gradient_norm_at_location": report.gradient_norm_at_location,
-        "boundary_or_asymptotic": report.boundary_or_asymptotic,
-        "attained": report.attained,
-        "history": list(report.history),
-    }
+@dataclass(frozen=True)
+class Command:
+    """Everything the CLI knows about one command.
+
+    ``run(spec)`` computes the result once and returns ``(meta, result)``:
+    the system metadata beyond the name and parameters, and the dict a JSON
+    document carries under ``result``.  ``csv(result)`` is the CSV view of
+    that same dict, ``(header, rows)``, and ``unbounded(result)`` selects
+    exit 3.  Only :func:`_run` reads the clock, renders and writes.
+
+    ``builder`` names the :class:`System` builder the command needs and
+    ``grid`` the :class:`System` field holding its default ``--grid-n``.
+    ``flags`` lists the command's own ``(flag, add_argument keywords)``, and
+    ``extras(m, system, params)`` reads them into ``RunSpec.extras``.
+    """
+
+    help: str
+    run: Callable[[RunSpec], tuple[dict, dict]]
+    csv: Callable[[dict], tuple[list[str], list[list]]]
+    builder: str
+    format: str = "csv"
+    grid: str = "grid_n"
+    levels: int = 3
+    multistarts: int = 8
+    flags: tuple[tuple[str, dict], ...] = ()
+    extras: Callable[[_Merger, System, dict], dict] = lambda m, system, params: {}
+    unbounded: Callable[[dict], bool] = lambda result: False
 
 
-def _bounds_result_dict(b: BoundsResult) -> dict:
-    return {
-        "lower": b.lower,
-        "upper": b.upper,
-        "lower_witness": _witness_dict(b.lower_witness),
-        "upper_witness": _witness_dict(b.upper_witness),
-        "resolution_caveat": None if b.resolution_caveat is None else b.resolution_caveat.as_dict(),
-    }
+def _finite(bounds: dict) -> bool:
+    return math.isfinite(bounds["lower"]) and math.isfinite(bounds["upper"])
 
 
-def _emit(spec: RunSpec, document: dict, csv_text: str | None, started: float) -> int:
-    wall = time.perf_counter() - started
-    if spec.timing:
-        document = dict(document)
-        document["wall_time_s"] = round(wall, 6)
-    text = render_json(document) if spec.fmt == "json" else csv_text
-    if text is None:
-        raise SpecError(f"command {spec.command} has no csv rendering")
-    if spec.out:
-        write_text_atomic(spec.out, text)
-    else:
-        sys.stdout.write(text)
-    print(f"wall_time_s={wall:.3f}", file=sys.stderr)
-    return EXIT_OK
+def cmd_bounds(spec: RunSpec) -> tuple[dict, dict]:
+    # the bounds, both witness reports and the caveat, field by field
+    return {}, asdict(SYSTEMS[spec.system].bounds(spec.params, spec.search))
 
 
-def cmd_bounds(spec: RunSpec) -> int:
-    started = time.perf_counter()
-    result = SYSTEMS[spec.system].bounds(spec.params, spec.search)
-    meta = {"name": spec.system, **spec.params}
-    doc = envelope("bounds", meta, _config_dict(spec), _bounds_result_dict(result))
-    rows = [
-        ["lower", result.lower],
-        ["upper", result.upper],
-        ["lower_attained", result.lower_witness.attained],
-        ["upper_attained", result.upper_witness.attained],
-        ["lower_location", _loc_str(result.lower_witness.location)],
-        ["upper_location", _loc_str(result.upper_witness.location)],
-    ]
-    code = _emit(spec, doc, render_csv(["key", "value"], rows), started)
-    if not (math.isfinite(result.lower) and math.isfinite(result.upper)):
-        return EXIT_UNBOUNDED
-    return code
+def _table(key: str, header: list[str]) -> Callable[[dict], tuple[list[str], list[list]]]:
+    """CSV view of the dicts listed under ``result[key]``; ``None`` (refine's
+    step 0 has no bump) becomes an empty cell."""
+    return lambda result: (header, [["" if row[k] is None else row[k] for k in header]
+                                    for row in result[key]])
 
 
 def _loc_str(location) -> str:
@@ -427,92 +412,58 @@ def _loc_str(location) -> str:
     return " ".join(repr(float(v)) for v in location)
 
 
-def cmd_refine(spec: RunSpec) -> int:
-    started = time.perf_counter()
-    h, base, asym = SYSTEMS[spec.system].refine(spec.params)
-    centers = spec.extras["centers"]
-    if centers is None:
-        centers = default_centers(sweeps=spec.extras["sweeps"])
-    sigma = spec.extras["sigma"]
+def _bounds_csv(result: dict) -> tuple[list[str], list[list]]:
+    lower, upper = result["lower_witness"], result["upper_witness"]
+    return ["key", "value"], [
+        ["lower", result["lower"]],
+        ["upper", result["upper"]],
+        ["lower_attained", lower["attained"]],
+        ["upper_attained", upper["attained"]],
+        ["lower_location", _loc_str(lower["location"])],
+        ["upper_location", _loc_str(upper["location"])],
+    ]
 
+
+def cmd_refine(spec: RunSpec) -> tuple[dict, dict]:
+    h, base, asym = SYSTEMS[spec.system].refine(spec.params)
+    centers, sigma = spec.extras["centers"], spec.extras["sigma"]
     state = new_refinement_state(h, base, asym, cfg=spec.search)
-    rows: list[list[Any]] = [[0, None, None, state.current_lower]]
+    history = [{"step": 0, "center": None, "s_star": None, "lower_bound": state.current_lower}]
     for step, center in enumerate(centers, start=1):
         s_star, state = optimize_bump_amplitude(state, center, sigma, cfg=spec.search)
-        rows.append([step, center, s_star, state.current_lower])
-
-    meta = {"name": spec.system, **spec.params, "sigma": sigma, "n_centers": len(centers)}
-    history = [
-        {"step": r[0], "center": r[1], "s_star": r[2], "lower_bound": r[3]} for r in rows
-    ]
-    doc = envelope("refine", meta, _config_dict(spec), {"history": history})
-    csv_rows = [[r[0], "" if r[1] is None else r[1], "" if r[2] is None else r[2], r[3]] for r in rows]
-    return _emit(spec, doc, render_csv(["step", "center", "s_star", "lower_bound"], csv_rows), started)
+        history.append({"step": step, "center": center, "s_star": s_star, "lower_bound": state.current_lower})
+    return {"sigma": sigma, "n_centers": len(centers)}, {"history": history}
 
 
-def cmd_sweep(spec: RunSpec) -> int:
-    started = time.perf_counter()
+def cmd_sweep(spec: RunSpec) -> tuple[dict, dict]:
     bounds = SYSTEMS[spec.system].bounds
     param = spec.extras["param"]
     rows = []
     for v in spec.extras["values"]:
-        result = bounds({**spec.params, param: v}, spec.search)
-        rows.append([param, v, result.lower, result.upper])
-    meta = {"name": spec.system, **spec.params, "swept": param}
-    doc = envelope(
-        "sweep",
-        meta,
-        _config_dict(spec),
-        {"rows": [{"param": r[0], "value": r[1], "lower": r[2], "upper": r[3]} for r in rows]},
-    )
-    return _emit(spec, doc, render_csv(["param", "value", "lower", "upper"], rows), started)
+        b = bounds({**spec.params, param: v}, spec.search)
+        rows.append({"param": param, "value": v, "lower": b.lower, "upper": b.upper})
+    return {"swept": param}, {"rows": rows}
 
 
-def cmd_field(spec: RunSpec) -> int:
-    started = time.perf_counter()
+def cmd_field(spec: RunSpec) -> tuple[dict, dict]:
     system = SYSTEMS[spec.system]
     params, field = system.field(spec.params)
-    dim = field.domain.dimension
-    if dim > 2:
-        raise SpecError("field dumps support one- and two-dimensional systems only")
     box = spec.search.box or field.domain.box
     n = spec.search.grid_points_per_axis
-    axes = [np.linspace(lo, hi, n) for lo, hi in box]
-    if dim == 1:
-        qs = axes[0][:, None]
-    else:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        qs = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    keep = field.domain.interior_mask(qs)
-    qs = qs[keep]
+    axes = np.meshgrid(*(np.linspace(lo, hi, n) for lo, hi in box), indexing="ij")
+    qs = np.stack([axis.ravel() for axis in axes], axis=-1)
+    qs = qs[field.domain.interior_mask(qs)]
     vals = field.evaluate_with_limits(qs, singular_as_nan=spec.extras["singular"] == "nan")
-    rows = [[*map(float, q), float(v)] for q, v in zip(qs, vals)]
-    doc = envelope(
-        "field",
-        {"name": spec.system, **params},
-        _config_dict(spec),
-        {"columns": system.columns, "rows": rows},
-    )
-    return _emit(spec, doc, render_csv(system.columns, rows), started)
+    # tolist() gives the same Python floats as float() per cell, in one call
+    return params, {"columns": system.columns, "rows": np.column_stack([qs, vals]).tolist()}
 
 
-def cmd_oracle(spec: RunSpec) -> int:
-    started = time.perf_counter()
+def cmd_oracle(spec: RunSpec) -> tuple[dict, dict]:
     try:
         res = SYSTEMS[spec.system].oracle(spec.params, spec.search.grid_points_per_axis, spec.search.box)
     except ValueError as exc:  # grid validation
         raise SpecError(str(exc)) from exc
-
-    result = {
-        "energy": res.energy,
-        "error_bar": res.error_bar,
-        "coarse_value": res.coarse_value,
-        "fine_value": res.fine_value,
-        "detail": res.detail,
-    }
-    doc = envelope("oracle", {"name": spec.system, **spec.params}, _config_dict(spec), result)
-    rows = [[k, v] for k, v in result.items()]
-    return _emit(spec, doc, render_csv(["key", "value"], rows), started)
+    return {}, asdict(res)  # energy, error_bar, coarse_value, fine_value, detail
 
 
 def _config_dict(spec: RunSpec) -> dict:
@@ -521,17 +472,110 @@ def _config_dict(spec: RunSpec) -> dict:
         "refinement_levels": spec.search.refinement_levels,
         "multistart_count": spec.search.multistart_count,
         "box": spec.search.box,
-        "seed": spec.seed,
+        "seed": spec.search.rng_seed,
     }
 
 
-# command -> (runner, the System builder it needs)
-_COMMANDS = {
-    "bounds": (cmd_bounds, "bounds"),
-    "refine": (cmd_refine, "refine"),
-    "sweep": (cmd_sweep, "bounds"),
-    "field": (cmd_field, "field"),
-    "oracle": (cmd_oracle, "oracle"),
+def _run(spec: RunSpec) -> int:
+    """Run ``spec``'s command, then render and write the requested format only."""
+    command = _COMMANDS[spec.command]
+    started = time.perf_counter()
+    meta, result = command.run(spec)
+    wall = time.perf_counter() - started
+    if spec.format == "json":
+        system = {"name": spec.system, **spec.params, **meta}
+        document = envelope(spec.command, system, _config_dict(spec), result)
+        if spec.timing:
+            document["wall_time_s"] = round(wall, 6)
+        text = render_json(document)
+    else:
+        text = render_csv(*command.csv(result))
+    if spec.out:
+        write_text_atomic(spec.out, text)
+    else:
+        sys.stdout.write(text)
+    print(f"wall_time_s={wall:.3f}", file=sys.stderr)
+    return EXIT_UNBOUNDED if command.unbounded(result) else EXIT_OK
+
+
+def _refine_extras(m: _Merger, system: System, params: dict) -> dict:
+    centers = m.get("centers", None)
+    centers = None if centers is None else _parse_float_list(centers)
+    sigma = m.get("sigma", 1.0, float)
+    sweeps = m.get("sweeps", 12, int)
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise SpecError("--sigma must be positive and finite")
+    if sweeps < 1:
+        raise SpecError("--sweeps must be at least 1")
+    # --sweeps only shapes the default schedule, which explicit --centers replace
+    return {"centers": default_centers(sweeps=sweeps) if centers is None else centers, "sigma": sigma}
+
+
+def _sweep_extras(m: _Merger, system: System, params: dict) -> dict:
+    param = m.args["param"]
+    if param not in system.sweepable:
+        raise SpecError(
+            f"system {m.args['system']!r} has no sweepable parameter {param!r} "
+            f"(allowed: {', '.join(system.sweepable) or 'none'})"
+        )
+    values = _parse_float_list(m.get("values", ""))
+    for v in values:
+        _checked(system, {**params, param: v})
+    return {"param": param, "values": values}
+
+
+_COMMANDS: dict[str, Command] = {
+    "bounds": Command(
+        help="two-sided energy bounds for a shipped system",
+        run=cmd_bounds,
+        csv=_bounds_csv,
+        builder="bounds",
+        format="json",
+        unbounded=lambda result: not _finite(result),
+    ),
+    "refine": Command(
+        help="iterative Gaussian-bump refinement of the lower bound",
+        run=cmd_refine,
+        csv=_table("history", ["step", "center", "s_star", "lower_bound"]),
+        builder="refine",
+        levels=2,
+        multistarts=1,
+        flags=(
+            ("--centers", {"help": "comma list of bump centers; empty for none"}),
+            ("--sigma", {"type": float, "help": "bump width (default 1.0)"}),
+            ("--sweeps", {"type": int, "help": "passes of the default schedule"}),
+        ),
+        extras=_refine_extras,
+    ),
+    "sweep": Command(
+        help="bounds over a range of one system parameter",
+        run=cmd_sweep,
+        csv=_table("rows", ["param", "value", "lower", "upper"]),
+        builder="bounds",
+        flags=(
+            ("--param", {"required": True, "help": "parameter to sweep"}),
+            ("--values", {"required": True, "help": "comma list of values"}),
+        ),
+        extras=_sweep_extras,
+        unbounded=lambda result: not all(map(_finite, result["rows"])),
+    ),
+    "field": Command(
+        help="dump the local-energy field on a grid",
+        run=cmd_field,
+        csv=lambda result: (result["columns"], result["rows"]),
+        builder="field",
+        flags=(("--singular", {"choices": ["limit", "nan"],
+                               "help": "emit declared limits or nan inside singular tubes"}),),
+        extras=lambda m, system, params: {"singular": m.get("singular", "limit", _one_of("limit", "nan"))},
+    ),
+    "oracle": Command(
+        help="independent finite-difference reference energy",
+        run=cmd_oracle,
+        csv=lambda result: (["key", "value"], [[k, v] for k, v in result.items()]),
+        builder="oracle",
+        format="json",
+        grid="oracle_grid_n",
+    ),
 }
 
 
@@ -549,7 +593,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--multistarts", type=int, help="random polish starts")
     sub.add_argument("--box", help="per-axis lo:hi, comma separated")
     sub.add_argument("--seed", type=int, help="RNG seed (bit-exact reruns)")
-    sub.add_argument("--format", choices=["json", "csv"], dest="fmt")
+    sub.add_argument("--format", choices=["json", "csv"])
     sub.add_argument("--out", help="output path (atomic write); default stdout")
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--timing", action="store_true", help="embed wall time in the document")
@@ -562,80 +606,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"groundbound {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, helptext in [
-        ("bounds", "two-sided energy bounds for a shipped system"),
-        ("refine", "iterative Gaussian-bump refinement of the lower bound"),
-        ("sweep", "bounds over a range of one system parameter"),
-        ("field", "dump the local-energy field on a grid"),
-        ("oracle", "independent finite-difference reference energy"),
-    ]:
-        sub = subs.add_parser(name, help=helptext)
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
         _add_common(sub)
-        if name == "refine":
-            sub.add_argument("--centers", help="comma list of bump centers; empty for none")
-            sub.add_argument("--sigma", type=float, help="bump width (default 1.0)")
-            sub.add_argument("--sweeps", type=int, help="passes of the default schedule")
-        if name == "sweep":
-            sub.add_argument("--param", required=True, help="parameter to sweep")
-            sub.add_argument("--values", required=True, help="comma list of values")
-        if name == "field":
-            sub.add_argument("--singular", choices=["limit", "nan"],
-                             help="emit declared limits or nan inside singular tubes")
+        for flag, kwargs in command.flags:
+            sub.add_argument(flag, **kwargs)
     return parser
 
 
 def _build_spec(args: argparse.Namespace) -> RunSpec:
     m = _Merger(args)
+    command = _COMMANDS[args.command]
     system = SYSTEMS.get(args.system)
     if system is None:
         raise SpecError(f"unknown system {args.system!r}")
-    if getattr(system, _COMMANDS[args.command][1]) is None:
+    if getattr(system, command.builder) is None:
         raise SpecError(f"{args.command} does not support system {args.system!r}")
     params = _checked(system, {
         key: m.get(key, default, type(default)) for key, (default, _) in system.params.items()
     })
-
-    grid_default = system.oracle_grid_n if args.command == "oracle" else system.grid_n
-    levels_default = 2 if args.command == "refine" else 3
-    multistarts_default = 1 if args.command == "refine" else 8
-    search = _search_config(m, grid_default, levels_default, multistarts_default, dim=system.dim)
-
-    default_fmt = "json" if args.command in ("bounds", "oracle") else "csv"
-    extras: dict[str, Any] = {}
-    if args.command == "refine":
-        centers = m.get("centers", None)
-        extras["centers"] = None if centers is None else _parse_float_list(centers)
-        extras["sigma"] = m.get("sigma", 1.0, float)
-        extras["sweeps"] = m.get("sweeps", 12, int)
-        if not (math.isfinite(extras["sigma"]) and extras["sigma"] > 0):
-            raise SpecError("--sigma must be positive and finite")
-        if extras["sweeps"] < 1:
-            raise SpecError("--sweeps must be at least 1")
-    if args.command == "sweep":
-        param = args.param
-        if param not in system.sweepable:
-            raise SpecError(
-                f"system {args.system!r} has no sweepable parameter {param!r} "
-                f"(allowed: {', '.join(system.sweepable) or 'none'})"
-            )
-        extras["param"] = param
-        extras["values"] = _parse_float_list(m.get("values", ""))
-        for v in extras["values"]:
-            _checked(system, {**params, param: v})
-    if args.command == "field":
-        extras["singular"] = m.get("singular", "limit", _one_of("limit", "nan"))
-
     spec = RunSpec(
         command=args.command,
         system=args.system,
         params=params,
-        search=search,
-        fmt=m.get("format", default_fmt, _one_of("json", "csv")),
+        search=_search_config(m, system, command),
+        extras=command.extras(m, system, params),
+        format=m.get("format", command.format, _one_of("json", "csv")),
         out=m.get("out", None),
-        seed=search.rng_seed,
         timing=bool(args.timing),
-        extras=extras,
     )
     m.check_unknown()
     return spec
@@ -645,8 +643,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        spec = _build_spec(args)
-        return _COMMANDS[spec.command][0](spec)
+        return _run(_build_spec(args))
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -302,15 +302,6 @@ class ResolutionCaveat:
     box: tuple[tuple[float, float], ...]
     final_grid_spacing: float
 
-    def as_dict(self) -> dict:
-        return {
-            "grid_points_per_axis": self.grid_points_per_axis,
-            "refinement_levels": self.refinement_levels,
-            "multistart_count": self.multistart_count,
-            "box": [list(b) for b in self.box],
-            "final_grid_spacing": self.final_grid_spacing,
-        }
-
 
 @dataclass(frozen=True)
 class BoundsResult:

@@ -26,7 +26,6 @@ from .magnetic import (
     cusp_defects,
     improved_directional_limit,
     improved_parabolic_limit,
-    magnetic_hamiltonian,
     magnetic_hydrogen_field,
     magnetic_trial,
     magnetic_trivial_bounds,
@@ -56,7 +55,6 @@ __all__ = [
     "hydrogen_trial_3d",
     "improved_directional_limit",
     "improved_parabolic_limit",
-    "magnetic_hamiltonian",
     "magnetic_hydrogen_field",
     "magnetic_trial",
     "magnetic_trivial_bounds",

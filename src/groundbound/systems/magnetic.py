@@ -37,7 +37,6 @@ from ..core import (
     AsymptoticLimit,
     BoundsResult,
     Domain,
-    Hamiltonian,
     LocalEnergyField,
     LogTrialFunction,
     SingularSet,
@@ -316,17 +315,6 @@ def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyFi
         asymptotic_limits=asym,
         label=f"magnetic hydrogen local energy ({variant}, B={b})",
     )
-
-
-def magnetic_hamiltonian(mh: MagneticHydrogen) -> Hamiltonian:
-    """Reduced (rho, z) Hamiltonian: -Delta/2 (axisymmetric) + B^2 rho^2/8 - 1/r."""
-    field = magnetic_hydrogen_field(mh, "lower")
-
-    def v(qs: np.ndarray) -> np.ndarray:
-        r = np.hypot(qs[:, 0], qs[:, 1])
-        return mh.B**2 * qs[:, 0] ** 2 / 8.0 - 1.0 / r
-
-    return Hamiltonian.isotropic(0.5, v, field.domain)
 
 
 def magnetic_trivial_bounds(mh: MagneticHydrogen, cfg=None) -> BoundsResult:

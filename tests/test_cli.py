@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import warnings
@@ -6,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from groundbound import cli
 from groundbound.cli import main
 from groundbound.output import from_jsonable
 
@@ -105,7 +108,7 @@ def test_sweep_improved_variant_lifts_lower_column(tmp_path, schema):
         tmp_path, "sweep", "--system", "magnetic-hydrogen", "--param", "B",
         "--values", "4", "--variant", "improved", "--format", "json",
     )
-    assert code == 0
+    assert code == 3  # an infinite upper in any row is an unbounded result
     doc = validate(schema, text)
     row = doc["result"]["rows"][0]
     assert row["lower"] > -0.5
@@ -277,3 +280,73 @@ def test_timing_flag_adds_wall_time(tmp_path, schema):
     assert "wall_time_s" in doc
     _, text2 = run(tmp_path, "bounds", "--system", "helium", name="no-timing")
     assert "wall_time_s" not in json.loads(text2)
+
+
+def test_sweep_exits_3_on_an_infinite_row(tmp_path):
+    argv = ["--system", "annular-billiard", "--grid-n", "41", "--levels", "1", "--multistarts", "1"]
+    code, text = run(tmp_path, "sweep", *argv, "--param", "r", "--values", "0.7")
+    assert code == 3  # the billiard trial's supremum diverges at the boundary
+    assert text.splitlines()[1].split(",")[3] == "+inf"  # the document is still written
+    assert run(tmp_path, "bounds", *argv, "--r", "0.7", name="bounds")[0] == 3
+
+
+# ---------------------------------------------------------------------------
+# one result, two formats
+
+SMALL_RUNS = {
+    "bounds": ["bounds", "--system", "quartic", "--grid-n", "101", "--levels", "1", "--multistarts", "2"],
+    "refine": ["refine", "--system", "quartic", "--centers", "0,0.5", "--grid-n", "101"],
+    "sweep": ["sweep", "--system", "magnetic-hydrogen", "--param", "B", "--values", "0.5,1",
+              "--grid-n", "41", "--levels", "1", "--multistarts", "1"],
+    "field": ["field", "--system", "annular-billiard", "--grid-n", "21"],
+    "oracle": ["oracle", "--system", "harmonic", "--grid-n", "200"],
+}
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("built a format that was not requested")
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_only_the_requested_format_is_built(tmp_path, monkeypatch, command):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "envelope", _forbidden)
+        patch.setattr(cli, "render_json", _forbidden)
+        assert run(tmp_path, *SMALL_RUNS[command], "--format", "csv", name="csv")[0] == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "render_csv", _forbidden)
+        assert run(tmp_path, *SMALL_RUNS[command], "--format", "json", name="json")[0] == 0
+
+
+def _cell(value) -> str:
+    """A JSON result value as the CSV cell that carries it."""
+    if value is None:
+        return ""
+    if isinstance(value, list):  # a witness location
+        return " ".join(map(_cell, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_json_and_csv_carry_the_same_values(tmp_path, command):
+    _, text = run(tmp_path, *SMALL_RUNS[command], "--format", "json", name="json")
+    result = json.loads(text)["result"]
+    _, text = run(tmp_path, *SMALL_RUNS[command], "--format", "csv", name="csv")
+    header, *rows = list(csv.reader(io.StringIO(text)))
+    if command == "bounds":
+        assert header == ["key", "value"]
+        want = {key: _cell(result[key]) for key in ("lower", "upper")}
+        for side in ("lower", "upper"):
+            want[f"{side}_attained"] = _cell(result[f"{side}_witness"]["attained"])
+            want[f"{side}_location"] = _cell(result[f"{side}_witness"]["location"])
+        assert dict(rows) == want
+    elif command == "oracle":
+        assert header == ["key", "value"]
+        assert dict(rows) == {key: _cell(value) for key, value in result.items()}
+    elif command == "field":
+        assert header == result["columns"]
+        assert rows == [[_cell(v) for v in row] for row in result["rows"]]
+    else:
+        table = result["history" if command == "refine" else "rows"]
+        assert rows == [[_cell(row[key]) for key in header] for row in table]
+        assert len(rows) == (3 if command == "refine" else 2)
