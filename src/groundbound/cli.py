@@ -4,8 +4,8 @@ Configuration precedence is CLI flag > config file (``--config``, flat
 ``key = value`` lines) > built-in default.  Every command honors ``--seed``
 and builds only the requested format: schema-versioned JSON or fixed-header
 CSV; infinities become the strings "+inf"/"-inf".  Wall time goes to stderr
-(and into a JSON document only under ``--timing``) so that documents are
-byte-identical across reruns.
+(and into a JSON document only under ``--timing``, which CSV refuses) so that
+documents are byte-identical across reruns.
 
 Exit codes: 0 success, 2 usage or spec error, 3 unbounded result (an infinite
 ``lower`` or ``upper`` from ``bounds`` or in any ``sweep`` row; the document
@@ -36,7 +36,7 @@ from .oracle import (
 )
 from .output import envelope, render_csv, render_json, write_text_atomic
 from .refine import default_centers, new_refinement_state, optimize_bump_amplitude
-from .search import EmptySearchRegionError, SearchConfig, bounds_of_field
+from .search import EmptySearchRegionError, SearchConfig, bounds_of_field, grid_points
 from .systems import (
     VARIANTS,
     AnnularBilliard,
@@ -448,10 +448,7 @@ def cmd_sweep(spec: RunSpec) -> tuple[dict, dict]:
 def cmd_field(spec: RunSpec) -> tuple[dict, dict]:
     system = SYSTEMS[spec.system]
     params, field = system.field(spec.params)
-    box = spec.search.box or field.domain.box
-    n = spec.search.grid_points_per_axis
-    axes = np.meshgrid(*(np.linspace(lo, hi, n) for lo, hi in box), indexing="ij")
-    qs = np.stack([axis.ravel() for axis in axes], axis=-1)
+    qs = grid_points(spec.search.box or field.domain.box, spec.search.grid_points_per_axis)
     qs = qs[field.domain.interior_mask(qs)]
     vals = field.evaluate_with_limits(qs, singular_as_nan=spec.extras["singular"] == "nan")
     # tolist() gives the same Python floats as float() per cell, in one call
@@ -596,7 +593,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["json", "csv"])
     sub.add_argument("--out", help="output path (atomic write); default stdout")
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--timing", action="store_true", help="embed wall time in the document")
+    sub.add_argument("--timing", action="store_true",
+                     help="embed wall time in a JSON document (an error with --format csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -635,6 +633,8 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
         out=m.get("out", None),
         timing=bool(args.timing),
     )
+    if spec.timing and spec.format == "csv":
+        raise SpecError("--timing needs --format json: a CSV document has no place for wall time")
     m.check_unknown()
     return spec
 

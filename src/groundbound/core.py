@@ -47,11 +47,6 @@ __all__ = [
     "make_ratio_field",
 ]
 
-#: Half-width of the tube around a declared singular set inside which direct
-#: evaluation is refused and the declared limit is used instead.
-SINGULAR_TUBE_EPS = 1e-6
-
-
 class SingularEvaluationError(ValueError):
     """Evaluation was requested on or inside a declared singular set."""
 
@@ -103,11 +98,13 @@ def _point_array(q, dim: int) -> np.ndarray:
 class SingularSet:
     """A declared singular set with its analytically known limits.
 
-    ``tube(qs)`` returns a boolean mask marking points inside the exclusion
-    tube.  ``limit`` is the uniform limit of the local energy on the set when
-    one exists; ``min_limit`` / ``max_limit`` are the candidates contributed to
-    a global minimum / maximum search (they default to ``limit``).  ``None``
-    means the set contributes no candidate on that side.
+    Singular sets are declared once, on :attr:`Domain.excluded_singular_sets`;
+    fields, searches and samplers read them from there.  ``tube(qs)`` returns
+    a boolean mask marking points inside the exclusion tube.  ``limit`` is the
+    uniform limit of the local energy on the set when one exists;
+    ``min_limit`` / ``max_limit`` are the candidates contributed to a global
+    minimum / maximum search (they default to ``limit``).  ``None`` means the
+    set contributes no candidate on that side.
     """
 
     name: str
@@ -121,14 +118,6 @@ class SingularSet:
             object.__setattr__(self, "min_limit", self.limit)
         if self.max_limit is None and self.limit is not None:
             object.__setattr__(self, "max_limit", self.limit)
-
-
-def _tube_mask(sets: tuple[SingularSet, ...], qs: np.ndarray) -> np.ndarray:
-    """Points of the ``(n, dim)`` batch ``qs`` inside any of the sets' tubes."""
-    mask = np.zeros(qs.shape[0], dtype=bool)
-    for s in sets:
-        mask |= np.asarray(s.tube(qs), dtype=bool)
-    return mask
 
 
 @dataclass(frozen=True)
@@ -145,7 +134,10 @@ class Domain:
 
     ``box`` is the per-axis search window; for bounded domains it must contain
     the closure of the region, for unbounded ones it is the truncation window
-    justified by the field's asymptotic limits.
+    justified by the field's asymptotic limits.  ``excluded_singular_sets``
+    is the one declaration of where the local energy is not evaluated
+    directly: :meth:`valid_mask` excludes their tubes, and every field on the
+    domain folds in their declared limits.
     """
 
     dimension: int
@@ -164,21 +156,25 @@ class Domain:
         if self.box is not None and len(self.box) != self.dimension:
             raise ValueError("box must give (lo, hi) per axis")
 
-    def interior_mask(self, qs: np.ndarray) -> np.ndarray:
-        """Strict interior: finite coordinates and ``b(q) < 0`` if bounded."""
-        qs = as_batch(qs, self.dimension)
+    def _interior(self, qs: np.ndarray) -> np.ndarray:
         mask = np.all(np.isfinite(qs), axis=1)
         if self.constraint is not None:
             b = np.asarray(self.constraint(qs), dtype=float)
             mask &= b < 0.0
         return mask
 
-    def singular_mask(self, qs: np.ndarray) -> np.ndarray:
-        return _tube_mask(self.excluded_singular_sets, as_batch(qs, self.dimension))
+    def interior_mask(self, qs: np.ndarray) -> np.ndarray:
+        """Strict interior: finite coordinates and ``b(q) < 0`` if bounded."""
+        return self._interior(as_batch(qs, self.dimension))
 
-    def searchable_mask(self, qs: np.ndarray) -> np.ndarray:
-        """Interior points outside every declared singular tube."""
-        return self.interior_mask(qs) & ~self.singular_mask(qs)
+    def valid_mask(self, qs: np.ndarray) -> np.ndarray:
+        """Interior points outside every declared singular tube, the points
+        where a field may be evaluated directly; each tube runs once."""
+        qs = as_batch(qs, self.dimension)
+        mask = self._interior(qs)
+        for s in self.excluded_singular_sets:
+            mask &= ~np.asarray(s.tube(qs), dtype=bool)
+        return mask
 
 
 @dataclass(frozen=True)
@@ -256,39 +252,46 @@ class LocalEnergyField:
 
     ``evaluate`` is the primary representation; ``alternates`` hold other
     analytically equal representations (used by :func:`cross_check_field`).
+    The singular sets are the domain's ``excluded_singular_sets``; a field
+    declares only its asymptotic limits.
     """
 
     domain: Domain
     evaluate: Callable[[np.ndarray], np.ndarray]
     alternates: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
-    singularities: tuple[SingularSet, ...] = ()
     asymptotic_limits: tuple[AsymptoticLimit, ...] = ()
     label: str = ""
 
     def singular_mask(self, qs: np.ndarray) -> np.ndarray:
-        return _tube_mask(self.singularities, as_batch(qs, self.domain.dimension))
-
-    def valid_mask(self, qs: np.ndarray) -> np.ndarray:
-        return self.domain.interior_mask(qs) & ~self.singular_mask(qs)
+        """Points inside any of the domain's declared singular tubes."""
+        qs = as_batch(qs, self.domain.dimension)
+        mask = np.zeros(qs.shape[0], dtype=bool)
+        for s in self.domain.excluded_singular_sets:
+            mask |= np.asarray(s.tube(qs), dtype=bool)
+        return mask
 
     def evaluate_with_limits(self, qs: np.ndarray, singular_as_nan: bool = False) -> np.ndarray:
         """Evaluate everywhere, filling singular tubes with declared limits.
 
         Tube points get the set's uniform ``limit`` when declared, otherwise
-        (or when ``singular_as_nan``) NaN.  Exterior points are NaN.
+        (or when ``singular_as_nan``) NaN; a later set's limit wins where
+        tubes overlap.  Exterior points are NaN.  The interior test and each
+        tube run once.
         """
         qs = as_batch(qs, self.domain.dimension)
+        interior = self.domain.interior_mask(qs)
+        ok = interior.copy()
+        fills = []
+        for s in self.domain.excluded_singular_sets:
+            tube = np.asarray(s.tube(qs), dtype=bool)
+            ok &= ~tube
+            if s.limit is not None and not singular_as_nan:
+                fills.append((tube & interior, s.limit))
         out = np.full(qs.shape[0], np.nan)
-        ok = self.valid_mask(qs)
         if ok.any():
             out[ok] = self.evaluate(qs[ok])
-        if not singular_as_nan:
-            interior = self.domain.interior_mask(qs)
-            for s in self.singularities:
-                if s.limit is None:
-                    continue
-                inside = np.asarray(s.tube(qs), dtype=bool) & interior
-                out[inside] = s.limit
+        for inside, limit in fills:
+            out[inside] = limit
         return out
 
 
@@ -364,11 +367,10 @@ def local_energy_log_batch(h: Hamiltonian, trial: LogTrialFunction, qs: np.ndarr
 def local_energy_log(h: Hamiltonian, trial: LogTrialFunction, q) -> float:
     """Local energy of ``phi = exp(S)`` at one interior, non-singular point."""
     arr = _point_array(q, h.domain.dimension)[None, :]
-    if not h.domain.interior_mask(arr)[0]:
-        raise SingularEvaluationError(f"point {arr[0]} is not interior to the domain")
-    if h.domain.singular_mask(arr)[0]:
+    if not h.domain.valid_mask(arr)[0]:
         raise SingularEvaluationError(
-            f"point {arr[0]} lies in a declared singular tube; use the declared limit"
+            f"point {arr[0]} is not interior to the domain or lies in a declared "
+            "singular tube; use the declared limit"
         )
     val = float(local_energy_log_batch(h, trial, arr)[0])
     if not np.isfinite(val):
@@ -394,7 +396,7 @@ def local_energy_ratio(trial: RatioTrialFunction, q) -> float:
     if phi == 0.0:
         raise SingularEvaluationError(
             f"phi vanishes at {arr[0]} (boundary or nodal point); consult the "
-            "field's singularity annotations"
+            "domain's declared singular sets"
         )
     return float(np.asarray(trial.h_phi(arr), dtype=float)[0]) / phi
 
@@ -406,7 +408,6 @@ def local_energy_ratio(trial: RatioTrialFunction, q) -> float:
 def make_log_field(
     h: Hamiltonian,
     trial: LogTrialFunction,
-    singularities: tuple[SingularSet, ...] = (),
     asymptotic_limits: tuple[AsymptoticLimit, ...] = (),
     alternates: tuple = (),
     label: str = "",
@@ -418,7 +419,6 @@ def make_log_field(
         domain=h.domain,
         evaluate=_eval,
         alternates=tuple(alternates),
-        singularities=tuple(singularities) or h.domain.excluded_singular_sets,
         asymptotic_limits=tuple(asymptotic_limits),
         label=label or (trial.label and f"log-form local energy of {trial.label}"),
     )
@@ -427,7 +427,6 @@ def make_log_field(
 def make_ratio_field(
     domain: Domain,
     trial: RatioTrialFunction,
-    singularities: tuple[SingularSet, ...] = (),
     asymptotic_limits: tuple[AsymptoticLimit, ...] = (),
     alternates: tuple = (),
     label: str = "",
@@ -439,7 +438,6 @@ def make_ratio_field(
         domain=domain,
         evaluate=_eval,
         alternates=tuple(alternates),
-        singularities=tuple(singularities) or domain.excluded_singular_sets,
         asymptotic_limits=tuple(asymptotic_limits),
         label=label or (trial.label and f"ratio-form local energy of {trial.label}"),
     )
@@ -461,7 +459,7 @@ def sample_interior(
     total = 0
     for _ in range(max_tries):
         cand = rng.uniform(lo, hi, size=(max(4 * n, 64), domain.dimension))
-        ok = domain.searchable_mask(cand)
+        ok = domain.valid_mask(cand)
         if extra_mask is not None:
             ok &= np.asarray(extra_mask(cand), dtype=bool)
         pts = cand[ok]
@@ -491,7 +489,7 @@ def cross_check_field(
     if not f.alternates:
         raise ValueError("field has a single representation; nothing to cross-check")
     rng = np.random.default_rng(seed)
-    pts = sample_interior(f.domain, n_samples, rng, extra_mask=lambda qs: ~f.singular_mask(qs))
+    pts = sample_interior(f.domain, n_samples, rng)
     reps = [np.asarray(f.evaluate(pts), dtype=float)]
     reps += [np.asarray(alt(pts), dtype=float) for alt in f.alternates]
     worst = 0.0

@@ -82,22 +82,20 @@ class GaussianBump:
         if self.sigma <= 0:
             raise ValueError("bump width sigma must be positive")
 
-    def value(self, q: np.ndarray) -> np.ndarray:
-        return self.s * np.exp(-((q - self.a) ** 2) / self.sigma**2)
 
-    def d1(self, q: np.ndarray) -> np.ndarray:
-        return self.value(q) * (-2.0 * (q - self.a) / self.sigma**2)
+def _bump_parts(q: np.ndarray, s, a, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, first and second derivative of ``sum_k s_k exp(-(q-a_k)^2/sigma_k^2)``
+    at the points ``q``, each of shape ``(n,)``.
 
-    def d2(self, q: np.ndarray) -> np.ndarray:
-        t = (q - self.a) / self.sigma
-        return self.value(q) * (4.0 * t * t - 2.0) / self.sigma**2
-
-
-def _unit_bump_parts(q: np.ndarray, a: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives of exp(-(q-a)^2/sigma^2)."""
-    e = np.exp(-((q - a) ** 2) / sigma**2)
-    t = (q - a) / sigma
-    return e * (-2.0 * t / sigma), e * (4.0 * t * t - 2.0) / sigma**2
+    ``s``, ``a`` and ``sigma`` are per-bump arrays, or scalars for one bump.
+    Each derivative is summed over the bumps as soon as it is built, which
+    keeps the peak memory of a long bump list down.
+    """
+    t = (q[:, None] - a) / sigma
+    e = np.exp(-t * t) * s
+    d1 = (e * (-2.0 * t / sigma)).sum(axis=1)
+    d2 = (e * (4.0 * t * t - 2.0) / sigma**2).sum(axis=1)
+    return e.sum(axis=1), d1, d2
 
 
 @dataclass(frozen=True)
@@ -135,21 +133,12 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
         q = np.asarray(qs, dtype=float)
         return q[:, 0] if q.ndim == 2 else q
 
-    def parts(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = (q[:, None] - a_arr[None, :]) / sig_arr[None, :]
-        e = np.exp(-t * t) * s_arr[None, :]
-        v = e.sum(axis=1)
-        d1 = (e * (-2.0 * t / sig_arr[None, :])).sum(axis=1)
-        d2 = (e * (4.0 * t * t - 2.0) / sig_arr[None, :] ** 2).sum(axis=1)
-        return v, d1, d2
-
     def s(qs):
-        q = flat(qs)
-        return np.asarray(base.s(qs), dtype=float) + parts(q)[0]
+        return np.asarray(base.s(qs), dtype=float) + _bump_parts(flat(qs), s_arr, a_arr, sig_arr)[0]
 
     def derivs(qs):
         g0, lap0 = base.derivs(qs)
-        _, d1, d2 = parts(flat(qs))
+        _, d1, d2 = _bump_parts(flat(qs), s_arr, a_arr, sig_arr)
         grad = np.array(g0, dtype=float)
         grad[:, 0] += d1
         return grad, np.asarray(lap0, dtype=float) + d2
@@ -231,7 +220,7 @@ class _AmplitudeCurve:
         n = max(SELECTION_GRID_MIN, 10 * cfg.grid_points_per_axis + 1)
         grid = np.linspace(box[0][0], box[0][1], n)
         qs = grid[:, None]
-        ok = field.valid_mask(qs)
+        ok = field.domain.valid_mask(qs)
         self.grid = grid[ok]
         qs = qs[ok]
         trial = perturbed_trial(state)
@@ -239,13 +228,13 @@ class _AmplitudeCurve:
         grad, lap0 = trial.derivs(qs)
         grad0 = np.asarray(grad, dtype=float)[:, 0]
         lap0 = np.asarray(lap0, dtype=float)
-        g1, g2 = _unit_bump_parts(self.grid, a, sigma)
+        _, g1, g2 = _bump_parts(self.grid, 1.0, a, sigma)
         self.alpha = v - 0.5 * (lap0 + grad0 * grad0)
         self.beta = -0.5 * (g2 + 2.0 * grad0 * g1)
         self.gamma = -0.5 * g1 * g1
         self.window = np.abs(self.grid - a) <= LOCAL_WINDOW_SIGMAS * sigma
         limits = [lim.value for lim in field.asymptotic_limits]
-        limits += [s.min_limit for s in field.singularities if s.min_limit is not None]
+        limits += [s.min_limit for s in field.domain.excluded_singular_sets if s.min_limit is not None]
         self.limit_floor = min(limits, default=math.inf)
 
     def _energies(self, svals: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ __all__ = [
     "TrialFamily",
     "global_min",
     "global_max",
+    "grid_points",
     "bounds",
     "bounds_of_field",
     "optimize_parameters",
@@ -97,7 +98,8 @@ class ExtremumReport:
     history: tuple[float, ...]
 
 
-def _grid_points(box: Sequence[tuple[float, float]], n_per_axis: int) -> np.ndarray:
+def grid_points(box: Sequence[tuple[float, float]], n_per_axis: int) -> np.ndarray:
+    """The ``n_per_axis ** dim`` tensor-grid points of ``box``, last axis fastest."""
     axes = [np.linspace(lo, hi, n_per_axis) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -105,7 +107,7 @@ def _grid_points(box: Sequence[tuple[float, float]], n_per_axis: int) -> np.ndar
 
 def _masked_values(field: LocalEnergyField, qs: np.ndarray, sign: float) -> np.ndarray:
     """Field values with invalid/singular/non-finite points set to +inf (after sign)."""
-    ok = field.valid_mask(qs)
+    ok = field.domain.valid_mask(qs)
     if ok.all():
         vals = sign * field.evaluate(qs)
     else:
@@ -181,7 +183,7 @@ def _fd_gradient_norm(field: LocalEnergyField, x: np.ndarray) -> float | None:
     e = h * np.eye(dim)
     # rows x + h e_0, x - h e_0, x + h e_1, ...
     pts = np.stack([x + e, x - e], axis=1).reshape(2 * dim, dim)
-    if not field.valid_mask(pts).all():
+    if not field.domain.valid_mask(pts).all():
         return None
     v = field.evaluate(pts)
     g = (v[0::2] - v[1::2]) / (2 * h)
@@ -206,7 +208,7 @@ def _search_extremum(field: LocalEnergyField, cfg: SearchConfig, kind: str) -> E
     best_v = np.inf
     window = box
     for level in range(cfg.refinement_levels):
-        pts = _grid_points(window, cfg.grid_points_per_axis)
+        pts = grid_points(window, cfg.grid_points_per_axis)
         vals = _masked_values(field, pts, sign)
         if level == 0 and not np.isfinite(vals).any():
             raise EmptySearchRegionError(
@@ -228,10 +230,7 @@ def _search_extremum(field: LocalEnergyField, cfg: SearchConfig, kind: str) -> E
     spacing = np.array([(hi - lo) / (cfg.grid_points_per_axis - 1) for lo, hi in box])
     rng = np.random.default_rng(cfg.rng_seed)
     try:
-        starts = sample_interior(
-            replace(domain, box=box), cfg.multistart_count, rng,
-            extra_mask=lambda qs: ~field.singular_mask(qs),
-        )
+        starts = sample_interior(replace(domain, box=box), cfg.multistart_count, rng)
     except SingularEvaluationError:
         # a sliver domain can defeat rejection sampling; the grid scan already
         # covered it, so multistarts are merely skipped
@@ -250,7 +249,7 @@ def _search_extremum(field: LocalEnergyField, cfg: SearchConfig, kind: str) -> E
     # fold in declared limits
     winner_value = interior_v
     winner_attained = "interior"
-    for s in field.singularities:
+    for s in domain.excluded_singular_sets:
         lim = s.min_limit if kind == "min" else s.max_limit
         if lim is None:
             continue

@@ -26,6 +26,7 @@ from ..core import (
     LocalEnergyField,
     RatioTrialFunction,
     SingularSet,
+    local_energy_ratio_batch,
 )
 from ..polynomials import MultivariatePolynomial
 
@@ -100,16 +101,10 @@ def billiard_local_energy_field(ab: AnnularBilliard) -> LocalEnergyField:
         return -8.0 * ring / ab.b(qs)
 
     trial = ab.trial()
-
-    def ratio_form(qs: np.ndarray) -> np.ndarray:
-        return np.asarray(trial.h_phi(qs), dtype=float) / np.asarray(trial.phi(qs), dtype=float)
-
-    dom = ab.domain()
     return LocalEnergyField(
-        domain=dom,
+        domain=ab.domain(),
         evaluate=closed_form,
-        alternates=(ratio_form,),
-        singularities=dom.excluded_singular_sets,
+        alternates=(lambda qs: local_energy_ratio_batch(trial, qs),),
         asymptotic_limits=(),
         label=f"annular billiard local energy (r={ab.r}, delta={ab.delta})",
     )
@@ -149,4 +144,4 @@ def unit_disk_field(
         box=((-1.0, 1.0), (-1.0, 1.0)),
         excluded_singular_sets=sing,
     )
-    return LocalEnergyField(domain=dom, evaluate=evaluate, singularities=sing, label="unit disk")
+    return LocalEnergyField(domain=dom, evaluate=evaluate, label="unit disk")

@@ -364,7 +364,6 @@ def coulomb_field(cs: CoulombSystem, check_normalizable: bool = True) -> LocalEn
         domain=h.domain,
         evaluate=closed,
         alternates=(logform,),
-        singularities=h.domain.excluded_singular_sets,
         label=f"Coulomb local energy (N={cs.n_particles}, D={cs.space_dim})",
     )
 
@@ -454,11 +453,10 @@ def helium_search_field(z: float) -> LocalEnergyField:
     def logform(qs: np.ndarray) -> np.ndarray:
         return local_energy_log_batch(h, trial, to_positions(qs).reshape(qs.shape[0], 6))
 
+    coincide = _coincidence_tube(cs)
+
     def tube(qs: np.ndarray) -> np.ndarray:
-        pos = to_positions(qs)
-        r = _batch_distances(pos)
-        iu = np.triu_indices(3, k=1)
-        return np.any(r[:, iu[0], iu[1]] <= COINCIDENCE_TUBE, axis=1)
+        return coincide(to_positions(qs).reshape(qs.shape[0], 6))
 
     box = ((0.1, 2.0), (-2.0, 2.0), (0.0, 2.0))
 
@@ -483,6 +481,5 @@ def helium_search_field(z: float) -> LocalEnergyField:
         domain=dom,
         evaluate=generic,
         alternates=(z_formula, logform),
-        singularities=dom.excluded_singular_sets,
         label=f"helium-like two-electron local energy (Z={z})",
     )

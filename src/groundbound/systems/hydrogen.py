@@ -105,7 +105,6 @@ def hydrogen_radial_field(lam: float = 1.0) -> LocalEnergyField:
     return LocalEnergyField(
         domain=dom,
         evaluate=evaluate,
-        singularities=dom.excluded_singular_sets,
         asymptotic_limits=(AsymptoticLimit("r -> inf", tail),),
         label=f"hydrogen radial local energy (lam={lam})",
     )

@@ -306,12 +306,10 @@ def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyFi
             AsymptoticLimit("along the field axis", gmax),
         )
 
-    dom = _domain(mh, singular)
     return LocalEnergyField(
-        domain=dom,
+        domain=_domain(mh, singular),
         evaluate=lambda qs: _cancelled_local_energy(mh, variant, qs),
         alternates=(lambda qs: _plain_local_energy(mh, variant, qs),),
-        singularities=singular,
         asymptotic_limits=asym,
         label=f"magnetic hydrogen local energy ({variant}, B={b})",
     )

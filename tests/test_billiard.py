@@ -78,4 +78,4 @@ def test_unit_disk_plain_ratio_is_unbounded_at_the_boundary():
     near = np.array([[0.999, 0.0]])
     far = np.array([[0.0, 0.0]])
     assert field.evaluate(near)[0] > field.evaluate(far)[0]
-    assert field.singularities[0].max_limit == math.inf
+    assert field.domain.excluded_singular_sets[0].max_limit == math.inf

@@ -219,6 +219,8 @@ def test_exit_codes_for_bad_specs(tmp_path):
         "sweep --system helium --param Z --values 0.5",
         "sweep --system magnetic-hydrogen --param B --values -1",
         "sweep --system magnetic-hydrogen --variant improved --param B --values 0",
+        "field --system quartic --timing",
+        "bounds --system helium --format csv --timing",
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -237,7 +237,6 @@ def test_cross_check_fails_when_everything_is_singular():
         domain=dom,
         evaluate=lambda qs: qs[:, 0],
         alternates=(lambda qs: qs[:, 0],),
-        singularities=dom.excluded_singular_sets,
     )
     with pytest.raises(SingularEvaluationError):
         cross_check_field(f, 10, seed=0)
@@ -294,11 +293,28 @@ def test_shipped_trial_derivatives_match_finite_differences(name):
 def test_evaluate_with_limits_fills_declared_values():
     tube = SingularSet("left half", lambda qs: qs[:, 0] < 0.0, limit=7.0)
     dom = Domain(1, "unbounded", box=((-1.0, 1.0),), excluded_singular_sets=(tube,))
-    f = LocalEnergyField(
-        domain=dom, evaluate=lambda qs: qs[:, 0], singularities=(tube,)
-    )
+    f = LocalEnergyField(domain=dom, evaluate=lambda qs: qs[:, 0])
     qs = np.array([[-0.5], [0.5]])
     filled = f.evaluate_with_limits(qs)
     assert filled.tolist() == [7.0, 0.5]
     as_nan = f.evaluate_with_limits(qs, singular_as_nan=True)
     assert math.isnan(as_nan[0]) and as_nan[1] == 0.5
+
+
+def test_each_tube_runs_once_per_batch():
+    calls = []
+
+    def tube(qs):
+        calls.append(qs.shape[0])
+        return qs[:, 0] < -0.5
+
+    sing = SingularSet("left end", tube, limit=3.0)
+    dom = Domain(1, "unbounded", box=((-1.0, 1.0),), excluded_singular_sets=(sing,))
+    f = LocalEnergyField(domain=dom, evaluate=lambda qs: qs[:, 0])
+    qs = np.linspace(-1.0, 1.0, 9)[:, None]
+    assert dom.valid_mask(qs).tolist() == (qs[:, 0] >= -0.5).tolist()
+    assert calls == [9]
+    calls.clear()
+    filled = f.evaluate_with_limits(qs)
+    assert calls == [9]
+    assert filled.tolist() == [3.0, 3.0] + qs[2:, 0].tolist()

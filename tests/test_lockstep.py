@@ -147,7 +147,7 @@ def reference_gradient_norm(field, x):
         e = np.zeros(x.shape[0])
         e[i] = h
         pair = np.stack([x + e, x - e])
-        if not field.valid_mask(pair).all():
+        if not field.domain.valid_mask(pair).all():
             return None
         vp, vm = field.evaluate(pair)
         g[i] = (vp - vm) / (2 * h)

@@ -8,6 +8,8 @@ from groundbound.core import derivative_consistency
 from groundbound.refine import (
     DEFAULT_AMPLITUDE_RANGE,
     GaussianBump,
+    _AmplitudeCurve,
+    _bump_parts,
     censor_guard,
     default_centers,
     new_refinement_state,
@@ -34,16 +36,33 @@ def test_bump_validation_and_derivatives():
     with pytest.raises(ValueError):
         GaussianBump(1.0, 0.0, 0.0)
     b = GaussianBump(0.7, 1.0, 2.0)
+
+    def parts(q):
+        return _bump_parts(q, b.s, b.a, b.sigma)
+
     q = np.linspace(-5, 7, 101)
     h = 1e-6
-    d1_fd = (b.value(q + h) - b.value(q - h)) / (2 * h)
-    d2_fd = (b.d1(q + h) - b.d1(q - h)) / (2 * h)
-    assert np.max(np.abs(b.d1(q) - d1_fd)) < 1e-7
-    assert np.max(np.abs(b.d2(q) - d2_fd)) < 1e-6
+    value, d1, d2 = parts(q)
+    d1_fd = (parts(q + h)[0] - parts(q - h)[0]) / (2 * h)
+    d2_fd = (parts(q + h)[1] - parts(q - h)[1]) / (2 * h)
+    assert np.max(np.abs(d1 - d1_fd)) < 1e-7
+    assert np.max(np.abs(d2 - d2_fd)) < 1e-6
     # the bump and its first two derivatives are bounded everywhere
     wide = np.linspace(-100, 100, 100001)
-    for f in (b.value, b.d1, b.d2):
-        assert np.all(np.isfinite(f(wide)))
+    assert all(np.all(np.isfinite(f)) for f in parts(wide))
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.7])
+def test_amplitude_curve_matches_the_bumped_field(quartic_state, sigma):
+    state = replace(
+        quartic_state, bumps=(GaussianBump(0.3, -1.0, 1.0), GaussianBump(-0.2, 1.5, 0.7))
+    )
+    curve = _AmplitudeCurve(state, 0.5, sigma, CFG)
+    qs = curve.grid[:, None]
+    for s in (-1.3, -0.4, 0.25, 1.1):
+        bumped = replace(state, bumps=state.bumps + (GaussianBump(s, 0.5, sigma),))
+        want = perturbed_field(bumped).evaluate(qs)
+        np.testing.assert_allclose(curve._energies([s])[0], want, rtol=1e-10, atol=0.0)
 
 
 def test_empty_bump_list_is_identity(quartic_state):
