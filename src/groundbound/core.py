@@ -19,6 +19,7 @@ All evaluators are vectorized: a batch of points is an array of shape
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -204,9 +205,9 @@ class Hamiltonian:
         """Hamiltonian with ``a = coefficient * I`` (``1/2`` for ``-Delta/2 + V``)."""
         return cls(coefficient * np.eye(domain.dimension), potential, domain)
 
-    @property
+    @functools.cached_property
     def isotropic_coefficient(self) -> float | None:
-        """The scalar ``c`` if ``a == c*I`` exactly, else ``None``."""
+        """The scalar ``c`` if ``a == c*I`` exactly, else ``None`` (computed once)."""
         a = self.inverse_mass_form
         c = a[0, 0]
         return c if np.array_equal(a, c * np.eye(a.shape[0])) else None

@@ -114,18 +114,21 @@ def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     """Number of eigenvalues of the symmetric tridiagonal matrix below x.
 
     Standard negative-count recurrence q_i = d_i - x - e_{i-1}^2 / q_{i-1}
-    with a tiny floor guarding exact zeros.
+    with a tiny floor guarding exact zeros.  The loop runs on Python floats,
+    which do the same IEEE operations as numpy scalars at a fraction of the
+    cost.
     """
     tiny = 1e-300
+    x = float(x)
+    d = diag.tolist()
     count = 0
-    q = diag[0] - x
+    q = d[0] - x
     if q == 0.0:
         q = tiny
     if q < 0.0:
         count += 1
-    off2 = off * off
-    for i in range(1, diag.shape[0]):
-        q = diag[i] - x - off2[i - 1] / q
+    for di, e2 in zip(d[1:], (off * off).tolist()):
+        q = di - x - e2 / q
         if q == 0.0:
             q = tiny
         if q < 0.0:
@@ -153,19 +156,21 @@ def _lowest_eigenvalue_tridiag(diag: np.ndarray, off: np.ndarray) -> float:
 
 
 def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = diag.shape[0]
-    c = np.empty(n - 1)
-    d = np.empty(n)
-    c[0] = off[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
+    """Thomas algorithm, looping on Python floats like ``sturm_count_below``."""
+    dg, e, r = diag.tolist(), off.tolist(), rhs.tolist()
+    n = len(dg)
+    c = [0.0] * (n - 1)
+    d = [0.0] * n
+    c[0] = e[0] / dg[0]
+    d[0] = r[0] / dg[0]
     for i in range(1, n):
-        denom = diag[i] - off[i - 1] * c[i - 1]
+        denom = dg[i] - e[i - 1] * c[i - 1]
         if i < n - 1:
-            c[i] = off[i] / denom
-        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / denom
+            c[i] = e[i] / denom
+        d[i] = (r[i] - e[i - 1] * d[i - 1]) / denom
     for i in range(n - 2, -1, -1):
         d[i] -= c[i] * d[i + 1]
-    return d
+    return np.array(d)
 
 
 def _ground_vector(diag: np.ndarray, off: np.ndarray, e0: float) -> np.ndarray:

@@ -8,7 +8,9 @@ amplitudes whose certified bound regresses are clipped toward zero, and a
 regression paired with a minimizer jump beyond the bump's influence radius is
 rejected outright.  A step commits only when the certified bound did not
 decrease, which makes the recorded bound history non-decreasing by
-construction.
+construction.  Bumps share a center and width only once: committing at a
+``(a, sigma)`` already carried adds the amplitude to that entry, so the bump
+sum has one term per distinct center however often the schedule revisits it.
 
 Selection is cheap because the local energy is exactly quadratic in one
 amplitude: with unit-bump derivatives ``g1, g2`` and the committed trial's
@@ -17,9 +19,11 @@ amplitude: with unit-bump derivatives ``g1, g2`` and the committed trial's
     E_loc(q; s) = [V - (lap S0 + (grad S0)^2)/2]
                   - s (g2 + 2 g1 grad S0)/2  -  s^2 g1^2/2
 
-so a dense amplitude scan costs one matrix broadcast over a fixed grid.  The
-amplitude that wins the scan (golden-refined to 1e-4) is then certified by the
-ordinary polished global search before it may commit.
+so a dense amplitude scan costs a few small broadcasts over a fixed grid.  The
+committed trial's part of it (the grid, ``grad S0`` and the ``alpha`` term) is
+kept with the state and rebuilt only after a commit.  The amplitude that wins
+the scan (golden-refined to 1e-4) is then certified by the ordinary polished
+global search before it may commit.
 
 Everything here is one-dimensional, matching the systems it refines.
 """
@@ -27,7 +31,7 @@ Everything here is one-dimensional, matching the systems it refines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,6 +69,8 @@ SELECTION_GRID_MIN = 4001
 # productive without measurably biasing the bound.
 LOCAL_TIEBREAK_WEIGHT = 1e-6
 LOCAL_WINDOW_SIGMAS = 3.0
+# Amplitudes scored per broadcast: an 8 x 4001 block of doubles stays in cache.
+SCAN_BLOCK = 8
 # Bound changes below this are search-resolution noise, not regressions; the
 # commit rule itself stays strict so the recorded history never decreases.
 CENSOR_TOL = 1e-9
@@ -98,9 +104,51 @@ def _bump_parts(q: np.ndarray, s, a, sigma) -> tuple[np.ndarray, np.ndarray, np.
     return e.sum(axis=1), d1, d2
 
 
+def _with_bump(bumps: tuple[GaussianBump, ...], bump: GaussianBump) -> tuple[GaussianBump, ...]:
+    """``bumps`` plus ``bump``, added into the entry at the same ``(a, sigma)``
+    in place when there is one, appended otherwise."""
+    for i, b in enumerate(bumps):
+        if b.a == bump.a and b.sigma == bump.sigma:
+            return bumps[:i] + (GaussianBump(b.s + bump.s, b.a, b.sigma),) + bumps[i + 1 :]
+    return bumps + (bump,)
+
+
+@dataclass(frozen=True)
+class _SelectionGrid:
+    """The committed trial on the amplitude scan's fixed grid.
+
+    ``grid`` holds the valid grid points, ``grad0`` the trial's gradient and
+    ``alpha`` the local energy there.  The other fields say what it was built
+    from; it is reused only while all of them still match the state.
+    """
+
+    hamiltonian: Hamiltonian
+    base: LogTrialFunction
+    bumps: tuple[GaussianBump, ...]
+    box: tuple[float, float]
+    n: int
+    grid: np.ndarray
+    grad0: np.ndarray
+    alpha: np.ndarray
+
+    def fits(self, state: "RefinementState", box: tuple[float, float], n: int) -> bool:
+        return (
+            self.hamiltonian is state.hamiltonian
+            and self.base is state.base
+            and self.bumps == state.bumps
+            and self.box == box
+            and self.n == n
+        )
+
+
 @dataclass(frozen=True)
 class RefinementState:
-    """Base trial plus committed bumps and the bound trajectory so far."""
+    """Base trial plus committed bumps and the bound trajectory so far.
+
+    ``selection`` caches the committed trial on the amplitude scan's grid; it
+    is rebuilt whenever it no longer fits the bumps, box or grid size, so a
+    state built without it (or copied with ``replace``) stays correct.
+    """
 
     hamiltonian: Hamiltonian
     base: LogTrialFunction
@@ -108,6 +156,7 @@ class RefinementState:
     bumps: tuple[GaussianBump, ...]
     current_lower: float
     bound_history: tuple[tuple[int, float], ...]
+    selection: _SelectionGrid | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         lows = [v for _, v in self.bound_history]
@@ -119,8 +168,9 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
     """S = S_base + sum of bumps, with derivatives assembled analytically.
 
     The bump sum is evaluated as one broadcast over the stacked (s, a, sigma)
-    arrays, so hundreds of committed bumps stay cheap.  The base trial's
-    ``derivs`` must return a Laplacian, not a Hessian.
+    arrays, so hundreds of bumps stay cheap.  Repeated centers are allowed and
+    simply add, although refinement itself commits one bump per center.  The
+    base trial's ``derivs`` must return a Laplacian, not a Hessian.
     """
     base, bumps = state.base, state.bumps
     if not bumps:
@@ -192,7 +242,7 @@ def censor_guard(
     """
     cfg = cfg or SearchConfig()
     after = global_min(
-        perturbed_field(replace(state, bumps=state.bumps + (candidate,))), cfg=cfg
+        perturbed_field(replace(state, bumps=_with_bump(state.bumps, candidate))), cfg=cfg
     )
     if after.value >= state.current_lower - CENSOR_TOL:
         return "accept"
@@ -206,6 +256,24 @@ def censor_guard(
     return "reject" if jumped else "clip"
 
 
+def _selection_grid(state: RefinementState, cfg: SearchConfig) -> _SelectionGrid:
+    """The state's cached selection grid, or a fresh one if it no longer fits."""
+    h = state.hamiltonian
+    box_q = (cfg.box or h.domain.box)[0]
+    box = (float(box_q[0]), float(box_q[1]))
+    n = max(SELECTION_GRID_MIN, 10 * cfg.grid_points_per_axis + 1)
+    if state.selection is not None and state.selection.fits(state, box, n):
+        return state.selection
+    qs = np.linspace(box[0], box[1], n)[:, None]
+    qs = qs[h.domain.valid_mask(qs)]
+    v = np.asarray(h.potential(qs), dtype=float)
+    grad, lap0 = perturbed_trial(state).derivs(qs)
+    grad0 = np.asarray(grad, dtype=float)[:, 0]
+    lap0 = np.asarray(lap0, dtype=float)
+    alpha = v - 0.5 * (lap0 + grad0 * grad0)
+    return _SelectionGrid(h, state.base, state.bumps, box, n, qs[:, 0], grad0, alpha)
+
+
 class _AmplitudeCurve:
     """Grid estimates of s -> inf_q E_loc for one candidate center.
 
@@ -215,45 +283,39 @@ class _AmplitudeCurve:
     """
 
     def __init__(self, state: RefinementState, a: float, sigma: float, cfg: SearchConfig):
-        field = perturbed_field(state)
-        box = cfg.box or field.domain.box
-        n = max(SELECTION_GRID_MIN, 10 * cfg.grid_points_per_axis + 1)
-        grid = np.linspace(box[0][0], box[0][1], n)
-        qs = grid[:, None]
-        ok = field.domain.valid_mask(qs)
-        self.grid = grid[ok]
-        qs = qs[ok]
-        trial = perturbed_trial(state)
-        v = np.asarray(state.hamiltonian.potential(qs), dtype=float)
-        grad, lap0 = trial.derivs(qs)
-        grad0 = np.asarray(grad, dtype=float)[:, 0]
-        lap0 = np.asarray(lap0, dtype=float)
+        self.selection = sel = _selection_grid(state, cfg)
+        self.grid, self.alpha = sel.grid, sel.alpha
         _, g1, g2 = _bump_parts(self.grid, 1.0, a, sigma)
-        self.alpha = v - 0.5 * (lap0 + grad0 * grad0)
-        self.beta = -0.5 * (g2 + 2.0 * grad0 * g1)
+        self.beta = -0.5 * (g2 + 2.0 * sel.grad0 * g1)
         self.gamma = -0.5 * g1 * g1
-        self.window = np.abs(self.grid - a) <= LOCAL_WINDOW_SIGMAS * sigma
-        limits = [lim.value for lim in field.asymptotic_limits]
-        limits += [s.min_limit for s in field.domain.excluded_singular_sets if s.min_limit is not None]
+        # |q - a| is monotone on either side of a, so the window is one slice
+        inside = np.flatnonzero(np.abs(self.grid - a) <= LOCAL_WINDOW_SIGMAS * sigma)
+        self.window = slice(inside[0], inside[-1] + 1) if inside.size else None
+        domain = state.hamiltonian.domain
+        limits = [lim.value for lim in state.asymptotic_limits]
+        limits += [s.min_limit for s in domain.excluded_singular_sets if s.min_limit is not None]
         self.limit_floor = min(limits, default=math.inf)
 
-    def _energies(self, svals: np.ndarray) -> np.ndarray:
+    def _energies(self, svals) -> np.ndarray:
+        """E_loc on the grid, one row per amplitude: ``alpha + s beta + s^2 gamma``."""
         svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        return (
-            self.alpha[None, :]
-            + svals[:, None] * self.beta[None, :]
-            + (svals * svals)[:, None] * self.gamma[None, :]
-        )
-
-    def bound(self, svals) -> np.ndarray:
-        return np.minimum(self._energies(svals).min(axis=1), self.limit_floor)
+        e = np.multiply.outer(svals, self.beta)
+        e += self.alpha
+        e += np.multiply.outer(svals * svals, self.gamma)
+        return e
 
     def score(self, svals) -> np.ndarray:
-        e = self._energies(svals)
-        bound = np.minimum(e.min(axis=1), self.limit_floor)
-        if not self.window.any():  # bump window outside the box: no tie-break
-            return bound
-        return bound + LOCAL_TIEBREAK_WEIGHT * e[:, self.window].min(axis=1)
+        """The grid bound at each amplitude plus the local tie-break, scored
+        ``SCAN_BLOCK`` amplitudes at a time."""
+        svals = np.atleast_1d(np.asarray(svals, dtype=float))
+        out = np.empty(svals.shape[0])
+        for k in range(0, svals.shape[0], SCAN_BLOCK):
+            e = self._energies(svals[k : k + SCAN_BLOCK])
+            bound = np.minimum(e.min(axis=1), self.limit_floor)
+            if self.window is not None:  # else the bump window is outside the box
+                bound += LOCAL_TIEBREAK_WEIGHT * e[:, self.window].min(axis=1)
+            out[k : k + SCAN_BLOCK] = bound
+        return out
 
 
 def optimize_bump_amplitude(
@@ -265,11 +327,16 @@ def optimize_bump_amplitude(
 ) -> tuple[float, RefinementState]:
     """Pick the amplitude at center ``a`` maximizing the global lower bound.
 
-    A dense scan of the quadratic-in-s estimator locates the best basin (the
-    curve is not unimodal once bifurcations appear), golden section refines it
-    to 1e-4, the full search certifies the winner, and the censor clips or
-    rejects any certified regression.  If every usable amplitude regresses,
-    ``s* = 0`` is returned with the state unchanged (the center is exhausted).
+    The grid estimate is concave in s: every ``E_loc(q; s)`` is a quadratic
+    with ``s^2`` coefficient ``-g1^2/2 <= 0``, and a minimum of concave
+    functions is concave.  A dense scan still comes first because the curve
+    can be flat over a whole plateau of amplitudes (when distant structure
+    pins the bound) and only the local tie-break then separates them.  Golden
+    section refines the scan's winner to 1e-4, the full search certifies it,
+    and the censor clips or rejects any certified regression.  Committing at
+    a center and width the state already carries adds the amplitude to that
+    bump.  If every usable amplitude regresses, ``s* = 0`` is returned with
+    the state unchanged (the center is exhausted).
     """
     cfg = cfg or SearchConfig()
     if not math.isfinite(state.current_lower):
@@ -291,6 +358,8 @@ def optimize_bump_amplitude(
             return unchanged()
     else:
         curve = _AmplitudeCurve(state, a, sigma, cfg)
+        # keep the selection grid for the next step, which reuses it unless this one commits
+        state = replace(state, selection=curve.selection)
         coarse = np.linspace(s_lo, s_hi, 161)
         scores = curve.score(coarse)
         i = int(np.argmax(scores))
@@ -312,7 +381,7 @@ def optimize_bump_amplitude(
 
     # certify with the full polished search; clip or reject regressions
     def certified(s: float) -> float:
-        bumped = replace(state, bumps=state.bumps + (GaussianBump(s, a, sigma),))
+        bumped = replace(state, bumps=_with_bump(state.bumps, GaussianBump(s, a, sigma)))
         return global_min(perturbed_field(bumped), cfg=cfg).value
 
     best = certified(s_star)
@@ -325,10 +394,9 @@ def optimize_bump_amplitude(
         if s_star == 0.0:
             return unchanged()
 
-    bump = GaussianBump(s_star, a, sigma)
     new_state = replace(
         state,
-        bumps=state.bumps + (bump,),
+        bumps=_with_bump(state.bumps, GaussianBump(s_star, a, sigma)),
         current_lower=best,
         bound_history=state.bound_history + ((step_no, best),),
     )

@@ -63,6 +63,63 @@ def test_no_eigenvalue_below_the_returned_one():
     assert sturm_count_below(diag, off, e0 + 1e-9) == 1
 
 
+def _sturm_count_numpy(diag, off, x):
+    """Reference: the same recurrence on numpy scalars."""
+    tiny = 1e-300
+    count = 0
+    q = diag[0] - x
+    if q == 0.0:
+        q = tiny
+    if q < 0.0:
+        count += 1
+    off2 = off * off
+    for i in range(1, diag.shape[0]):
+        q = diag[i] - x - off2[i - 1] / q
+        if q == 0.0:
+            q = tiny
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def _tridiag_solve_numpy(diag, off, rhs):
+    """Reference: the Thomas algorithm on numpy arrays."""
+    n = diag.shape[0]
+    c = np.empty(n - 1)
+    d = np.empty(n)
+    c[0] = off[0] / diag[0]
+    d[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - off[i - 1] * c[i - 1]
+        if i < n - 1:
+            c[i] = off[i] / denom
+        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / denom
+    for i in range(n - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return d
+
+
+def test_sturm_count_and_solve_match_the_numpy_scalar_loops():
+    rng = np.random.default_rng(7)
+    n = 300
+    diag = rng.uniform(-3.0, 3.0, n)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    off[149] = 0.0  # decouples node 150, so x = diag[150] zeroes its pivot
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    shifts = list(rng.uniform(lo, hi, 40)) + [lo, hi, float(diag[0]), float(diag[150])]
+    counts = [sturm_count_below(diag, off, x) for x in shifts]
+    assert counts == [_sturm_count_numpy(diag, off, x) for x in shifts]
+    assert counts[40:42] == [0, n]
+    # dominant diagonal: the Thomas algorithm is stable, and must agree bit for bit
+    dominant = np.abs(diag) + 2.5
+    rhs = rng.standard_normal(n)
+    got = oracle._tridiag_solve(dominant, off, rhs)
+    assert np.array_equal(got, _tridiag_solve_numpy(dominant, off, rhs))
+
+
 def test_richardson_self_consistency():
     # halving h changes the extrapolated value by less than the error bar
     coarse = solve_1d_ground_state(harmonic, Grid1D(-10.0, 10.0, 1000))

@@ -7,9 +7,13 @@ import pytest
 from groundbound.core import derivative_consistency
 from groundbound.refine import (
     DEFAULT_AMPLITUDE_RANGE,
+    LOCAL_TIEBREAK_WEIGHT,
+    LOCAL_WINDOW_SIGMAS,
     GaussianBump,
     _AmplitudeCurve,
     _bump_parts,
+    _selection_grid,
+    _with_bump,
     censor_guard,
     default_centers,
     new_refinement_state,
@@ -63,6 +67,90 @@ def test_amplitude_curve_matches_the_bumped_field(quartic_state, sigma):
         bumped = replace(state, bumps=state.bumps + (GaussianBump(s, 0.5, sigma),))
         want = perturbed_field(bumped).evaluate(qs)
         np.testing.assert_allclose(curve._energies([s])[0], want, rtol=1e-10, atol=0.0)
+
+
+def _full_broadcast_score(curve, a, sigma, svals):
+    """Reference: the amplitude scan scored in one broadcast with a boolean window."""
+    svals = np.atleast_1d(np.asarray(svals, dtype=float))
+    e = (
+        curve.alpha[None, :]
+        + svals[:, None] * curve.beta[None, :]
+        + (svals * svals)[:, None] * curve.gamma[None, :]
+    )
+    bound = np.minimum(e.min(axis=1), curve.limit_floor)
+    window = np.abs(curve.grid - a) <= LOCAL_WINDOW_SIGMAS * sigma
+    if not window.any():
+        return bound
+    return bound + LOCAL_TIEBREAK_WEIGHT * e[:, window].min(axis=1)
+
+
+@pytest.mark.parametrize("a", [0.5, 8.0, 30.0], ids=["inside", "box-edge", "outside"])
+def test_blocked_score_equals_the_full_broadcast(quartic_state, a):
+    state = replace(quartic_state, bumps=(GaussianBump(0.3, -1.0, 1.0), GaussianBump(-0.2, 1.5, 0.7)))
+    curve = _AmplitudeCurve(state, a, 1.0, CFG)
+    window = np.flatnonzero(np.abs(curve.grid - a) <= LOCAL_WINDOW_SIGMAS * 1.0)
+    if a == 30.0:
+        assert curve.window is None and window.size == 0
+    else:
+        assert np.array_equal(np.arange(curve.grid.size)[curve.window], window)
+    for svals in (np.linspace(*DEFAULT_AMPLITUDE_RANGE, 161), np.array([0.37]), 0.37):
+        assert np.array_equal(curve.score(svals), _full_broadcast_score(curve, a, 1.0, svals))
+
+
+def test_amplitude_scan_is_concave(quartic_state):
+    # each E_loc(q; s) has s^2 coefficient -g1^2/2 <= 0, so both the grid
+    # bound and the score (plus a minimum over the window) are concave in s
+    state = replace(quartic_state, bumps=(GaussianBump(0.3, -1.0, 1.0), GaussianBump(-0.2, 1.5, 0.7)))
+    coarse = np.linspace(*DEFAULT_AMPLITUDE_RANGE, 161)
+    for a in (0.0, 0.5, -2.5):
+        curve = _AmplitudeCurve(state, a, 1.0, CFG)
+        bound = np.minimum(curve._energies(coarse).min(axis=1), curve.limit_floor)
+        for y in (bound, curve.score(coarse)):
+            second = y[:-2] - 2.0 * y[1:-1] + y[2:]
+            assert np.all(second <= 1e-12 * np.max(np.abs(y)))
+
+
+def test_bumps_at_one_center_merge_into_the_same_field(quartic_state):
+    repeated = (
+        GaussianBump(0.3, -1.0, 1.0),
+        GaussianBump(0.2, 0.5, 1.0),
+        GaussianBump(-0.1, -1.0, 1.0),
+        GaussianBump(0.4, 0.5, 0.7),
+        GaussianBump(0.25, 0.5, 1.0),
+    )
+    merged = ()
+    for b in repeated:
+        merged = _with_bump(merged, b)
+    assert merged == (
+        GaussianBump(0.3 + -0.1, -1.0, 1.0),
+        GaussianBump(0.2 + 0.25, 0.5, 1.0),
+        GaussianBump(0.4, 0.5, 0.7),
+    )
+    qs = np.linspace(-8.0, 8.0, 2001)[:, None]
+    want = perturbed_field(replace(quartic_state, bumps=repeated)).evaluate(qs)
+    got = perturbed_field(replace(quartic_state, bumps=merged)).evaluate(qs)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_selection_grid_is_reused_until_a_commit_and_matches_a_fresh_build(quartic_state):
+    def assert_fresh(sel, state):
+        fresh = _selection_grid(replace(state, selection=None), CFG)
+        for name in ("grid", "grad0", "alpha"):
+            assert np.array_equal(getattr(sel, name), getattr(fresh, name))
+
+    state, kinds = quartic_state, set()
+    for a in default_centers(sweeps=1):
+        s_star, after = optimize_bump_amplitude(state, a, 1.0, cfg=CFG)
+        assert_fresh(after.selection, state)  # built for the step's input state
+        reused = _selection_grid(after, CFG)
+        if s_star == 0.0:
+            assert reused is after.selection
+        else:
+            assert reused is not after.selection
+            assert_fresh(reused, after)
+        kinds.add(s_star == 0.0)
+        state = after
+    assert kinds == {True, False}
 
 
 def test_empty_bump_list_is_identity(quartic_state):
@@ -204,6 +292,8 @@ def test_schedule_monotone_and_reproducible(quartic_state):
     )
     assert st1.bound_history == st2.bound_history
     assert [b.s for b in st1.bumps] == [b.s for b in st2.bumps]
+    # revisits add into the bump already at that center: one bump per (a, sigma)
+    assert len({(b.a, b.sigma) for b in st1.bumps}) == len(st1.bumps) <= len(set(centers))
 
 
 def test_empty_schedule_returns_base_state(quartic_state):
