@@ -158,7 +158,7 @@ class Domain:
             raise ValueError("box must give (lo, hi) per axis")
 
     def _interior(self, qs: np.ndarray) -> np.ndarray:
-        mask = np.all(np.isfinite(qs), axis=1)
+        mask = np.isfinite(qs).all(axis=1)
         if self.constraint is not None:
             b = np.asarray(self.constraint(qs), dtype=float)
             mask &= b < 0.0

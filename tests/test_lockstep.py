@@ -60,7 +60,16 @@ def wells(qs):
     v = 0.05 * (x * x + y * y)
     for cx, cy, depth, width in ((-1.0, 0.5, 1.0, 0.3), (1.2, -0.4, 0.7, 0.5), (0.1, -1.0, 0.4, 0.2)):
         v = v - depth * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / width)
-    return np.where((x - 1.6) ** 2 + (y - 1.0) ** 2 < 0.3, np.inf, v)
+    return np.where(in_masked_disk(qs), np.inf, v)
+
+
+def in_masked_disk(qs):
+    return (qs[:, 0] - 1.6) ** 2 + (qs[:, 1] - 1.0) ** 2 < 0.3
+
+
+def wells_nan(qs):
+    """:func:`wells` as a raw field: NaN, not +inf, on the masked disk."""
+    return np.where(in_masked_disk(qs), np.nan, wells(qs))
 
 
 def counted(fn):
@@ -73,18 +82,26 @@ def counted(fn):
     return wrapper, calls
 
 
-def assert_matches_reference(starts, step):
-    objective, calls = counted(wells)
-    xs, fs = _polish(objective, starts, BOX, step)
+def assert_matches_reference(starts, step, signs=None, fn=wells):
+    """The lockstep polish of ``fn`` against one reference polish per start
+    of ``sign * fn``, a non-finite value counting as +inf."""
+    signs = np.ones(len(starts)) if signs is None else np.asarray(signs, dtype=float)
+    objective, calls = counted(fn)
+    xs, fs = _polish(objective, starts, BOX, step, signs)
     sweeps = []
     for j, x0 in enumerate(starts):
-        x, f, n = reference_polish(lambda q: wells(q[None, :])[0], x0, BOX, step)
+
+        def one(q, sign=signs[j]):
+            v = sign * fn(q[None, :])[0]
+            return v if math.isfinite(v) else math.inf
+
+        x, f, n = reference_polish(one, x0, BOX, step)
         assert xs[j].tobytes() == x.tobytes()
         assert np.float64(fs[j]).tobytes() == np.float64(f).tobytes()
         sweeps.append(n)
     # one batched call for the start values, then one per probe of the longest run
     assert len(calls) == 1 + 2 * len(BOX) * max(sweeps)
-    return sweeps
+    return fs, sweeps
 
 
 def test_lockstep_matches_reference_with_unequal_sweeps_clipping_and_masked_starts():
@@ -95,7 +112,7 @@ def test_lockstep_matches_reference_with_unequal_sweeps_clipping_and_masked_star
         [1.6, 1.0],    # inside the masked disk: starts at +inf
         [-2.0, 1.5],   # on the box corner
     ])
-    sweeps = assert_matches_reference(starts, np.array([0.04, 0.03]))
+    _, sweeps = assert_matches_reference(starts, np.array([0.04, 0.03]))
     assert len(set(sweeps)) > 1
     assert wells(starts[3:4])[0] == math.inf
 
@@ -109,6 +126,25 @@ def test_lockstep_matches_reference_with_unequal_sweeps_clipping_and_masked_star
 )
 def test_lockstep_matches_reference_polish(starts, step):
     assert_matches_reference(np.array(starts), np.array(step))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    starts=st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-2.5, 2.5), st.sampled_from([1.0, -1.0])),
+        min_size=1,
+        max_size=6,
+    ),
+    stuck_signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=1, max_size=2),
+    step=st.tuples(st.floats(0.02, 0.5), st.floats(0.02, 0.5)),
+)
+def test_lockstep_with_mixed_signs_matches_reference_polish(starts, stuck_signs, step):
+    # rows at the masked disk's centre never leave it at these steps: they stay at +inf
+    rows = starts + [(1.6, 1.0, s) for s in stuck_signs]
+    points = np.array([r[:2] for r in rows])
+    signs = np.array([r[2] for r in rows])
+    fs, _ = assert_matches_reference(points, np.array(step), signs, wells_nan)
+    assert np.all(fs[len(starts):] == math.inf)
 
 
 def _bumped_quartic():

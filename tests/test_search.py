@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from groundbound.core import AsymptoticLimit, Domain, LocalEnergyField
+from groundbound.core import AsymptoticLimit, Domain, LocalEnergyField, SingularEvaluationError, sample_interior
 from groundbound.search import (
     EmptySearchRegionError,
     FamilyCannotBoundError,
@@ -13,16 +13,20 @@ from groundbound.search import (
     bounds_of_field,
     global_max,
     global_min,
+    grid_points,
     optimize_parameters,
 )
 from groundbound.systems import (
     AnnularBilliard,
+    MagneticHydrogen,
     QuarticOscillator,
     billiard_local_energy_field,
     hydrogen_exponent_family,
     hydrogen_radial_field,
+    magnetic_hydrogen_field,
     quartic_field,
     quartic_system,
+    unit_disk_field,
 )
 from groundbound.refine import GaussianBump, new_refinement_state, perturbed_field
 from dataclasses import replace
@@ -151,6 +155,115 @@ def test_quartic_bounds_upper_is_asymptotic():
     assert res.upper == 0.0
     assert res.upper_witness.boundary_or_asymptotic
     assert res.resolution_caveat.grid_points_per_axis == 401
+
+
+# ---------------------------------------------------------------------------
+# both extrema in one search
+
+
+def witness_key(rep):
+    """Every field of a report, floats and locations as bytes."""
+    loc = None if rep.location is None else rep.location.tobytes()
+    grad = rep.gradient_norm_at_location
+    return (
+        rep.kind,
+        np.float64(rep.value).tobytes(),
+        loc,
+        None if grad is None else np.float64(grad).tobytes(),
+        rep.boundary_or_asymptotic,
+        rep.attained,
+        np.array(rep.history).tobytes(),
+    )
+
+
+def assert_bounds_match_single_searches(field, cfg):
+    res = bounds_of_field(field, cfg)
+    assert witness_key(res.lower_witness) == witness_key(global_min(field, cfg))
+    assert witness_key(res.upper_witness) == witness_key(global_max(field, cfg))
+    assert (res.lower, res.upper) == (res.lower_witness.value, res.upper_witness.value)
+    return res
+
+
+# hydrogen-radial below, at and above the exact exponent: the origin limit
+# wins the minimum at 0.7 and the maximum at 1.3, the tail the other side
+BOTH_KIND_FIELDS = {
+    "billiard": lambda: billiard_local_energy_field(AnnularBilliard(0.75, 0.1)),
+    "unit-disk": unit_disk_field,
+    "quartic": lambda: quartic_field(QuarticOscillator(1.0 / math.sqrt(2.0), -1, 8.0)),
+    "magnetic-lower": lambda: magnetic_hydrogen_field(MagneticHydrogen(2.0), "lower"),
+    "magnetic-upper": lambda: magnetic_hydrogen_field(MagneticHydrogen(2.0), "upper"),
+    "magnetic-improved": lambda: magnetic_hydrogen_field(MagneticHydrogen(2.0), "improved"),
+    "hydrogen-radial-0.7": lambda: hydrogen_radial_field(0.7),
+    "hydrogen-radial-1.0": lambda: hydrogen_radial_field(1.0),
+    "hydrogen-radial-1.3": lambda: hydrogen_radial_field(1.3),
+}
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("name", sorted(BOTH_KIND_FIELDS))
+def test_bounds_of_field_witnesses_equal_the_single_kind_searches(name, seed, levels):
+    cfg = SearchConfig(grid_points_per_axis=41, refinement_levels=levels, rng_seed=seed)
+    assert_bounds_match_single_searches(BOTH_KIND_FIELDS[name](), cfg)
+
+
+def test_limits_win_both_sides_of_the_hydrogen_radial_fields():
+    cfg = SearchConfig(grid_points_per_axis=41)
+    below = bounds_of_field(hydrogen_radial_field(0.7), cfg)
+    above = bounds_of_field(hydrogen_radial_field(1.3), cfg)
+    assert below.lower_witness.attained.startswith("singular:")
+    assert below.upper_witness.attained.startswith("asymptotic:")
+    assert above.lower_witness.attained.startswith("asymptotic:")
+    assert above.upper_witness.attained.startswith("singular:")
+
+
+def test_bounds_of_field_on_a_sliver_without_multistarts():
+    # interior only within 1e-9 of q = 0: the grid hits it, rejection sampling cannot
+    dom = Domain(1, "bounded", constraint=lambda qs: np.abs(qs[:, 0]) - 1e-9, box=((-1.0, 1.0),))
+    with pytest.raises(SingularEvaluationError):
+        sample_interior(dom, SearchConfig().multistart_count, np.random.default_rng(0))
+    f = LocalEnergyField(domain=dom, evaluate=lambda qs: 1.0 + qs[:, 0] ** 2)
+    res = assert_bounds_match_single_searches(f, SearchConfig())
+    assert res.lower == res.upper == 1.0
+
+
+def test_bounds_of_field_raises_the_empty_region_error_of_global_min():
+    dom = Domain(1, "bounded", constraint=lambda qs: np.ones(qs.shape[0]), box=((-1.0, 1.0),))
+    f = LocalEnergyField(domain=dom, evaluate=lambda qs: qs[:, 0])
+    with pytest.raises(EmptySearchRegionError) as single:
+        global_min(f, cfg=SearchConfig())
+    with pytest.raises(EmptySearchRegionError) as both:
+        bounds_of_field(f, cfg=SearchConfig())
+    assert str(both.value) == str(single.value)
+
+
+def counting_field(field):
+    """``field`` with every batch it is asked to evaluate recorded."""
+    batches = []
+
+    def evaluate(qs):
+        batches.append(qs.copy())
+        return field.evaluate(qs)
+
+    return replace(field, evaluate=evaluate), batches
+
+
+def test_bounds_of_field_scans_level_zero_once_and_calls_the_field_less():
+    cfg = SearchConfig()
+    field, batches = counting_field(billiard_local_energy_field(AnnularBilliard(0.75, 0.1)))
+    grid = grid_points(field.domain.box, cfg.grid_points_per_axis)
+    level0 = grid[field.domain.valid_mask(grid)].tobytes()
+
+    def level0_scans():
+        return sum(b.tobytes() == level0 for b in batches)
+
+    global_min(field, cfg)
+    global_max(field, cfg)
+    separate_calls, separate_scans = len(batches), level0_scans()
+    batches.clear()
+    bounds_of_field(field, cfg)
+    assert (separate_scans, level0_scans()) == (2, 1)
+    assert len(batches) < separate_calls
 
 
 # ---------------------------------------------------------------------------
