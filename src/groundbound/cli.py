@@ -368,7 +368,8 @@ class Command:
     ``run(spec)`` computes the result once and returns ``(meta, result)``:
     the system metadata beyond the name and parameters, and the dict a JSON
     document carries under ``result``.  ``csv(result)`` is the CSV view of
-    that same dict, ``(header, rows)``, and ``unbounded(result)`` selects
+    that same dict, ``(header, rows)``: rows are lists, or the float array a
+    ``field`` dump keeps its table in.  ``unbounded(result)`` selects
     exit 3.  Only :func:`_run` reads the clock, renders and writes.
 
     ``builder`` names the :class:`System` builder the command needs and
@@ -379,7 +380,7 @@ class Command:
 
     help: str
     run: Callable[[RunSpec], tuple[dict, dict]]
-    csv: Callable[[dict], tuple[list[str], list[list]]]
+    csv: Callable[[dict], tuple[list[str], list[list] | np.ndarray]]
     builder: str
     format: str = "csv"
     grid: str = "grid_n"
@@ -451,8 +452,8 @@ def cmd_field(spec: RunSpec) -> tuple[dict, dict]:
     qs = grid_points(spec.search.box or field.domain.box, spec.search.grid_points_per_axis)
     qs = qs[field.domain.interior_mask(qs)]
     vals = field.evaluate_with_limits(qs, singular_as_nan=spec.extras["singular"] == "nan")
-    # tolist() gives the same Python floats as float() per cell, in one call
-    return params, {"columns": system.columns, "rows": np.column_stack([qs, vals]).tolist()}
+    # the rows stay one float array; both renderers write it column by column
+    return params, {"columns": system.columns, "rows": np.column_stack([qs, vals])}
 
 
 def cmd_oracle(spec: RunSpec) -> tuple[dict, dict]:

@@ -352,3 +352,32 @@ def test_json_and_csv_carry_the_same_values(tmp_path, command):
         table = result["history" if command == "refine" else "rows"]
         assert rows == [[_cell(row[key]) for key in header] for row in table]
         assert len(rows) == (3 if command == "refine" else 2)
+
+
+# a grid near the billiard's outer boundary whose last x column lies inside the
+# boundary tube, declared with the limit +inf
+TUBE_FIELD = ["field", "--system", "annular-billiard", "--grid-n", "8",
+              "--box=1.0999:1.0999995,-0.0000001:0.0000001"]
+
+
+@pytest.mark.parametrize("singular, spelled", [("limit", "+inf"), ("nan", "nan")])
+def test_field_non_finite_cells_carry_the_same_values(tmp_path, singular, spelled):
+    argv = [*TUBE_FIELD, "--singular", singular]
+    _, text = run(tmp_path, *argv, "--format", "json", name="json")
+    result = json.loads(text)["result"]
+    _, text = run(tmp_path, *argv, "--format", "csv", name="csv")
+    header, *rows = list(csv.reader(io.StringIO(text)))
+    assert header == result["columns"]
+    assert rows == [[_cell(v) for v in row] for row in result["rows"]]
+    e_loc = [row[-1] for row in rows]
+    assert len(e_loc) == 64 and e_loc.count(spelled) == 8
+    assert all(math.isfinite(float(v)) for v in e_loc if v != spelled)
+
+
+def test_field_box_without_interior_points_is_an_empty_table(tmp_path):
+    argv = ["field", "--system", "annular-billiard", "--box=-0.01:0.01"]  # inside the inner disk
+    assert run(tmp_path, *argv, "--format", "csv", name="csv")[0] == 0
+    assert (tmp_path / "csv").read_bytes() == b"x,y,e_loc\r\n"
+    _, text = run(tmp_path, *argv, "--format", "json", name="json")
+    assert json.loads(text)["result"]["rows"] == []
+    assert '"rows": []' in text

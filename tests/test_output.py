@@ -1,0 +1,130 @@
+"""Documents rendered from float tables equal the cell-by-cell reference."""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from groundbound.output import (
+    _CHUNK_ROWS,
+    SCHEMA_VERSION,
+    envelope,
+    render_csv,
+    render_json,
+    write_text_atomic,
+)
+
+# ---------------------------------------------------------------------------
+# reference: every cell formatted on its own, through csv.writer and json.dumps
+
+
+def ref_cell(v):
+    if isinstance(v, float):
+        if math.isinf(v):
+            return "+inf" if v > 0 else "-inf"
+        if math.isnan(v):
+            return "nan"
+        return repr(v)
+    return v
+
+
+def ref_csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([ref_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def ref_jsonable(value):
+    if isinstance(value, dict):
+        return {str(k): ref_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [ref_jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return ref_cell(value)
+    return value
+
+
+def ref_json(command, system, config, result):
+    document = {"schema_version": SCHEMA_VERSION, "command": command,
+                "system": system, "config": config, "result": result}
+    return json.dumps(ref_jsonable(document), indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# tables
+
+# non-finite values, signed zeros, subnormals, and the neighbours of 1e16 and
+# 1e-4, where repr switches between positional and exponent form
+SPECIALS = [
+    math.inf, -math.inf, math.nan, -math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    2.225073858507201e-308, 1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16,
+    1e-5, 1e-4, 9.999999999999999e-05, 0.00010000000000000002, 1.7976931348623157e308,
+]
+CELLS = st.one_of(st.sampled_from(SPECIALS), st.floats(allow_subnormal=True))
+
+
+def assert_same_documents(table):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    rows = table.tolist()
+    assert render_csv(header, table) == ref_csv(header, rows)
+    system = {"name": "test", "p": 1.5}
+    config = {"box": None, "seed": 0}
+    got = render_json(envelope("field", system, config, {"columns": header, "rows": table}))
+    assert got == ref_json("field", system, config, {"columns": header, "rows": rows})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(table=arrays(np.float64, st.tuples(st.integers(0, 12), st.sampled_from([1, 2, 3])), elements=CELLS))
+@example(table=np.empty((0, 3)))
+@example(table=np.array([[-0.0]]))
+@example(table=np.array([[math.inf, -math.inf, math.nan]]))
+def test_small_tables_render_like_the_reference(table):
+    assert_same_documents(table)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    n=st.sampled_from([_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]),
+    k=st.sampled_from([1, 3]),
+    pool=arrays(np.float64, 32, elements=CELLS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tables_across_chunk_boundaries_render_like_the_reference(n, k, pool, seed):
+    table = pool[np.random.default_rng(seed).integers(0, len(pool), size=(n, k))]
+    assert_same_documents(table)
+
+
+def test_tables_nested_anywhere_render_like_the_reference():
+    a = np.array([[1.0, -math.inf], [math.nan, 1e-7]])
+    b = np.array([[0.5]])
+    empty = np.empty((0, 2))
+    doc = {"a": a, "b": {"c": {"d": b, "e": [empty, a]}}, "z": "s"}
+    listed = {"a": a.tolist(), "b": {"c": {"d": b.tolist(), "e": [[], a.tolist()]}}, "z": "s"}
+    assert render_json(envelope("x", {}, {}, doc)) == ref_json("x", {}, {}, listed)
+
+
+def test_non_table_objects_are_still_rejected():
+    with pytest.raises(TypeError):
+        render_json({"a": object()})
+
+
+# ---------------------------------------------------------------------------
+# writing
+
+
+def test_written_file_holds_the_documents_utf8_bytes(tmp_path):
+    text = render_csv(["Δ", "quoted, cell"], [[1.5, "two\nlines"], [math.inf, None]])
+    assert "\r\n" in text
+    path = tmp_path / "doc.csv"
+    write_text_atomic(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.csv"]  # no temp file left
