@@ -185,12 +185,17 @@ def render_csv(header: list[str], rows: list[list[Any]] | np.ndarray) -> str:
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a temp file in the target directory, then rename.  The text
     is written as UTF-8 with its line ends untranslated, so the file's bytes
-    are the same on every platform."""
+    are the same on every platform.  The file gets the mode a plain ``open``
+    would give it, ``0o666`` less the umask, not the temp file's owner-only
+    mode."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".groundbound-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

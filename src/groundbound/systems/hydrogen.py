@@ -110,9 +110,17 @@ def hydrogen_radial_field(lam: float = 1.0) -> LocalEnergyField:
     )
 
 
+def _radial_rows(controls: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Member ``controls[j]`` at ``qs[j]``, with the operations of
+    :func:`hydrogen_radial_field` in its order, so the values match bit for bit."""
+    lams = controls[:, 0]
+    return (lams - 1.0) / qs[:, 0] + (-lams * lams / 2.0)
+
+
 def hydrogen_exponent_family(box: tuple[float, float] = (0.5, 2.0)) -> TrialFamily:
     return TrialFamily(
         control_box=(box,),
         build=lambda lam: hydrogen_radial_field(float(lam[0])),
         label="hydrogen exponential family",
+        evaluate_rows=_radial_rows,
     )

@@ -1,7 +1,10 @@
-"""The lockstep polish against a one-start reference, and the batch invariance
-of every shipped field that lets lockstep reproduce single-start trajectories."""
+"""The lockstep polish against a one-start reference, the batch invariance of
+every shipped field that lets lockstep reproduce single-start trajectories, a
+stacked search against one search per field, and the lockstep parameter
+optimizer against a sequential reference."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +13,24 @@ from hypothesis import strategies as st
 
 from groundbound.core import sample_interior
 from groundbound.refine import GaussianBump, RefinementState, perturbed_field
-from groundbound.search import POLISH_STEP_STOP, POLISH_VALUE_STOP, _fd_gradient_norm, _polish
+from groundbound.search import (
+    POLISH_STEP_STOP,
+    POLISH_VALUE_STOP,
+    RANDOM_PROBE_COUNT,
+    SearchConfig,
+    _fd_gradient_norm,
+    _polish,
+    _search_extrema,
+    bounds_of_field,
+    optimize_parameters,
+)
 from groundbound.systems import (
     AnnularBilliard,
     MagneticHydrogen,
     QuarticOscillator,
     billiard_local_energy_field,
     helium_search_field,
+    hydrogen_exponent_family,
     hydrogen_radial_field,
     magnetic_hydrogen_field,
     quartic_field,
@@ -73,9 +87,12 @@ def wells_nan(qs):
 
 
 def counted(fn):
+    """``fn`` as a polish objective, recording each batch size; the rows
+    named with a batch are distinct starts, one per point."""
     calls = []
 
-    def wrapper(qs):
+    def wrapper(rows, qs):
+        assert rows.shape == (qs.shape[0],) and np.all(np.diff(rows) > 0)
         calls.append(qs.shape[0])
         return fn(qs)
 
@@ -196,3 +213,176 @@ def test_batched_gradient_norm_matches_pairwise_differences(name):
     qs = sample_interior(field.domain, 8, np.random.default_rng(3), extra_mask=lambda q: ~field.singular_mask(q))
     for x in qs:
         assert _fd_gradient_norm(field, x) == reference_gradient_norm(field, x)
+
+
+# ---------------------------------------------------------------------------
+# a stack of fields searched at once against one search per field
+
+
+def _hydrogen_rows(lams):
+    controls = np.array([[lam] for lam in lams])
+    family = hydrogen_exponent_family()
+    return lambda members, qs: family.evaluate_rows(controls[members], qs)
+
+
+# family -> (member parameters, member builder, stacked evaluator or None);
+# the members of a family share a search box
+STACKED_FAMILIES = {
+    "billiard": ((0.3, 0.45, 0.6, 0.75, 0.85),
+                 lambda r: billiard_local_energy_field(AnnularBilliard(r, 0.1)), None),
+    "quartic": ((2.0, 4.0, 8.0, 12.0),
+                lambda d2: quartic_field(QuarticOscillator(1.0 / math.sqrt(2.0), -1, d2)), None),
+    "magnetic-lower": ((0.5, 1.0, 2.0, 4.0, 8.0),
+                       lambda b: magnetic_hydrogen_field(MagneticHydrogen(b), "lower"), None),
+    "magnetic-upper": ((0.5, 1.0, 2.0, 4.0, 8.0),
+                       lambda b: magnetic_hydrogen_field(MagneticHydrogen(b), "upper"), None),
+    "magnetic-improved": ((0.5, 1.0, 2.0, 4.0, 8.0),
+                          lambda b: magnetic_hydrogen_field(MagneticHydrogen(b), "improved"), None),
+    "hydrogen-radial": ((0.5, 0.8, 1.0, 1.25, 2.0), hydrogen_radial_field, None),
+    "hydrogen-radial-rows": ((0.5, 0.8, 1.0, 1.25, 2.0), hydrogen_radial_field, _hydrogen_rows),
+}
+
+
+def assert_same_report(got, want):
+    """Equal reports, floats compared bit for bit."""
+    def bits(v):
+        return None if v is None else np.float64(v).tobytes()
+
+    def tags(report):
+        return report.kind, report.attained, report.boundary_or_asymptotic
+
+    assert tags(got) == tags(want)
+    assert bits(got.value) == bits(want.value)
+    assert bits(got.gradient_norm_at_location) == bits(want.gradient_norm_at_location)
+    assert [bits(h) for h in got.history] == [bits(h) for h in want.history]
+    if want.location is None:
+        assert got.location is None
+    else:
+        assert got.location.tobytes() == want.location.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(STACKED_FAMILIES))
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_stacked_search_equals_one_search_per_field(family, data):
+    choices, build, stacked_rows = STACKED_FAMILIES[family]
+    params = data.draw(st.lists(st.sampled_from(choices), min_size=1, max_size=4), label="members")
+    kinds = data.draw(st.sampled_from([("min",), ("max",), ("min", "max"), ("max", "min")]), label="kinds")
+    cfg = SearchConfig(
+        grid_points_per_axis=data.draw(st.integers(8, 24), label="grid"),
+        refinement_levels=data.draw(st.integers(1, 3), label="levels"),
+        multistart_count=data.draw(st.integers(1, 4), label="multistarts"),
+        rng_seed=data.draw(st.integers(0, 2**32 - 1), label="rng_seed"),
+    )
+    fields = [build(p) for p in params]
+    rows = None if stacked_rows is None else stacked_rows(params)
+    stacked = _search_extrema(fields, cfg, kinds, rows)
+    assert len(stacked) == len(fields)
+    for field, reports in zip(fields, stacked):
+        solo = _search_extrema([field], cfg, kinds)
+        assert len(solo) == 1 and len(reports) == len(kinds)
+        for got, want in zip(reports, solo[0]):
+            assert_same_report(got, want)
+
+
+def test_stacked_search_rejects_fields_with_different_boxes():
+    fields = [billiard_local_energy_field(AnnularBilliard(0.5, d)) for d in (0.0, 0.1)]
+    with pytest.raises(ValueError, match="share one search box"):
+        _search_extrema(fields, SearchConfig(grid_points_per_axis=8), ("min",))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    lams=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hydrogen_evaluate_rows_equals_each_member_field(lams, seed):
+    family = hydrogen_exponent_family()
+    rng = np.random.default_rng(seed)
+    # radii across the box, some inside the origin tube and some exterior
+    qs = np.concatenate([rng.uniform(0.0, 40.0, 48), rng.uniform(-1e-6, 2e-6, 8), [0.0, -1.0, 40.0]])[:, None]
+    fields = [family.build(np.array([lam])) for lam in lams]
+    ok = fields[0].domain.valid_mask(qs)
+    for field in fields[1:]:
+        assert np.array_equal(field.domain.valid_mask(qs), ok)
+        assert field.domain.box == fields[0].domain.box
+    valid = qs[ok]
+    controls = np.repeat(np.array(lams)[:, None], valid.shape[0], axis=0)
+    got = family.evaluate_rows(controls, np.tile(valid, (len(lams), 1)))
+    want = np.concatenate([field.evaluate(valid) for field in fields])
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the lockstep parameter optimizer against a sequential reference
+
+
+def reference_optimize(family, objective, cfg):
+    """One inner ``bounds_of_field`` per new control vector and one polished
+    start at a time, recording each probe when first met.
+
+    Returns the best control vector, its bounds and the probe record.
+    """
+    want_lower = objective == "maximize-lower"
+    inner = replace(cfg, box=None)
+    lo = np.array([c[0] for c in family.control_box])
+    hi = np.array([c[1] for c in family.control_box])
+    sign = -1.0 if want_lower else 1.0
+    cache, probes = {}, []
+
+    def key_of(lam):
+        return tuple(float(v) for v in lam)
+
+    def value(lam):
+        key = key_of(lam)
+        if key not in cache:
+            b = bounds_of_field(family.build(np.array(key)), inner)
+            cache[key] = b
+            probes.append((key, b.lower if want_lower else b.upper))
+        v = cache[key].lower if want_lower else cache[key].upper
+        return sign * v if math.isfinite(v) else math.inf
+
+    rng = np.random.default_rng(cfg.rng_seed)
+    initial = list(rng.uniform(lo, hi, size=(RANDOM_PROBE_COUNT, lo.shape[0]))) + [lo, hi, (lo + hi) / 2]
+    start_vals = sorted([(value(lam), tuple(lam)) for lam in initial])
+    best_x, best_f = None, math.inf
+    for _, key in start_vals[:cfg.multistart_count]:
+        x, f, _ = reference_polish(value, np.array(key), family.control_box, (hi - lo) / 8.0)
+        if f < best_f:
+            best_x, best_f = x, f
+    return best_x, cache[key_of(best_x)], probes
+
+
+def assert_optimizer_matches_reference(family, objective, cfg):
+    res = optimize_parameters(family, None, objective, cfg)
+    best, b, probes = reference_optimize(family, objective, cfg)
+    assert repr(res.probes) == repr(tuple(probes))
+    assert res.best_params.tobytes() == best.tobytes()
+    assert_same_report(res.bounds.lower_witness, b.lower_witness)
+    assert_same_report(res.bounds.upper_witness, b.upper_witness)
+    assert (repr(res.bounds.lower), repr(res.bounds.upper)) == (repr(b.lower), repr(b.upper))
+
+
+@pytest.mark.parametrize("objective", ["maximize-lower", "minimize-upper"])
+@pytest.mark.parametrize("multistarts", [1, 2, 3, 4])
+@pytest.mark.parametrize("stacked_rows", [True, False], ids=["evaluate-rows", "member-loop"])
+def test_lockstep_optimizer_matches_sequential_reference(objective, multistarts, stacked_rows):
+    family = hydrogen_exponent_family((0.5, 2.0))
+    if not stacked_rows:
+        family = replace(family, evaluate_rows=None)
+    cfg = SearchConfig(grid_points_per_axis=41, multistart_count=multistarts, rng_seed=multistarts)
+    assert_optimizer_matches_reference(family, objective, cfg)
+
+
+def test_lockstep_optimizer_matches_reference_when_member_boxes_differ():
+    # the control is the box half-width, so no two members share a box
+    qo = QuarticOscillator(1.0 / math.sqrt(2.0), -1, 8.0)
+    base = quartic_field(qo)
+
+    def build(lam):
+        return replace(base, domain=replace(base.domain, box=((-lam[0], lam[0]),)))
+
+    family = hydrogen_exponent_family()
+    family = replace(family, control_box=((1.0, 6.0),), build=build, evaluate_rows=None)
+    cfg = SearchConfig(grid_points_per_axis=24, refinement_levels=2, multistart_count=3, rng_seed=5)
+    assert_optimizer_matches_reference(family, "maximize-lower", cfg)

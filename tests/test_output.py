@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -128,3 +130,17 @@ def test_written_file_holds_the_documents_utf8_bytes(tmp_path):
     write_text_atomic(str(path), text)
     assert path.read_bytes() == text.encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == ["doc.csv"]  # no temp file left
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_write_text_atomic_gives_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    text = "a,b\r\n1.5,+inf\r\n"
+    path = tmp_path / "doc.csv"
+    old = os.umask(umask)
+    try:
+        write_text_atomic(str(path), text)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_bytes() == text.encode("utf-8")
