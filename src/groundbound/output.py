@@ -21,7 +21,8 @@ import io
 import json
 import math
 import os
-import tempfile
+import secrets
+import stat
 from collections.abc import Iterator
 from typing import Any
 
@@ -186,16 +187,25 @@ def write_text_atomic(path: str, text: str) -> None:
     """Write via a temp file in the target directory, then rename.  The text
     is written as UTF-8 with its line ends untranslated, so the file's bytes
     are the same on every platform.  The file gets the mode a plain ``open``
-    would give it, ``0o666`` less the umask, not the temp file's owner-only
+    would leave: a new file ``0o666`` less the umask, which the kernel
+    applies when the temp file is created, and an existing file its own
     mode."""
     directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)  # the umask can only be read by setting it
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".groundbound-", suffix=".tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = os.path.join(directory, f".groundbound-{secrets.token_hex(8)}.tmp")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

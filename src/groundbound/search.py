@@ -135,11 +135,12 @@ def _stack_values(
     qs: np.ndarray,
 ) -> np.ndarray:
     """Raw values of member ``members[j]`` of a stack at ``qs[j]``, NaN where
-    that member's field may not be evaluated.
+    that member's field may not be evaluated.  ``members`` is nondecreasing.
 
     ``rows(members, qs)`` evaluates every member at its own points in one
     call; its members share one valid mask, so one mask covers the batch.
-    Without it each member present evaluates its own points.
+    Without it each member present evaluates its own run of points, a slice
+    of ``qs``.
     """
     if rows is not None:
         ok = fields[0].domain.valid_mask(qs)
@@ -149,12 +150,11 @@ def _stack_values(
         if ok.any():
             vals[ok] = rows(members[ok], qs[ok])
         return vals
-    if len(fields) == 1:
-        return _field_values(fields[0], qs)
     vals = np.empty(qs.shape[0])
-    for m in np.unique(members).tolist():
-        sel = members == m
-        vals[sel] = _field_values(fields[m], qs[sel])
+    ends = np.searchsorted(members, np.arange(len(fields) + 1)).tolist()
+    for m, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+        if a < b:
+            vals[a:b] = _field_values(fields[m], qs[a:b])
     return vals
 
 
@@ -176,8 +176,8 @@ def _polish(
     """Derivative-free coordinate descent with shrinking steps, run in lockstep.
 
     ``objective(rows, points)`` maps a ``(k, dim)`` batch of points, the
-    candidates of the starts ``rows`` (indices into ``starts``), to a new
-    array of ``k`` raw values.  Row ``j`` of ``starts`` minimizes
+    candidates of the starts ``rows`` (increasing indices into ``starts``),
+    to a new array of ``k`` raw values.  Row ``j`` of ``starts`` minimizes
     ``signs[j] * objective`` (every sign is +1 by default), a non-finite
     product counting as +inf, so one call polishes minima and maxima
     together.  Starts are clipped into ``box`` and ``initial_step`` is
@@ -329,15 +329,7 @@ def _search_extrema(
     def objective(polished: np.ndarray, qs: np.ndarray) -> np.ndarray:
         return _stack_values(fields, rows, row_member[polished], qs)
 
-    xs, vs = _polish(
-        # a lone field needs no member lookup, and refine's many small
-        # searches would pay for one at every probe
-        (lambda _, qs: _field_values(fields[0], qs)) if k == 1 and rows is None else objective,
-        np.concatenate(starts),
-        box,
-        spacing,
-        np.repeat(signs * k, sizes),
-    )
+    xs, vs = _polish(objective, np.concatenate(starts), box, spacing, np.repeat(signs * k, sizes))
     ends = np.cumsum(sizes)[:-1]
     groups = iter(zip(histories, np.split(xs, ends), np.split(vs, ends)))
     return [[_extremum_report(field, kind, *next(groups)) for kind in kinds] for field in fields]
@@ -534,9 +526,9 @@ def optimize_parameters(
 
     The initial probes are searched as one stack, and the outer starts are
     polished in lockstep, each round's new control vectors searched as one
-    stack.  The record is then rebuilt by replaying each start's polish in
-    start order from the cache of inner results, so it lists the probes in
-    the order a one-start-at-a-time polish meets them.
+    stack.  Each start follows the trajectory it would follow alone, so the
+    record lists the initial probes and then each start's visits in start
+    order: the order a one-start-at-a-time polish meets them.
     """
     if objective not in ("maximize-lower", "minimize-upper"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -557,7 +549,6 @@ def optimize_parameters(
     rng = np.random.default_rng(cfg.rng_seed)
 
     cache: dict[tuple[float, ...], BoundsResult] = {}
-    probes: dict[tuple[float, ...], float] = {}  # in the order first visited
 
     def key_of(lam: np.ndarray) -> tuple[float, ...]:
         return tuple(float(v) for v in lam)
@@ -566,45 +557,40 @@ def optimize_parameters(
         v = value(cache[key])
         return np.inf if not np.isfinite(v) else sign * v
 
-    def search_rows(_rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        """Signed objective of a batch, searching its new members as stacks."""
-        keys = [key_of(lam) for lam in lams]
+    def search(keys: list[tuple[float, ...]]) -> np.ndarray:
+        """Signed objective of each key, searching the new ones as stacks."""
         new = [key for key in dict.fromkeys(keys) if key not in cache]
         if new:
             cache.update(_stacked_bounds(family, new, inner_cfg))
         return np.array([signed_value(key) for key in keys])
 
-    def replay_rows(_rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        """Signed objective from the cache, recording each first visit."""
-        keys = [key_of(lam) for lam in lams]
-        for key in keys:
-            probes.setdefault(key, value(cache[key]))
-        return np.array([signed_value(key) for key in keys])
-
     random_probes = rng.uniform(lo, hi, size=(RANDOM_PROBE_COUNT, lo.shape[0]))
-    initial = np.array(list(random_probes) + [lo, hi, (lo + hi) / 2])
-    all_rows = np.arange(len(initial))
-    search_rows(all_rows, initial)
-    start_vals = sorted(zip(replay_rows(all_rows, initial).tolist(), map(tuple, initial)))
+    initial = [key_of(lam) for lam in [*random_probes, lo, hi, (lo + hi) / 2]]
+    start_vals = sorted(zip(search(initial).tolist(), initial))
     if not np.isfinite(start_vals[0][0]):
         raise FamilyCannotBoundError(
             f"objective is infinite at every probed control vector of {family.label or 'family'}"
         )
 
     n_starts = min(cfg.multistart_count, len(start_vals))
-    step0 = (hi - lo) / 8.0
     starts = np.array([key for _, key in start_vals[:n_starts]])
-    _polish(search_rows, starts, family.control_box, step0)
-    # every polished point is cached now; polishing one start at a time from
-    # the cache records the probes in their sequential order
+    visits: list[list[tuple[float, ...]]] = [[] for _ in starts]  # each start's probes, in order
+
+    def search_rows(rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        keys = [key_of(lam) for lam in lams]
+        for row, key in zip(rows.tolist(), keys):
+            visits[row].append(key)
+        return search(keys)
+
+    xs, fs = _polish(search_rows, starts, family.control_box, (hi - lo) / 8.0)
     best_x, best_f = None, np.inf
-    for start in starts:
-        xs, fs = _polish(replay_rows, start[None, :], family.control_box, step0)
-        if fs[0] < best_f:
-            best_x, best_f = xs[0], fs[0]
+    for x, f in zip(xs, fs):
+        if f < best_f:
+            best_x, best_f = x, f
+    record = dict.fromkeys(initial + [key for keys in visits for key in keys])
     return ParameterSearchResult(
         best_params=best_x,
         bounds=cache[key_of(best_x)],
         objective=objective,
-        probes=tuple(probes.items()),
+        probes=tuple((key, value(cache[key])) for key in record),
     )

@@ -100,7 +100,7 @@ def hydrogen_radial_field(lam: float = 1.0) -> LocalEnergyField:
     )
 
     def evaluate(qs: np.ndarray) -> np.ndarray:
-        return (lam - 1.0) / qs[:, 0] + tail
+        return _radial(lam, qs[:, 0])
 
     return LocalEnergyField(
         domain=dom,
@@ -110,11 +110,16 @@ def hydrogen_radial_field(lam: float = 1.0) -> LocalEnergyField:
     )
 
 
+def _radial(lam: float | np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The radial local energy ``(lam - 1) / r - lam^2 / 2``, for one ``lam``
+    or one ``lam`` per point."""
+    return (lam - 1.0) / r + (-lam * lam / 2.0)
+
+
 def _radial_rows(controls: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Member ``controls[j]`` at ``qs[j]``, with the operations of
-    :func:`hydrogen_radial_field` in its order, so the values match bit for bit."""
-    lams = controls[:, 0]
-    return (lams - 1.0) / qs[:, 0] + (-lams * lams / 2.0)
+    """Member ``controls[j]`` at ``qs[j]``; the same formula as the members'
+    fields, so the values match bit for bit."""
+    return _radial(controls[:, 0], qs[:, 0])
 
 
 def hydrogen_exponent_family(box: tuple[float, float] = (0.5, 2.0)) -> TrialFamily:

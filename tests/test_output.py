@@ -144,3 +144,20 @@ def test_write_text_atomic_gives_the_mode_of_a_plain_open(tmp_path, umask, mode)
         os.umask(old)
     assert stat.S_IMODE(path.stat().st_mode) == mode
     assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o600), (0o077, 0o644)], ids=["umask-022", "umask-077"])
+def test_write_text_atomic_keeps_the_mode_of_an_existing_file(tmp_path, umask, mode):
+    text = "a,b\r\n1.5,+inf\r\n"
+    path = tmp_path / "doc.csv"
+    path.write_text("old\n")
+    path.chmod(mode)
+    old = os.umask(umask)
+    try:
+        write_text_atomic(str(path), text)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_bytes() == text.encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.csv"]
