@@ -89,19 +89,31 @@ class GaussianBump:
             raise ValueError("bump width sigma must be positive")
 
 
-def _bump_parts(q: np.ndarray, s, a, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, first and second derivative of ``sum_k s_k exp(-(q-a_k)^2/sigma_k^2)``
-    at the points ``q``, each of shape ``(n,)``.
+def _bump_terms(q: np.ndarray, s, a, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """``t = (q - a_k)/sigma_k`` and each bump's value ``s_k exp(-t^2)``, one
+    column per bump, at the points ``q`` of shape ``(n,)``.
 
     ``s``, ``a`` and ``sigma`` are per-bump arrays, or scalars for one bump.
+    """
+    t = (q[:, None] - a) / sigma
+    return t, np.exp(-t * t) * s
+
+
+def _bump_value(q: np.ndarray, s, a, sigma) -> np.ndarray:
+    """``sum_k s_k exp(-(q-a_k)^2/sigma_k^2)`` at the points ``q``."""
+    return _bump_terms(q, s, a, sigma)[1].sum(axis=1)
+
+
+def _bump_derivs(q: np.ndarray, s, a, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivative of :func:`_bump_value` at the points ``q``.
+
     Each derivative is summed over the bumps as soon as it is built, which
     keeps the peak memory of a long bump list down.
     """
-    t = (q[:, None] - a) / sigma
-    e = np.exp(-t * t) * s
+    t, e = _bump_terms(q, s, a, sigma)
     d1 = (e * (-2.0 * t / sigma)).sum(axis=1)
     d2 = (e * (4.0 * t * t - 2.0) / sigma**2).sum(axis=1)
-    return e.sum(axis=1), d1, d2
+    return d1, d2
 
 
 def _with_bump(bumps: tuple[GaussianBump, ...], bump: GaussianBump) -> tuple[GaussianBump, ...]:
@@ -184,11 +196,11 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
         return q[:, 0] if q.ndim == 2 else q
 
     def s(qs):
-        return np.asarray(base.s(qs), dtype=float) + _bump_parts(flat(qs), s_arr, a_arr, sig_arr)[0]
+        return np.asarray(base.s(qs), dtype=float) + _bump_value(flat(qs), s_arr, a_arr, sig_arr)
 
     def derivs(qs):
         g0, lap0 = base.derivs(qs)
-        _, d1, d2 = _bump_parts(flat(qs), s_arr, a_arr, sig_arr)
+        d1, d2 = _bump_derivs(flat(qs), s_arr, a_arr, sig_arr)
         grad = np.array(g0, dtype=float)
         grad[:, 0] += d1
         return grad, np.asarray(lap0, dtype=float) + d2
@@ -285,7 +297,7 @@ class _AmplitudeCurve:
     def __init__(self, state: RefinementState, a: float, sigma: float, cfg: SearchConfig):
         self.selection = sel = _selection_grid(state, cfg)
         self.grid, self.alpha = sel.grid, sel.alpha
-        _, g1, g2 = _bump_parts(self.grid, 1.0, a, sigma)
+        g1, g2 = _bump_derivs(self.grid, 1.0, a, sigma)
         self.beta = -0.5 * (g2 + 2.0 * sel.grad0 * g1)
         self.gamma = -0.5 * g1 * g1
         # |q - a| is monotone on either side of a, so the window is one slice

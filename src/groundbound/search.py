@@ -5,9 +5,11 @@ resolution plus a derivative-free polish; the winning candidate is compared
 against every declared singular-set limit and asymptotic limit, so a search
 box on an unbounded domain is legitimate exactly when those limits are
 supplied.  The polish runs the grid winner and every multistart in lockstep:
-each coordinate probe sends one candidate per running start to a single
-batched field call, and each start keeps its own greedy acceptance and step
-halving, so the result is the same as polishing the starts one by one.
+each coordinate sends the ``+step`` and ``-step`` candidates of every running
+start to a single batched field call, with a small follow-up call for the
+few starts whose ``-step`` from an accepted ``+step`` misses their old point,
+and each start keeps its own greedy acceptance and step halving, so the
+result is the same as polishing the starts one by one.
 One search covers a stack of fields that share a dimension and a box, and
 any of the kinds ``"min"`` and ``"max"``: the stack shares the level-0 grid
 scan and one lockstep polish, whose rows are tagged ``(member, kind)`` and
@@ -19,9 +21,10 @@ field for that kind alone would give, bit for bit.  ``global_min``,
 than two searches.
 ``optimize_parameters`` runs the outer sup/inf over a trial family's control
 vector with a full inner extremum search per probe: the initial probes form
-one stack, the outer starts are polished in lockstep, and each round's new
-control vectors form one stack.  A family that supplies ``evaluate_rows``
-has a whole stack evaluated in one call per probe batch.
+one stack, the outer starts are polished in lockstep one step direction per
+call, and each round's new control vectors form one stack.  A family that
+supplies ``evaluate_rows`` has a whole stack evaluated in one call per probe
+batch.
 """
 
 from __future__ import annotations
@@ -172,27 +175,37 @@ def _polish(
     box: Sequence[tuple[float, float]],
     initial_step: np.ndarray,
     signs: np.ndarray | None = None,
+    *,
+    paired: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Derivative-free coordinate descent with shrinking steps, run in lockstep.
 
     ``objective(rows, points)`` maps a ``(k, dim)`` batch of points, the
-    candidates of the starts ``rows`` (increasing indices into ``starts``),
-    to a new array of ``k`` raw values.  Row ``j`` of ``starts`` minimizes
-    ``signs[j] * objective`` (every sign is +1 by default), a non-finite
-    product counting as +inf, so one call polishes minima and maxima
-    together.  Starts are clipped into ``box`` and ``initial_step`` is
+    candidates of the starts ``rows`` (nondecreasing indices into
+    ``starts``), to a new array of ``k`` raw values.  Row ``j`` of ``starts``
+    minimizes ``signs[j] * objective`` (every sign is +1 by default), a
+    non-finite product counting as +inf, so one call polishes minima and
+    maxima together.  Starts are clipped into ``box`` and ``initial_step`` is
     non-negative, so every point stays inside.
-    Each start keeps its own point, value and step vector.  At each
-    ``(coordinate, +/-step)`` probe every running start offers one candidate,
-    all candidates go to one ``objective`` call, and each start takes its own
-    candidate when it is strictly better.  A sweep that improves a start by
-    less than ``POLISH_VALUE_STOP`` counts as stalled, so that start's steps
-    keep halving until they drop below ``POLISH_STEP_STOP``, where it stops;
-    this drives each location in to step resolution rather than quitting on
-    the first flat sweep.  When ``objective`` is batch invariant (a row's
-    value does not depend on the other rows), every start follows exactly the
-    trajectory it would follow alone.  Returns the polished points and their
-    signed values.
+    Each start keeps its own point, value and step vector, and probes each
+    coordinate at ``+step``, then at ``-step`` from wherever the ``+`` probe
+    left it, taking a candidate when it is strictly better.  Without
+    ``paired`` each of the two probes sends one candidate per running start
+    to one ``objective`` call.  With ``paired`` one call carries both: each
+    start's ``+`` candidate and its ``-`` candidate from the point before the
+    ``+`` probe, rows ``np.repeat(rows, 2)``.  A start whose ``+`` candidate
+    wins then owes a ``-`` probe from its new point.  Where that lands
+    bitwise on its old coordinate, its value is the old one, which loses;
+    the rest (after rounding, or after an up step clipped to the box) go to
+    one follow-up call of just those starts.
+    A sweep that improves a start by less than ``POLISH_VALUE_STOP`` counts
+    as stalled, so that start's steps keep halving until they drop below
+    ``POLISH_STEP_STOP``, where it stops; this drives each location in to
+    step resolution rather than quitting on the first flat sweep.  When
+    ``objective`` is batch invariant (a row's value does not depend on the
+    other rows) and deterministic, every start follows exactly the
+    trajectory it would follow alone, paired or not.  Returns the polished
+    points and their signed values.
     """
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -204,6 +217,26 @@ def _polish(
     step = np.tile(np.asarray(initial_step, dtype=float), (x.shape[0], 1))
     out_x, out_f = x.copy(), fx.copy()
     running = step.max(axis=1) >= POLISH_STEP_STOP
+
+    def probe(sel: np.ndarray, i: int, col: np.ndarray) -> np.ndarray:
+        """Signed values of the running starts ``sel`` with coordinate ``i`` set
+        to ``col``.  This and the two step helpers read the running arrays as
+        they are at the call."""
+        cand = x[sel]
+        cand[:, i] = col
+        return _signed(objective(rows[sel], cand), sign[sel])
+
+    # x stays in the box, so a step up can pass only hi and a step down only
+    # lo; this is then exactly min(max(c, lo), hi), which np.clip is not: it
+    # may flip the sign of a zero
+    def up(col: np.ndarray, i: int) -> np.ndarray:
+        col = col + step[:, i]
+        return np.where(col > hi[i], hi[i], col)
+
+    def down(col: np.ndarray, i: int) -> np.ndarray:
+        col = col - step[:, i]
+        return np.where(col < lo[i], lo[i], col)
+
     # a start stuck at +inf gives inf - inf in the stall test; it stalls either way
     with np.errstate(invalid="ignore"):
         while True:
@@ -214,20 +247,37 @@ def _polish(
                 if rows.size == 0:
                     return out_x, out_f
             start = fx.copy()
+            each = np.arange(rows.size)
+            both = np.repeat(each, 2)
             for i in range(dim):
                 xi = x[:, i]  # a view: accepted moves land in x
-                for s, beyond, edge in ((step[:, i], np.greater, hi[i]), (-step[:, i], np.less, lo[i])):
-                    col = xi + s
-                    # x stays in the box, so a step up can pass only hi and a step
-                    # down only lo; this is then exactly min(max(c, lo), hi), which
-                    # np.clip is not: it may flip the sign of a zero
-                    col = np.where(beyond(col, edge), edge, col)
-                    cand = x.copy()
-                    cand[:, i] = col
-                    fc = _signed(objective(rows, cand), sign)
-                    better = fc < fx
-                    np.copyto(xi, col, where=better)
-                    np.copyto(fx, fc, where=better)
+                col = up(xi, i)
+                if paired:
+                    # rows 2j and 2j + 1: start j's + candidate and its - candidate
+                    # from the point it holds before the + probe
+                    pair = np.repeat(col, 2)
+                    pair[1::2] = down(xi, i)
+                    f = probe(both, i, pair)
+                    f_up, f_down = f[0::2], f[1::2]
+                else:
+                    f_up = probe(each, i, col)
+                took = f_up < fx
+                if paired:
+                    # a start that takes its + candidate probes - from there; back
+                    # on its old coordinate bit for bit, that is its old point,
+                    # whose value loses to the new one, so only the rest are redone
+                    f_down[took] = np.inf
+                    redo = took & (down(col, i).view(np.int64) != xi.view(np.int64))
+                np.copyto(xi, col, where=took)
+                np.copyto(fx, f_up, where=took)
+                col = down(xi, i)
+                if not paired:
+                    f_down = probe(each, i, col)
+                elif redo.any():
+                    f_down[redo] = probe(each[redo], i, col[redo])
+                better = f_down < fx
+                np.copyto(xi, col, where=better)
+                np.copyto(fx, f_down, where=better)
             # acceptance is strict, so a start improved exactly when fx < start
             step[~(fx < start) | ((start - fx) < POLISH_VALUE_STOP)] *= 0.5
             running = step.max(axis=1) >= POLISH_STEP_STOP
@@ -329,7 +379,9 @@ def _search_extrema(
     def objective(polished: np.ndarray, qs: np.ndarray) -> np.ndarray:
         return _stack_values(fields, rows, row_member[polished], qs)
 
-    xs, vs = _polish(objective, np.concatenate(starts), box, spacing, np.repeat(signs * k, sizes))
+    xs, vs = _polish(
+        objective, np.concatenate(starts), box, spacing, np.repeat(signs * k, sizes), paired=True
+    )
     ends = np.cumsum(sizes)[:-1]
     groups = iter(zip(histories, np.split(xs, ends), np.split(vs, ends)))
     return [[_extremum_report(field, kind, *next(groups)) for kind in kinds] for field in fields]
@@ -582,7 +634,9 @@ def optimize_parameters(
             visits[row].append(key)
         return search(keys)
 
-    xs, fs = _polish(search_rows, starts, family.control_box, (hi - lo) / 8.0)
+    # one direction per call: each candidate is a whole inner search, and the
+    # record must list only the candidates a start visits
+    xs, fs = _polish(search_rows, starts, family.control_box, (hi - lo) / 8.0, paired=False)
     best_x, best_f = None, np.inf
     for x, f in zip(xs, fs):
         if f < best_f:

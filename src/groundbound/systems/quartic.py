@@ -79,16 +79,22 @@ class QuarticOscillator:
     def hamiltonian(self) -> Hamiltonian:
         return Hamiltonian.isotropic(0.5, self.potential, self.domain())
 
-    def _s_parts(self, q: np.ndarray):
+    def _s0(self, q: np.ndarray) -> np.ndarray:
         r, d2, eta = self.r, self.delta2, self.eta
         w = q * q + d2
         sw = np.sqrt(w)
-        s0 = (
+        return (
             -(r / 3.0) * w * sw
             + (r * d2 * (1.0 - eta) / 2.0) * sw
             - 0.5 * np.log(w)
             - (r * d2 * d2 / 2.0) / sw
         )
+
+    def _s_derivs(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """S0' and S0'' at the points ``q``, without building S0 itself."""
+        r, d2, eta = self.r, self.delta2, self.eta
+        w = q * q + d2
+        sw = np.sqrt(w)
         # S0' = q * bracket
         bracket = (
             -r * sw
@@ -106,7 +112,7 @@ class QuarticOscillator:
             + 2.0 * q2 / (w * w)
             + (r * d2 * d2 / 2.0) * (1.0 / (w * sw) - 3.0 * q2 / (w * w * sw))
         )
-        return s0, s1, s2
+        return s1, s2
 
     def log_trial(self) -> LogTrialFunction:
         def flat(qs):
@@ -114,12 +120,12 @@ class QuarticOscillator:
             return q[:, 0] if q.ndim == 2 else q
 
         def derivs(qs):
-            _, s1, s2 = self._s_parts(flat(qs))
+            s1, s2 = self._s_derivs(flat(qs))
             return s1[:, None], s2
 
         return LogTrialFunction(
             params=np.array([self.r, float(self.eta), self.delta2]),
-            s=lambda qs: self._s_parts(flat(qs))[0],
+            s=lambda qs: self._s0(flat(qs)),
             derivs=derivs,
             normalizable=True,
             label=f"quartic base trial (r={self.r}, eta={self.eta:+d}, d2={self.delta2})",

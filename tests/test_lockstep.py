@@ -43,7 +43,10 @@ BOX = ((-2.0, 2.0), (-1.5, 1.5))
 def reference_polish(objective, x0, box, initial_step):
     """Greedy coordinate descent from one start, one point per call.
 
-    Returns the polished point, its value and the number of sweeps taken.
+    Returns the polished point, its value, the number of sweeps taken and
+    the ``(sweep, coordinate)`` probes at which a paired polish owes this
+    start a follow-up call: the ``+`` step won and the ``-`` step from the
+    new point does not land on the old coordinate bit for bit.
     """
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -51,21 +54,26 @@ def reference_polish(objective, x0, box, initial_step):
     fx = objective(x)
     step = np.asarray(initial_step, dtype=float).copy()
     sweeps = 0
+    redo = set()
     while np.max(step) >= POLISH_STEP_STOP:
         sweeps += 1
         start = fx
         improved = False
         for i in range(x.shape[0]):
-            for s in (+step[i], -step[i]):
+            old, took_up = x[i], False
+            for up, s in ((True, +step[i]), (False, -step[i])):
                 cand = x.copy()
                 cand[i] = min(max(cand[i] + s, lo[i]), hi[i])
+                if took_up and cand[i].tobytes() != old.tobytes():
+                    redo.add((sweeps, i))
                 fc = objective(cand)
                 if fc < fx:
                     x, fx = cand, fc
                     improved = True
+                    took_up = up
         if not improved or (start - fx) < POLISH_VALUE_STOP:
             step *= 0.5
-    return x, fx, sweeps
+    return x, fx, sweeps, redo
 
 
 def wells(qs):
@@ -88,50 +96,94 @@ def wells_nan(qs):
 
 def counted(fn):
     """``fn`` as a polish objective, recording each batch size; the rows
-    named with a batch are distinct starts, one per point."""
+    named with a batch are nondecreasing, one per point."""
     calls = []
 
     def wrapper(rows, qs):
-        assert rows.shape == (qs.shape[0],) and np.all(np.diff(rows) > 0)
+        assert rows.shape == (qs.shape[0],) and np.all(np.diff(rows) >= 0)
         calls.append(qs.shape[0])
         return fn(qs)
 
     return wrapper, calls
 
 
-def assert_matches_reference(starts, step, signs=None, fn=wells):
+def assert_matches_reference(starts, step, signs=None, fn=wells, paired=True):
     """The lockstep polish of ``fn`` against one reference polish per start
-    of ``sign * fn``, a non-finite value counting as +inf."""
+    of ``sign * fn``, a non-finite value counting as +inf.
+
+    Returns the signed values, each start's sweep count and the number of
+    follow-up calls the paired polish made.
+    """
     signs = np.ones(len(starts)) if signs is None else np.asarray(signs, dtype=float)
     objective, calls = counted(fn)
-    xs, fs = _polish(objective, starts, BOX, step, signs)
-    sweeps = []
+    xs, fs = _polish(objective, starts, BOX, step, signs, paired=paired)
+    sweeps, redo = [], set()
     for j, x0 in enumerate(starts):
 
         def one(q, sign=signs[j]):
             v = sign * fn(q[None, :])[0]
             return v if math.isfinite(v) else math.inf
 
-        x, f, n = reference_polish(one, x0, BOX, step)
+        x, f, n, owed = reference_polish(one, x0, BOX, step)
         assert xs[j].tobytes() == x.tobytes()
         assert np.float64(fs[j]).tobytes() == np.float64(f).tobytes()
         sweeps.append(n)
-    # one batched call for the start values, then one per probe of the longest run
-    assert len(calls) == 1 + 2 * len(BOX) * max(sweeps)
-    return fs, sweeps
+        redo |= owed
+    # one batched call for the start values, then per coordinate of each sweep
+    # of the longest run: one call for both directions plus one follow-up
+    # call when any start owes one, or one call per direction unpaired
+    if paired:
+        assert len(calls) == 1 + len(BOX) * max(sweeps) + len(redo)
+    else:
+        assert len(calls) == 1 + 2 * len(BOX) * max(sweeps)
+    return fs, sweeps, len(redo)
+
+
+MIXED_STARTS = np.array([
+    [-1.0, 0.5],   # at a well bottom: a short run
+    [0.4, 0.1],    # between wells
+    [3.0, -2.5],   # outside the box: clipped to the corner
+    [1.6, 1.0],    # inside the masked disk: starts at +inf
+    [-2.0, 1.5],   # on the box corner
+])
 
 
 def test_lockstep_matches_reference_with_unequal_sweeps_clipping_and_masked_starts():
-    starts = np.array([
-        [-1.0, 0.5],   # at a well bottom: a short run
-        [0.4, 0.1],    # between wells
-        [3.0, -2.5],   # outside the box: clipped to the corner
-        [1.6, 1.0],    # inside the masked disk: starts at +inf
-        [-2.0, 1.5],   # on the box corner
-    ])
-    _, sweeps = assert_matches_reference(starts, np.array([0.04, 0.03]))
+    _, sweeps, _ = assert_matches_reference(MIXED_STARTS, np.array([0.04, 0.03]))
     assert len(set(sweeps)) > 1
-    assert wells(starts[3:4])[0] == math.inf
+    assert wells(MIXED_STARTS[3:4])[0] == math.inf
+
+
+def test_one_direction_polish_matches_reference():
+    _, sweeps, _ = assert_matches_reference(MIXED_STARTS, np.array([0.04, 0.03]), paired=False)
+    assert len(set(sweeps)) > 1
+
+
+def test_paired_polish_evaluates_a_minus_step_that_misses_the_old_point():
+    # a slope that rewards every step up, with a pit at each point the - step
+    # from an accepted + step reaches instead of the start: the follow-up
+    # call is the only way to find the pits
+    s = 0.3
+    pits = [
+        (0.1 + s) - s,   # rounding: 0.10000000000000003, not 0.1
+        2.0 - s,         # the + step from 1.9 clips to hi = 2
+        0.0,             # +0.0, back from -0.0 + s; the start -0.0 itself is no pit
+    ]
+    assert pits[0] != 0.1
+
+    def pitted(qs):
+        x = qs[:, 0]
+        pit = np.zeros(x.shape)
+        for p in pits:
+            pit[(x == p) & (np.signbit(x) == np.signbit(p))] = -10.0
+        return -x - qs[:, 1] + pit
+
+    starts = np.array([[0.1, 0.0], [1.9, -1.0], [-0.0, 0.5], [0.0, -0.5], [-1.0, 0.2]])
+    assert np.signbit(np.clip(starts[2], -2.0, 2.0)[0])
+    fs, _, redo = assert_matches_reference(starts, np.array([s, s]), fn=pitted)
+    assert redo > 0
+    # every start ends in a pit; the one at +0.0 begins in one
+    assert np.all(fs < -9.0)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -160,7 +212,7 @@ def test_lockstep_with_mixed_signs_matches_reference_polish(starts, stuck_signs,
     rows = starts + [(1.6, 1.0, s) for s in stuck_signs]
     points = np.array([r[:2] for r in rows])
     signs = np.array([r[2] for r in rows])
-    fs, _ = assert_matches_reference(points, np.array(step), signs, wells_nan)
+    fs, _, _ = assert_matches_reference(points, np.array(step), signs, wells_nan)
     assert np.all(fs[len(starts):] == math.inf)
 
 
@@ -347,7 +399,7 @@ def reference_optimize(family, objective, cfg):
     start_vals = sorted([(value(lam), tuple(lam)) for lam in initial])
     best_x, best_f = None, math.inf
     for _, key in start_vals[:cfg.multistart_count]:
-        x, f, _ = reference_polish(value, np.array(key), family.control_box, (hi - lo) / 8.0)
+        x, f, _, _ = reference_polish(value, np.array(key), family.control_box, (hi - lo) / 8.0)
         if f < best_f:
             best_x, best_f = x, f
     return best_x, cache[key_of(best_x)], probes

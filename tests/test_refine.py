@@ -11,7 +11,8 @@ from groundbound.refine import (
     LOCAL_WINDOW_SIGMAS,
     GaussianBump,
     _AmplitudeCurve,
-    _bump_parts,
+    _bump_derivs,
+    _bump_value,
     _selection_grid,
     _with_bump,
     censor_guard,
@@ -42,7 +43,7 @@ def test_bump_validation_and_derivatives():
     b = GaussianBump(0.7, 1.0, 2.0)
 
     def parts(q):
-        return _bump_parts(q, b.s, b.a, b.sigma)
+        return (_bump_value(q, b.s, b.a, b.sigma), *_bump_derivs(q, b.s, b.a, b.sigma))
 
     q = np.linspace(-5, 7, 101)
     h = 1e-6
