@@ -18,20 +18,15 @@ from .core import (
     Hamiltonian,
     LocalEnergyField,
     LogTrialFunction,
-    NonFiniteEnergyError,
-    Point,
     RatioTrialFunction,
     SingularEvaluationError,
     SingularSet,
     cross_check_field,
-    local_energy_log,
-    local_energy_ratio,
 )
 from .search import (
     ExtremumReport,
     SearchConfig,
     TrialFamily,
-    bounds,
     bounds_of_field,
     global_max,
     global_min,
@@ -49,20 +44,15 @@ __all__ = [
     "Hamiltonian",
     "LocalEnergyField",
     "LogTrialFunction",
-    "NonFiniteEnergyError",
-    "Point",
     "RatioTrialFunction",
     "SearchConfig",
     "SingularEvaluationError",
     "SingularSet",
     "TrialFamily",
-    "bounds",
     "bounds_of_field",
     "cross_check_field",
     "global_max",
     "global_min",
-    "local_energy_log",
-    "local_energy_ratio",
     "optimize_parameters",
     "__version__",
 ]

@@ -51,6 +51,7 @@ from .systems import (
     quartic_system,
     unit_disk_field,
 )
+from .systems.hydrogen import RADIAL_BOX
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -149,6 +150,11 @@ def _quartic(p: dict) -> QuarticOscillator:
     return QuarticOscillator(p["rr"], p["eta"], p["delta2"])
 
 
+def _quartic_oracle(p: dict, n: int, box) -> OracleResult:
+    qo = _quartic(p)
+    return solve_1d_ground_state(qo.potential, _line(box, qo.box()[0], n))
+
+
 def _quartic_refine(p: dict) -> tuple:
     qo = _quartic(p)
     return (*quartic_system(qo), quartic_field(qo).asymptotic_limits)
@@ -210,7 +216,7 @@ SYSTEMS: dict[str, System] = {
         bounds=lambda p, cfg: bounds_of_field(quartic_field(_quartic(p)), cfg),
         field=lambda p: (p, quartic_field(_quartic(p))),
         columns=("q", "e_loc"),
-        oracle=lambda p, n, box: solve_1d_ground_state(_quartic(p).potential, _line(box, (-8.0, 8.0), n)),
+        oracle=_quartic_oracle,
         refine=_quartic_refine,
     ),
     "hydrogen": System(
@@ -227,7 +233,7 @@ SYSTEMS: dict[str, System] = {
         field=lambda p: (p, hydrogen_radial_field(1.0)),
         columns=("r", "e_loc"),
         oracle=lambda p, n, box: solve_1d_ground_state(
-            lambda r: -1.0 / r, _line(box, (0.0, 40.0), n), dirichlet_edges=(True, False)
+            lambda r: -1.0 / r, _line(box, RADIAL_BOX, n), dirichlet_edges=(True, False)
         ),
     ),
     "harmonic": System(

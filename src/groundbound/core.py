@@ -26,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "Point",
     "SingularSet",
     "AsymptoticLimit",
     "Domain",
@@ -37,9 +36,6 @@ __all__ = [
     "BoundsResult",
     "CrossCheckReport",
     "SingularEvaluationError",
-    "NonFiniteEnergyError",
-    "local_energy_log",
-    "local_energy_ratio",
     "local_energy_log_batch",
     "local_energy_ratio_batch",
     "cross_check_field",
@@ -49,11 +45,7 @@ __all__ = [
 ]
 
 class SingularEvaluationError(ValueError):
-    """Evaluation was requested on or inside a declared singular set."""
-
-
-class NonFiniteEnergyError(ArithmeticError):
-    """The local energy came out non-finite at a supposedly regular point."""
+    """No point outside the declared singular sets could be drawn to evaluate at."""
 
 
 def as_batch(q, dim: int) -> np.ndarray:
@@ -66,33 +58,25 @@ def as_batch(q, dim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Point:
-    """A configuration-space point with finite coordinates."""
-
-    coords: np.ndarray
-
-    def __init__(self, coords) -> None:
-        arr = np.atleast_1d(np.asarray(coords, dtype=float))
-        if arr.ndim != 1:
-            raise ValueError("a point is a flat coordinate vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("point coordinates must be finite")
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
+def coordinate_1d(qs) -> np.ndarray:
+    """The coordinate of a one-dimensional batch: column 0 of an ``(n, 1)``
+    array, or a flat array as given."""
+    q = np.asarray(qs, dtype=float)
+    return q[:, 0] if q.ndim == 2 else q
 
 
-def _point_array(q, dim: int) -> np.ndarray:
-    if isinstance(q, Point):
-        arr = q.coords
-    else:
-        arr = np.atleast_1d(np.asarray(q, dtype=float))
-    if arr.shape != (dim,):
-        raise ValueError(f"expected a point of dimension {dim}, got shape {arr.shape}")
-    return arr
+def evaluate_masked(ok: np.ndarray, evaluate: Callable[..., np.ndarray], *batches: np.ndarray) -> np.ndarray:
+    """``evaluate(*batches)`` at the rows where ``ok`` holds, NaN at the others.
+
+    ``evaluate`` sees only those rows, row-aligned across ``batches``, and is
+    not called when there are none.
+    """
+    if ok.all() and ok.size:
+        return evaluate(*batches)
+    out = np.full(ok.shape[0], np.nan)
+    if ok.any():
+        out[ok] = evaluate(*(b[ok] for b in batches))
+    return out
 
 
 @dataclass(frozen=True)
@@ -272,27 +256,25 @@ class LocalEnergyField:
         return mask
 
     def evaluate_with_limits(self, qs: np.ndarray, singular_as_nan: bool = False) -> np.ndarray:
-        """Evaluate everywhere, filling singular tubes with declared limits.
+        """Evaluate at interior points, filling singular tubes with declared limits.
 
+        ``qs`` must lie in the domain's interior (filter with
+        :meth:`Domain.interior_mask` first); the interior test is not rerun.
         Tube points get the set's uniform ``limit`` when declared, otherwise
         (or when ``singular_as_nan``) NaN; a later set's limit wins where
-        tubes overlap.  Exterior points are NaN.  The interior test and each
-        tube run once.
+        tubes overlap.  Each tube runs once.
         """
         qs = as_batch(qs, self.domain.dimension)
-        interior = self.domain.interior_mask(qs)
-        ok = interior.copy()
+        ok = np.ones(qs.shape[0], dtype=bool)
         fills = []
         for s in self.domain.excluded_singular_sets:
             tube = np.asarray(s.tube(qs), dtype=bool)
             ok &= ~tube
             if s.limit is not None and not singular_as_nan:
-                fills.append((tube & interior, s.limit))
-        out = np.full(qs.shape[0], np.nan)
-        if ok.any():
-            out[ok] = self.evaluate(qs[ok])
-        for inside, limit in fills:
-            out[inside] = limit
+                fills.append((tube, s.limit))
+        out = evaluate_masked(ok, self.evaluate, qs)
+        for tube, limit in fills:
+            out[tube] = limit
         return out
 
 
@@ -365,22 +347,6 @@ def local_energy_log_batch(h: Hamiltonian, trial: LogTrialFunction, qs: np.ndarr
     return v - kin
 
 
-def local_energy_log(h: Hamiltonian, trial: LogTrialFunction, q) -> float:
-    """Local energy of ``phi = exp(S)`` at one interior, non-singular point."""
-    arr = _point_array(q, h.domain.dimension)[None, :]
-    if not h.domain.valid_mask(arr)[0]:
-        raise SingularEvaluationError(
-            f"point {arr[0]} is not interior to the domain or lies in a declared "
-            "singular tube; use the declared limit"
-        )
-    val = float(local_energy_log_batch(h, trial, arr)[0])
-    if not np.isfinite(val):
-        raise NonFiniteEnergyError(
-            f"local energy is {val} at {arr[0]}; trial and Hamiltonian are inconsistent"
-        )
-    return val
-
-
 def local_energy_ratio_batch(trial: RatioTrialFunction, qs: np.ndarray) -> np.ndarray:
     """Vectorized ``(H phi)(q) / phi(q)``; zero denominators yield inf/nan."""
     qs = np.asarray(qs, dtype=float)
@@ -388,18 +354,6 @@ def local_energy_ratio_batch(trial: RatioTrialFunction, qs: np.ndarray) -> np.nd
     hphi = np.asarray(trial.h_phi(qs), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return hphi / phi
-
-
-def local_energy_ratio(trial: RatioTrialFunction, q) -> float:
-    """Local energy ``H phi / phi`` at one point where ``phi`` does not vanish."""
-    arr = np.atleast_1d(np.asarray(q, dtype=float))[None, :]
-    phi = float(np.asarray(trial.phi(arr), dtype=float)[0])
-    if phi == 0.0:
-        raise SingularEvaluationError(
-            f"phi vanishes at {arr[0]} (boundary or nodal point); consult the "
-            "domain's declared singular sets"
-        )
-    return float(np.asarray(trial.h_phi(arr), dtype=float)[0]) / phi
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .core import (
     Hamiltonian,
     LocalEnergyField,
     LogTrialFunction,
+    coordinate_1d,
     make_log_field,
 )
 from .search import SearchConfig, global_min
@@ -191,16 +192,12 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
     a_arr = np.array([b.a for b in bumps])
     sig_arr = np.array([b.sigma for b in bumps])
 
-    def flat(qs) -> np.ndarray:
-        q = np.asarray(qs, dtype=float)
-        return q[:, 0] if q.ndim == 2 else q
-
     def s(qs):
-        return np.asarray(base.s(qs), dtype=float) + _bump_value(flat(qs), s_arr, a_arr, sig_arr)
+        return np.asarray(base.s(qs), dtype=float) + _bump_value(coordinate_1d(qs), s_arr, a_arr, sig_arr)
 
     def derivs(qs):
         g0, lap0 = base.derivs(qs)
-        d1, d2 = _bump_derivs(flat(qs), s_arr, a_arr, sig_arr)
+        d1, d2 = _bump_derivs(coordinate_1d(qs), s_arr, a_arr, sig_arr)
         grad = np.array(g0, dtype=float)
         grad[:, 0] += d1
         return grad, np.asarray(lap0, dtype=float) + d2

@@ -38,12 +38,9 @@ from .core import (
     BoundsResult,
     Hamiltonian,
     LocalEnergyField,
-    LogTrialFunction,
-    RatioTrialFunction,
     ResolutionCaveat,
     SingularEvaluationError,
-    make_log_field,
-    make_ratio_field,
+    evaluate_masked,
     sample_interior,
 )
 
@@ -56,7 +53,6 @@ __all__ = [
     "global_min",
     "global_max",
     "grid_points",
-    "bounds",
     "bounds_of_field",
     "optimize_parameters",
 ]
@@ -122,13 +118,7 @@ def grid_points(box: Sequence[tuple[float, float]], n_per_axis: int) -> np.ndarr
 
 def _field_values(field: LocalEnergyField, qs: np.ndarray) -> np.ndarray:
     """Raw field values, NaN where a point is exterior or inside a singular tube."""
-    ok = field.domain.valid_mask(qs)
-    if ok.all():
-        return field.evaluate(qs)
-    vals = np.full(qs.shape[0], np.nan)
-    if ok.any():
-        vals[ok] = field.evaluate(qs[ok])
-    return vals
+    return evaluate_masked(field.domain.valid_mask(qs), field.evaluate, qs)
 
 
 def _stack_values(
@@ -146,13 +136,7 @@ def _stack_values(
     of ``qs``.
     """
     if rows is not None:
-        ok = fields[0].domain.valid_mask(qs)
-        if ok.all():
-            return rows(members, qs)
-        vals = np.full(qs.shape[0], np.nan)
-        if ok.any():
-            vals[ok] = rows(members[ok], qs[ok])
-        return vals
+        return evaluate_masked(fields[0].domain.valid_mask(qs), rows, members, qs)
     vals = np.empty(qs.shape[0])
     ends = np.searchsorted(members, np.arange(len(fields) + 1)).tolist()
     for m, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
@@ -481,28 +465,6 @@ def _bounds_result(
     )
 
 
-def bounds(
-    h: Hamiltonian,
-    trial: LogTrialFunction | RatioTrialFunction,
-    cfg: SearchConfig | None = None,
-    field: LocalEnergyField | None = None,
-) -> BoundsResult:
-    """Bounds from a trial under a Hamiltonian (positivity of the trial assumed).
-
-    Pass ``field`` to reuse a prebuilt annotated field; otherwise a bare one is
-    assembled from the trial (log or ratio form) with the domain's declared
-    singular sets and no asymptotic limits.
-    """
-    if field is None:
-        if isinstance(trial, LogTrialFunction):
-            field = make_log_field(h, trial)
-        elif isinstance(trial, RatioTrialFunction):
-            field = make_ratio_field(h.domain, trial)
-        else:
-            raise TypeError("trial must be a LogTrialFunction or RatioTrialFunction")
-    return bounds_of_field(field, cfg)
-
-
 # ---------------------------------------------------------------------------
 # control-parameter optimization
 
@@ -573,8 +535,8 @@ def optimize_parameters(
     ``objective`` is ``"maximize-lower"`` or ``"minimize-upper"``.  Control
     spaces here are tiny, so each probe runs the full inner search; the probe
     record always contains ``RANDOM_PROBE_COUNT`` seeded random draws, which is
-    what makes the dominance property checkable.  ``h`` is accepted for
-    signature symmetry with ``bounds`` but the family's builder owns it.
+    what makes the dominance property checkable.  ``h`` is not used: the
+    family's builder owns the Hamiltonian.
 
     The initial probes are searched as one stack, and the outer starts are
     polished in lockstep, each round's new control vectors searched as one

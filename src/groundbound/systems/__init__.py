@@ -4,10 +4,8 @@ quartic oscillator, plus plain hydrogen as the reference family."""
 from .billiard import AnnularBilliard, billiard_local_energy_field, unit_disk_field
 from .coulomb import (
     CoulombSystem,
-    ParticleConfiguration,
     coulomb_field,
     coulomb_hamiltonian,
-    coulomb_local_energy,
     coulomb_local_energy_batch,
     coulomb_log_trial,
     helium_bounds,
@@ -36,13 +34,11 @@ __all__ = [
     "AnnularBilliard",
     "CoulombSystem",
     "MagneticHydrogen",
-    "ParticleConfiguration",
     "QuarticOscillator",
     "VARIANTS",
     "billiard_local_energy_field",
     "coulomb_field",
     "coulomb_hamiltonian",
-    "coulomb_local_energy",
     "coulomb_local_energy_batch",
     "coulomb_log_trial",
     "cusp_defects",

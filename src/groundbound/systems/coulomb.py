@@ -30,7 +30,6 @@ from ..core import (
     Hamiltonian,
     LocalEnergyField,
     LogTrialFunction,
-    SingularEvaluationError,
     SingularSet,
     local_energy_log_batch,
 )
@@ -38,8 +37,6 @@ from ..search import ExtremumReport
 
 __all__ = [
     "CoulombSystem",
-    "ParticleConfiguration",
-    "coulomb_local_energy",
     "coulomb_local_energy_batch",
     "coulomb_log_trial",
     "coulomb_hamiltonian",
@@ -128,46 +125,6 @@ class CoulombSystem:
         return total
 
 
-@dataclass(frozen=True)
-class ParticleConfiguration:
-    """Relative positions ``x_k`` of particles 1..N-1 against particle 0."""
-
-    relative_positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.relative_positions, dtype=float)
-        if pos.ndim != 2:
-            raise ValueError("relative_positions must be (N-1, D)")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        object.__setattr__(self, "relative_positions", pos)
-
-    def all_positions(self) -> np.ndarray:
-        """Positions of all N particles with particle 0 at the origin."""
-        pos = self.relative_positions
-        return np.concatenate([np.zeros((1, pos.shape[1])), pos], axis=0)
-
-    def pair_distances(self) -> np.ndarray:
-        x = self.all_positions()
-        diff = x[:, None, :] - x[None, :, :]
-        return np.linalg.norm(diff, axis=-1)
-
-    def angles(self) -> dict[tuple[int, int, int], float]:
-        """Angle at vertex i of every triangle (j, i, k), via the law of cosines.
-
-        The cosine is clamped to [-1, 1] before arccos so collinear
-        configurations stay safe; every angle lies in [0, pi].
-        """
-        r = self.pair_distances()
-        n = r.shape[0]
-        out: dict[tuple[int, int, int], float] = {}
-        for i in range(n):
-            for j, k in itertools.combinations([p for p in range(n) if p != i], 2):
-                c = _cos_angle(r[i, j], r[i, k], r[j, k])
-                out[(j, i, k)] = math.acos(c)
-        return out
-
-
 def _cos_angle(rij, rik, rjk):
     c = (rij**2 + rik**2 - rjk**2) / (2.0 * rij * rik)
     return np.clip(c, -1.0, 1.0)
@@ -200,20 +157,6 @@ def coulomb_local_energy_batch(cs: CoulombSystem, positions: np.ndarray) -> np.n
                 cos_jik = _cos_angle(r[:, i, j], r[:, i, k], r[:, j, k])
                 out -= lam[i, j] * lam[i, k] * cos_jik * inv_m[i]
     return out
-
-
-def coulomb_local_energy(cs: CoulombSystem, pc: ParticleConfiguration) -> float:
-    """Closed-form local energy at one configuration with no coincident pair."""
-    if pc.relative_positions.shape != (cs.n_particles - 1, cs.space_dim):
-        raise ValueError("configuration shape does not match the system")
-    r = pc.pair_distances()
-    iu = np.triu_indices(cs.n_particles, k=1)
-    if np.any(r[iu] <= COINCIDENCE_TUBE):
-        raise SingularEvaluationError(
-            "two particles (nearly) coincide; the Coulomb poles cancel by "
-            "construction, use the declared-limit path"
-        )
-    return float(coulomb_local_energy_batch(cs, pc.relative_positions)[0])
 
 
 # ---------------------------------------------------------------------------

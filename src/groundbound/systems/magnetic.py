@@ -41,6 +41,7 @@ from ..core import (
     LogTrialFunction,
     SingularSet,
 )
+from .. import search
 
 __all__ = [
     "MagneticHydrogen",
@@ -318,16 +319,10 @@ def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyFi
 def magnetic_trivial_bounds(mh: MagneticHydrogen, cfg=None) -> BoundsResult:
     """Sandwich from the two trivial trials: lower from ``h = 0``, upper from
     ``h = -B/4`` (each certifies only its own side)."""
-    from ..search import SearchConfig, _caveat, global_max, global_min
-
-    cfg = cfg or SearchConfig()
+    # searched through the module, so a wrapper installed on
+    # ``search.global_min`` / ``search.global_max`` sees these calls
+    cfg = cfg or search.SearchConfig()
     lower = magnetic_hydrogen_field(mh, "lower")
-    lo = global_min(lower, cfg=cfg)
-    hi = global_max(magnetic_hydrogen_field(mh, "upper"), cfg=cfg)
-    return BoundsResult(
-        lower=lo.value,
-        upper=hi.value,
-        lower_witness=lo,
-        upper_witness=hi,
-        resolution_caveat=_caveat(lower, cfg),
-    )
+    lo = search.global_min(lower, cfg=cfg)
+    hi = search.global_max(magnetic_hydrogen_field(mh, "upper"), cfg=cfg)
+    return search._bounds_result(lower, cfg, lo, hi)

@@ -30,6 +30,7 @@ from ..core import (
     Hamiltonian,
     LocalEnergyField,
     LogTrialFunction,
+    coordinate_1d,
     make_log_field,
 )
 
@@ -55,9 +56,7 @@ class QuarticOscillator:
             raise ValueError("delta2 must be positive (the log term needs w > 0)")
 
     def potential(self, qs: np.ndarray) -> np.ndarray:
-        q = np.asarray(qs, dtype=float)
-        if q.ndim == 2:
-            q = q[:, 0]
+        q = coordinate_1d(qs)
         q2 = q * q
         return self.r**2 * q2 * (q2 + self.eta * self.delta2) / 2.0
 
@@ -115,17 +114,13 @@ class QuarticOscillator:
         return s1, s2
 
     def log_trial(self) -> LogTrialFunction:
-        def flat(qs):
-            q = np.asarray(qs, dtype=float)
-            return q[:, 0] if q.ndim == 2 else q
-
         def derivs(qs):
-            s1, s2 = self._s_derivs(flat(qs))
+            s1, s2 = self._s_derivs(coordinate_1d(qs))
             return s1[:, None], s2
 
         return LogTrialFunction(
             params=np.array([self.r, float(self.eta), self.delta2]),
-            s=lambda qs: self._s0(flat(qs)),
+            s=lambda qs: self._s0(coordinate_1d(qs)),
             derivs=derivs,
             normalizable=True,
             label=f"quartic base trial (r={self.r}, eta={self.eta:+d}, d2={self.delta2})",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from groundbound.core import cross_check_field, local_energy_ratio
+from groundbound.core import cross_check_field, local_energy_ratio_batch
 from groundbound.search import SearchConfig, global_min
 from groundbound.systems import AnnularBilliard, billiard_local_energy_field, unit_disk_field
 from groundbound.polynomials import MultivariatePolynomial as P, barta_polynomial_construction
@@ -26,8 +26,8 @@ def test_closed_form_equals_polynomial_ratio_everywhere():
 
 def test_ratio_value_near_the_minimizer():
     ab = AnnularBilliard(r=0.75, delta=0.1)
-    val = local_energy_ratio(ab.trial(), [0.86, 0.0])
-    assert val == pytest.approx(28.390, abs=0.01)
+    val = local_energy_ratio_batch(ab.trial(), np.array([[0.86, 0.0]]))
+    assert val[0] == pytest.approx(28.390, abs=0.01)
 
 
 def test_boundary_polynomial_matches_direct_evaluation():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -174,6 +175,29 @@ def test_field_csv_hydrogen_radial_is_flat(tmp_path):
     rows = [line.split(",") for line in text.strip().splitlines()[1:]]
     vals = {row[1] for row in rows if row[1] != "nan"}
     assert vals == {"-0.5"}
+
+
+def test_field_dump_runs_the_interior_test_once(tmp_path, monkeypatch):
+    # the dump filters its grid to the interior; evaluating the filtered rows
+    # must not run the domain's constraint again
+    calls = []
+    build = cli.billiard_local_energy_field
+
+    def counted(ab):
+        field = build(ab)
+        constraint = field.domain.constraint
+
+        def counting(qs):
+            calls.append(qs.shape[0])
+            return constraint(qs)
+
+        return dataclasses.replace(field, domain=dataclasses.replace(field.domain, constraint=counting))
+
+    monkeypatch.setattr(cli, "billiard_local_energy_field", counted)
+    code, text = run(tmp_path, "field", "--system", "annular-billiard", "--grid-n", "50")
+    assert code == 0
+    assert calls == [50 * 50]
+    assert 0 < len(text.strip().splitlines()) - 1 < 50 * 50
 
 
 def test_field_singular_nan_flag(tmp_path):

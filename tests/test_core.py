@@ -3,21 +3,22 @@ import math
 import numpy as np
 import pytest
 
+import groundbound
+from groundbound import core, search, systems
 from groundbound.core import (
     BoundsResult,
     Domain,
     Hamiltonian,
     LocalEnergyField,
     LogTrialFunction,
-    NonFiniteEnergyError,
-    Point,
     RatioTrialFunction,
     SingularEvaluationError,
     SingularSet,
     cross_check_field,
     derivative_consistency,
-    local_energy_log,
-    local_energy_ratio,
+    evaluate_masked,
+    local_energy_log_batch,
+    local_energy_ratio_batch,
 )
 from groundbound.systems import (
     CoulombSystem,
@@ -48,16 +49,17 @@ def harmonic_trial():
 
 
 # ---------------------------------------------------------------------------
+# public surface
+
+
+@pytest.mark.parametrize("module", [groundbound, core, search, systems], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+# ---------------------------------------------------------------------------
 # domain types
-
-
-def test_point_validation():
-    p = Point([1.0, 2.0])
-    assert p.dim == 2
-    with pytest.raises(ValueError):
-        Point([1.0, np.inf])
-    with pytest.raises(ValueError):
-        Point([[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_domain_requires_constraint_when_bounded():
@@ -96,8 +98,9 @@ def test_bounds_result_ordering():
 def test_hydrogen_trial_is_flat():
     h = hydrogen_hamiltonian_3d()
     t = hydrogen_trial_3d(1.0)
-    val = local_energy_log(h, t, [0.3, -0.2, 0.9])
-    assert val == pytest.approx(-0.5, abs=1e-12)
+    val = local_energy_log_batch(h, t, np.array([[0.3, -0.2, 0.9]]))
+    assert val.shape == (1,)
+    assert val[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_hydrogen_flatness_variance():
@@ -107,15 +110,14 @@ def test_hydrogen_flatness_variance():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-3, 3, size=(1000, 3))
     pts = pts[np.linalg.norm(pts, axis=1) > 1e-3]
-    from groundbound.core import local_energy_log_batch
-
     vals = local_energy_log_batch(h, t, pts)
     rel_var = np.var(vals / np.mean(vals))
     assert rel_var < 1e-16
 
 
 def test_harmonic_ground_state_value():
-    assert local_energy_log(harmonic_hamiltonian(), harmonic_trial(), [1.3]) == pytest.approx(0.5, abs=1e-14)
+    vals = local_energy_log_batch(harmonic_hamiltonian(), harmonic_trial(), np.array([[1.3], [-2.0]]))
+    assert vals == pytest.approx([0.5, 0.5], abs=1e-14)
 
 
 def test_quartic_local_energy_at_origin_matches_symbolic_oracle():
@@ -140,7 +142,8 @@ def test_quartic_local_energy_at_origin_matches_symbolic_oracle():
 
     qo = QuarticOscillator(r=1.0 / math.sqrt(2.0), eta=-1, delta2=8.0)
     h, trial = quartic_system(qo)
-    assert local_energy_log(h, trial, [0.0]) == pytest.approx(EXPECTED_QUARTIC_ELOC_AT_ZERO, abs=1e-12)
+    at_zero = local_energy_log_batch(h, trial, np.array([[0.0]]))[0]
+    assert at_zero == pytest.approx(EXPECTED_QUARTIC_ELOC_AT_ZERO, abs=1e-12)
 
     # coarse finite-difference corroboration of the same value
     def s(x):
@@ -150,20 +153,6 @@ def test_quartic_local_energy_at_origin_matches_symbolic_oracle():
     s1 = (-s(2 * hh) + 8 * s(hh) - 8 * s(-hh) + s(-2 * hh)) / (12 * hh)
     s2 = (-s(2 * hh) + 16 * s(hh) - 30 * s(0.0) + 16 * s(-hh) - s(-2 * hh)) / (12 * hh * hh)
     assert -0.5 * (s2 + s1 * s1) == pytest.approx(EXPECTED_QUARTIC_ELOC_AT_ZERO, abs=1e-6)
-
-
-def test_log_form_errors():
-    h = hydrogen_hamiltonian_3d()
-    t = hydrogen_trial_3d(1.0)
-    with pytest.raises(SingularEvaluationError):
-        local_energy_log(h, t, [0.0, 0.0, 1e-9])  # inside the nucleus tube
-    bad = LogTrialFunction(
-        params=np.array([1.0]),
-        s=t.s,
-        derivs=lambda qs: (np.full_like(qs, np.nan), t.derivs(qs)[1]),
-    )
-    with pytest.raises(NonFiniteEnergyError):
-        local_energy_log(h, bad, [1.0, 0.0, 0.0])
 
 
 def test_anisotropic_form_needs_hessian():
@@ -176,7 +165,7 @@ def test_anisotropic_form_needs_hessian():
         derivs=lambda qs: (-2 * qs, np.full(qs.shape[0], -4.0)),
     )
     with pytest.raises(ValueError):
-        local_energy_log(h, t, [0.3, 0.4])
+        local_energy_log_batch(h, t, np.array([[0.3, 0.4]]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +180,8 @@ def unit_disk_ratio_trial():
 def test_disk_ratio_values():
     # phi = 1 - x^2 - y^2, H phi = -lap(phi)/2 = 2, so E_loc = 2/(1 - s)
     t = unit_disk_ratio_trial()
-    assert local_energy_ratio(t, [0.0, 0.0]) == pytest.approx(2.0, abs=1e-14)
-    assert local_energy_ratio(t, [0.5, 0.0]) == pytest.approx(8.0 / 3.0, abs=1e-14)
-
-
-def test_ratio_zero_denominator():
-    t = unit_disk_ratio_trial()
-    with pytest.raises(SingularEvaluationError):
-        local_energy_ratio(t, [1.0, 0.0])
+    vals = local_energy_ratio_batch(t, np.array([[0.0, 0.0], [0.5, 0.0]]))
+    assert vals == pytest.approx([2.0, 8.0 / 3.0], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +282,29 @@ def test_evaluate_with_limits_fills_declared_values():
     assert filled.tolist() == [7.0, 0.5]
     as_nan = f.evaluate_with_limits(qs, singular_as_nan=True)
     assert math.isnan(as_nan[0]) and as_nan[1] == 0.5
+
+
+def test_evaluate_masked_sees_only_the_valid_rows():
+    seen = []
+
+    def evaluate(members, qs):
+        seen.append((members.tolist(), qs[:, 0].tolist()))
+        return 10.0 * members + qs[:, 0]
+
+    members = np.array([0, 1, 1, 2])
+    qs = np.array([[0.5], [1.5], [2.5], [3.5]])
+    ok = np.array([True, False, True, True])
+    vals = evaluate_masked(ok, evaluate, members, qs)
+    assert seen == [([0, 1, 2], [0.5, 2.5, 3.5])]
+    assert math.isnan(vals[1]) and vals[[0, 2, 3]].tolist() == [0.5, 12.5, 23.5]
+    seen.clear()
+    assert evaluate_masked(np.ones(4, dtype=bool), evaluate, members, qs).tolist() == [0.5, 11.5, 12.5, 23.5]
+    assert seen == [([0, 1, 1, 2], [0.5, 1.5, 2.5, 3.5])]
+    seen.clear()
+    for none in (np.zeros(4, dtype=bool), np.zeros(0, dtype=bool)):
+        n = none.shape[0]
+        assert np.isnan(evaluate_masked(none, evaluate, members[:n], qs[:n])).all()
+    assert seen == []  # not called without a valid row
 
 
 def test_each_tube_runs_once_per_batch():

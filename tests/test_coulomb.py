@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from groundbound.core import SingularEvaluationError, cross_check_field
+from groundbound.core import cross_check_field
 from groundbound.systems import (
     CoulombSystem,
-    ParticleConfiguration,
     coulomb_field,
-    coulomb_local_energy,
     coulomb_local_energy_batch,
     coulomb_log_trial,
     helium_bounds,
@@ -66,45 +64,29 @@ def test_two_body_flatness_for_generic_masses():
 
 def test_helium_angle_formula_extremes():
     he = helium_system(2.0)
-    diametric = coulomb_local_energy(he, ParticleConfiguration([[1.0, 0, 0], [-1.0, 0, 0]]))
+    diametric, same_side = coulomb_local_energy_batch(
+        he, np.array([[[1.0, 0, 0], [-1.0, 0, 0]], [[1.0, 0, 0], [0.5, 0, 0]]])
+    )
     assert diametric == pytest.approx(-2.25, abs=1e-12)
-    same_side = coulomb_local_energy(he, ParticleConfiguration([[1.0, 0, 0], [0.5, 0, 0]]))
     assert same_side == pytest.approx(-4.25, abs=1e-12)
 
 
 def test_helium_z_formula_matches_generic():
-    # E = -Z^2 - 1/4 + Z (cos t1 + cos t2)/2 against the generic evaluation
+    # E = -Z^2 - 1/4 + Z (cos t1 + cos t2)/2 against the generic evaluation,
+    # with the angles at the electrons from the law of cosines
     rng = np.random.default_rng(3)
     he = helium_system(2.0)
     for _ in range(50):
-        pos = rng.uniform(-2, 2, size=(2, 3))
-        pc = ParticleConfiguration(pos)
-        r = pc.pair_distances()
-        if r[np.triu_indices(3, 1)].min() < 1e-3:
+        x1, x2 = rng.uniform(-2, 2, size=(2, 3))
+        r1, r2, r12 = np.linalg.norm(x1), np.linalg.norm(x2), np.linalg.norm(x1 - x2)
+        if min(r1, r2, r12) < 1e-3:
             continue
-        angles = pc.angles()
-        by_formula = -4.0 - 0.25 + 2.0 * (math.cos(angles[(0, 1, 2)]) + math.cos(angles[(0, 2, 1)])) / 2.0
-        assert coulomb_local_energy(he, pc) == pytest.approx(by_formula, rel=1e-12)
-
-
-def test_configuration_invariants():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        pc = ParticleConfiguration(rng.uniform(-2, 2, size=(3, 3)))
-        r = pc.pair_distances()
-        n = r.shape[0]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if len({i, j, k}) == 3:
-                        assert r[i, j] + r[j, k] >= r[i, k] - 1e-12
-        assert all(0.0 <= a <= math.pi for a in pc.angles().values())
-
-
-def test_coincidence_is_a_declared_limit_path():
-    he = helium_system(2.0)
-    with pytest.raises(SingularEvaluationError):
-        coulomb_local_energy(he, ParticleConfiguration([[1.0, 0, 0], [1.0, 1e-9, 0]]))
+        t1 = math.acos(np.clip((r1**2 + r12**2 - r2**2) / (2.0 * r1 * r12), -1.0, 1.0))
+        t2 = math.acos(np.clip((r2**2 + r12**2 - r1**2) / (2.0 * r2 * r12), -1.0, 1.0))
+        by_formula = -4.0 - 0.25 + 2.0 * (math.cos(t1) + math.cos(t2)) / 2.0
+        generic = coulomb_local_energy_batch(he, np.stack([x1, x2]))
+        assert generic.shape == (1,)
+        assert generic[0] == pytest.approx(by_formula, rel=1e-12)
 
 
 def test_closed_form_equals_log_form_for_random_systems():

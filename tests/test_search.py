@@ -9,7 +9,6 @@ from groundbound.search import (
     FamilyCannotBoundError,
     SearchConfig,
     TrialFamily,
-    bounds,
     bounds_of_field,
     global_max,
     global_min,
@@ -142,7 +141,7 @@ def test_bounds_builds_field_from_trial():
     cfg = SearchConfig(grid_points_per_axis=21, box=((-5, 5),) * 3)
     # a truncated search over the unbounded domain needs declared tails
     annotated = make_log_field(h, t, asymptotic_limits=(AsymptoticLimit("r -> inf", -0.5),))
-    res = bounds(h, t, cfg, field=annotated)
+    res = bounds_of_field(annotated, cfg)
     assert res.lower == pytest.approx(-0.5, abs=1e-9)
     assert res.upper == pytest.approx(-0.5, abs=1e-9)
     assert res.lower <= res.upper
