@@ -41,7 +41,6 @@ __all__ = [
     "cross_check_field",
     "derivative_consistency",
     "make_log_field",
-    "make_ratio_field",
 ]
 
 class SingularEvaluationError(ValueError):
@@ -376,25 +375,6 @@ def make_log_field(
         alternates=tuple(alternates),
         asymptotic_limits=tuple(asymptotic_limits),
         label=label or (trial.label and f"log-form local energy of {trial.label}"),
-    )
-
-
-def make_ratio_field(
-    domain: Domain,
-    trial: RatioTrialFunction,
-    asymptotic_limits: tuple[AsymptoticLimit, ...] = (),
-    alternates: tuple = (),
-    label: str = "",
-) -> LocalEnergyField:
-    def _eval(qs: np.ndarray) -> np.ndarray:
-        return local_energy_ratio_batch(trial, qs)
-
-    return LocalEnergyField(
-        domain=domain,
-        evaluate=_eval,
-        alternates=tuple(alternates),
-        asymptotic_limits=tuple(asymptotic_limits),
-        label=label or (trial.label and f"ratio-form local energy of {trial.label}"),
     )
 
 

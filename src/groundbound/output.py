@@ -7,10 +7,12 @@ strings ``"+inf"`` / ``"-inf"`` / ``"nan"`` (and parsed back by
 float is written as its shortest ``repr``.  Documents carry no timestamps or
 environment state, so a rerun with the same seed is byte-identical.
 
-A *table* is a 2-D float array, the form the ``field`` command's rows take.
-Both renderers write a table column by column from the array, a fixed number
-of rows at a time, and the text is byte-identical to rendering the same rows
-as lists of floats; the small tables of the other commands are lists and go
+A *table* is a 2-D float64 array, the form the ``field`` command's rows
+take.  Both renderers write a table column by column from the array, a fixed
+number of rows at a time, and format each distinct bit pattern of a column's
+chunk once: a tensor grid's coordinates and a flat energy repeat a few values
+down a column.  The text is byte-identical to rendering the same rows as
+lists of floats; the small tables of the other commands are lists and go
 through :mod:`csv` and :mod:`json` cell by cell.
 """
 
@@ -57,9 +59,10 @@ def _nonfinite_text(f: float) -> str:
 
 
 def _is_table(value: Any) -> bool:
-    """Whether ``value`` is a 2-D float array with at least one column."""
+    """Whether ``value`` is a 2-D float64 array with at least one column.
+    Other float arrays go cell by cell, to the same text."""
     return (isinstance(value, np.ndarray) and value.ndim == 2 and value.shape[1] > 0
-            and value.dtype.kind == "f")
+            and value.dtype == np.float64)
 
 
 def to_jsonable(value: Any) -> Any:
@@ -106,7 +109,7 @@ def envelope(command: str, system: dict, config: dict, result: dict) -> dict:
     }
 
 
-def _column_text(column: np.ndarray, quote: str) -> list[str]:
+def _cell_text(column: np.ndarray, quote: str) -> list[str]:
     """Each float of ``column`` as text; non-finite ones spelled inside ``quote``."""
     values = column.tolist()
     cells = list(map(repr, values))
@@ -115,13 +118,32 @@ def _column_text(column: np.ndarray, quote: str) -> list[str]:
     return cells
 
 
+def _column_text(column: np.ndarray, quote: str) -> list[str]:
+    """:func:`_cell_text` of ``column``, with one ``repr`` per distinct bit
+    pattern.  Keyed on the bits, so ``-0.0`` and ``0.0`` keep their own
+    spellings; a column of distinct values is formatted in row order, with
+    no gather."""
+    bits = column.view(np.int64)
+    ordered = np.sort(bits)  # half the cost of np.unique's, on the common distinct case
+    if (ordered[1:] != ordered[:-1]).all():
+        return _cell_text(column, quote)
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    return np.array(_cell_text(column[first], quote), dtype=object)[inverse].tolist()
+
+
 def _table_chunks(table: np.ndarray, cell_sep: str, row_sep: str, quote: str) -> Iterator[str]:
     """The rows of ``table`` as text, ``_CHUNK_ROWS`` rows per piece: cells
     joined by ``cell_sep``, rows by ``row_sep`` (not after a piece's last)."""
+    k = table.shape[1]
     for start in range(0, len(table), _CHUNK_ROWS):
         block = table[start:start + _CHUNK_ROWS]
-        columns = [_column_text(block[:, j], quote) for j in range(block.shape[1])]
-        yield row_sep.join(map(cell_sep.join, zip(*columns)))
+        # the chunk's cells and separators in row order, joined once: no
+        # per-row strings
+        pieces = [cell_sep] * (2 * k * len(block) - 1)
+        for j in range(k):
+            pieces[2 * j::2 * k] = _column_text(block[:, j], quote)
+        pieces[2 * k - 1::2 * k] = [row_sep] * (len(block) - 1)
+        yield "".join(pieces)
 
 
 def _json_table(table: np.ndarray, indent: int) -> list[str]:

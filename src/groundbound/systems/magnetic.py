@@ -72,32 +72,51 @@ class MagneticHydrogen:
         return ((0.0, half_width), (0.0, half_width))
 
 
-def _u_parts(mh: MagneticHydrogen, variant: str, rho: np.ndarray, z: np.ndarray):
-    """Value and derivatives of the regular part U on z >= 0.
+def _improved_k(mh: MagneticHydrogen, variant: str) -> float:
+    """``5 / sqrt(B)`` of the improved trial, once ``variant`` is known to be
+    neither trivial one."""
+    if variant != "improved":
+        raise ValueError(f"unknown trial variant {variant!r}; pick one of {VARIANTS}")
+    if mh.B <= 0:
+        raise ValueError("the improved trial needs B > 0 (it contains sqrt(B))")
+    return 5.0 / math.sqrt(mh.B)
 
-    Returns (u, u_rho, u_z, u_rr, u_r_over_rho, u_zz); all formulas carry
+
+def _u_value(mh: MagneticHydrogen, variant: str, rho: np.ndarray, z: np.ndarray,
+             r: np.ndarray) -> np.ndarray:
+    """The regular part U on z >= 0, given ``r = hypot(rho, z)``."""
+    b = mh.B
+    if variant == "lower":
+        return np.zeros_like(rho)
+    if variant == "upper":
+        return -b * rho * rho / 4.0
+    k = _improved_k(mh, variant)
+    n = rho * rho * (r - z)
+    d = rho * rho + k * r
+    return -b * rho * rho / 4.0 + n / d
+
+
+def _u_derivs(mh: MagneticHydrogen, variant: str, rho: np.ndarray, z: np.ndarray,
+              r: np.ndarray):
+    """Derivatives of the regular part U on z >= 0, given ``r = hypot(rho, z)``,
+    without building U itself.
+
+    Returns (u_rho, u_z, u_rr, u_r_over_rho, u_zz); all formulas carry
     explicit rho factors so the axis rho = 0 evaluates exactly.
     """
     b = mh.B
     zeros = np.zeros_like(rho)
     if variant == "lower":
-        return (zeros,) * 6
+        return (zeros,) * 5
     if variant == "upper":
         return (
-            -b * rho * rho / 4.0,
             -b * rho / 2.0,
             zeros,
             np.full_like(rho, -b / 2.0),
             np.full_like(rho, -b / 2.0),
             zeros,
         )
-    if variant != "improved":
-        raise ValueError(f"unknown trial variant {variant!r}; pick one of {VARIANTS}")
-    if b <= 0:
-        raise ValueError("the improved trial needs B > 0 (it contains sqrt(B))")
-
-    k = 5.0 / math.sqrt(b)
-    r = np.hypot(rho, z)
+    k = _improved_k(mh, variant)
     m = r - z
     n = rho * rho * m
     d = rho * rho + k * r
@@ -117,7 +136,6 @@ def _u_parts(mh: MagneticHydrogen, variant: str, rho: np.ndarray, z: np.ndarray)
     t_r_over_rho = (2.0 * m + rho * rho / r) / d - rho * rho * m * (2.0 + k / r) / d**2
 
     return (
-        -b * rho * rho / 4.0 + n / d,
         -b * rho / 2.0 + t_r,
         t_z,
         -b / 2.0 + t_rr,
@@ -129,7 +147,7 @@ def _u_parts(mh: MagneticHydrogen, variant: str, rho: np.ndarray, z: np.ndarray)
 def _cancelled_local_energy(mh: MagneticHydrogen, variant: str, qs: np.ndarray) -> np.ndarray:
     rho, z = qs[:, 0], qs[:, 1]
     r = np.hypot(rho, z)
-    _, u_r, u_z, u_rr, u_ror, u_zz = _u_parts(mh, variant, rho, z)
+    u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(mh, variant, rho, z, r)
     lap_u = u_rr + u_ror + u_zz
     grad2 = u_r * u_r + u_z * u_z
     radial = (rho * u_r + z * u_z) / r
@@ -140,7 +158,7 @@ def _plain_local_energy(mh: MagneticHydrogen, variant: str, qs: np.ndarray) -> n
     """Non-cancelled V - (lap S + |grad S|^2)/2; alternate representation."""
     rho, z = qs[:, 0], qs[:, 1]
     r = np.hypot(rho, z)
-    u, u_r, u_z, u_rr, u_ror, u_zz = _u_parts(mh, variant, rho, z)
+    u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(mh, variant, rho, z, r)
     s_r = -rho / r + u_r
     s_z = -z / r + u_z
     lap_s = -2.0 / r + u_rr + u_ror + u_zz
@@ -162,13 +180,13 @@ def magnetic_trial(mh: MagneticHydrogen, variant: str) -> LogTrialFunction:
 
     def s(qs: np.ndarray) -> np.ndarray:
         x, y, z, rho, az = split(qs)
-        u = _u_parts(mh, variant, rho, az)[0]
+        u = _u_value(mh, variant, rho, az, np.hypot(rho, az))
         return -np.sqrt(rho * rho + z * z) + u
 
     def derivs(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, y, z, rho, az = split(qs)
         r = np.sqrt(rho * rho + z * z)
-        _, u_r, u_z, u_rr, u_ror, u_zz = _u_parts(mh, variant, rho, az)
+        u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(mh, variant, rho, az, np.hypot(rho, az))
         with np.errstate(invalid="ignore", divide="ignore"):
             cosphi = np.where(rho > 0, x / np.where(rho > 0, rho, 1.0), 0.0)
             sinphi = np.where(rho > 0, y / np.where(rho > 0, rho, 1.0), 0.0)
@@ -200,14 +218,15 @@ def cusp_defects(mh: MagneticHydrogen, variant: str, radii=(0.1, 1.0, 10.0)) -> 
     rho = t * np.sin(alphas)
     z = t * np.cos(alphas)
     r = np.hypot(rho, z)
-    _, u_r, u_z, *_ = _u_parts(mh, variant, rho, z)
+    u_r, u_z, *_ = _u_derivs(mh, variant, rho, z, r)
     s_r = -rho / r + u_r
     s_z = -z / r + u_z
     radial = (rho * s_r + z * s_z) / r
     defect_radial = float(np.max(np.abs(radial + 1.0)))
 
     rr = np.asarray(radii, dtype=float)
-    _, u_r_axis, *_ = _u_parts(mh, variant, np.zeros_like(rr), rr)
+    axis = np.zeros_like(rr)
+    u_r_axis, *_ = _u_derivs(mh, variant, axis, rr, np.hypot(axis, rr))
     defect_axis = float(np.max(np.abs(u_r_axis)))  # -rho/r vanishes at rho = 0
     return defect_radial, defect_axis
 

@@ -5,6 +5,7 @@ import pytest
 
 from groundbound.core import cross_check_field
 from groundbound.search import SearchConfig, global_max, global_min
+from groundbound.systems import magnetic
 from groundbound.systems import (
     VARIANTS,
     MagneticHydrogen,
@@ -148,3 +149,73 @@ def test_on_axis_values():
             assert np.all(vals == -0.5)
         else:
             assert np.allclose(vals, 3.0 / 2.0 - 0.5, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the regular part U, split into value and derivatives
+
+
+def reference_u_parts(mh, variant, rho, z):
+    """U and its derivatives as one function that builds both (the form the
+    split replaced): (u, u_rho, u_z, u_rr, u_r_over_rho, u_zz)."""
+    b = mh.B
+    zeros = np.zeros_like(rho)
+    if variant == "lower":
+        return (zeros,) * 6
+    if variant == "upper":
+        return (-b * rho * rho / 4.0, -b * rho / 2.0, zeros,
+                np.full_like(rho, -b / 2.0), np.full_like(rho, -b / 2.0), zeros)
+    k = 5.0 / math.sqrt(b)
+    r = np.hypot(rho, z)
+    m = r - z
+    n = rho * rho * m
+    d = rho * rho + k * r
+    n_r = 2.0 * rho * m + rho**3 / r
+    n_z = rho * rho * (z / r - 1.0)
+    n_rr = 2.0 * m + 5.0 * rho * rho / r - rho**4 / r**3
+    n_zz = rho**4 / r**3
+    d_r = rho * (2.0 + k / r)
+    d_z = k * z / r
+    d_rr = 2.0 + k * z * z / r**3
+    d_zz = k * rho * rho / r**3
+    t_r = n_r / d - n * d_r / d**2
+    t_z = n_z / d - n * d_z / d**2
+    t_rr = n_rr / d - 2.0 * n_r * d_r / d**2 - n * d_rr / d**2 + 2.0 * n * d_r**2 / d**3
+    t_zz = n_zz / d - 2.0 * n_z * d_z / d**2 - n * d_zz / d**2 + 2.0 * n * d_z**2 / d**3
+    t_r_over_rho = (2.0 * m + rho * rho / r) / d - rho * rho * m * (2.0 + k / r) / d**2
+    return (-b * rho * rho / 4.0 + n / d, -b * rho / 2.0 + t_r, t_z,
+            -b / 2.0 + t_rr, -b / 2.0 + t_r_over_rho, t_zz)
+
+
+def reference_cancelled_local_energy(mh, variant, qs):
+    rho, z = qs[:, 0], qs[:, 1]
+    r = np.hypot(rho, z)
+    _, u_r, u_z, u_rr, u_ror, u_zz = reference_u_parts(mh, variant, rho, z)
+    lap_u = u_rr + u_ror + u_zz
+    grad2 = u_r * u_r + u_z * u_z
+    radial = (rho * u_r + z * u_z) / r
+    return mh.B**2 * rho * rho / 8.0 - 0.5 * (1.0 + lap_u + grad2) + radial
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("B", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_u_value_and_derivs_match_the_joint_formula_bit_for_bit(B, variant):
+    mh = MagneticHydrogen(B)
+    # a tensor grid with the axis, the plane z = 0, the origin and tiny radii
+    axis = np.concatenate([[0.0, 1e-12, 1e-6], np.linspace(0.01, 10.0, 37)])
+    rho, z = (g.ravel() for g in np.meshgrid(axis, axis))
+    r = np.hypot(rho, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = reference_u_parts(mh, variant, rho, z)
+        assert_same_bits(magnetic._u_value(mh, variant, rho, z, r), want[0])
+        for got, ref in zip(magnetic._u_derivs(mh, variant, rho, z, r), want[1:], strict=True):
+            assert_same_bits(got, ref)
+        qs = np.stack([rho, z], axis=1)
+        assert_same_bits(magnetic._cancelled_local_energy(mh, variant, qs),
+                         reference_cancelled_local_energy(mh, variant, qs))

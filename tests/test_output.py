@@ -105,6 +105,48 @@ def test_tables_across_chunk_boundaries_render_like_the_reference(n, k, pool, se
     assert_same_documents(table)
 
 
+# NaNs of four payloads: quiet, negative quiet, quiet with a low bit, signalling
+NANS = np.array([0x7FF8000000000000, -0x0008000000000000, 0x7FF8000000000001, 0x7FF0000000000001],
+                dtype=np.int64).view(np.float64)
+
+
+@pytest.mark.parametrize("n", [36, _CHUNK_ROWS + 3])
+def test_repeated_values_keep_the_spelling_of_their_bits(n):
+    # signed zeros and NaN payloads interleaved, each repeated many times
+    # inside one chunk; a renderer keyed on the float value merges the zeros
+    pool = np.concatenate([[0.0, -0.0, 1.5, -0.0, 0.0], NANS, [math.inf, -math.inf, 1e-7]])
+    column = pool[np.arange(n) * 7 % len(pool)]
+    table = np.stack([column, column[::-1], np.full(n, -0.0)], axis=1)
+    assert len(np.unique(table[:, 0].view(np.int64))) == len(pool) - 2
+    assert_same_documents(table)
+
+
+@pytest.mark.parametrize("rows", [_CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+def test_grid_tables_across_chunk_boundaries_render_like_the_reference(rows):
+    # the first rows of a 91 x 91 tensor grid plus a mirror-symmetric column,
+    # the shape of a 2D field dump: few distinct values per chunk column
+    x, y = (g.ravel() for g in np.meshgrid(np.linspace(-1.0, 1.0, 91), np.linspace(-2.0, 2.0, 91)))
+    table = np.stack([x, y, x * x - y * y], axis=1)[:rows]
+    assert_same_documents(table)
+
+
+def test_distinct_columns_render_in_row_order_without_a_gather(monkeypatch):
+    column = np.linspace(-6.0, 6.0, 2 * _CHUNK_ROWS + 1)
+    table = np.stack([column, np.sin(column), column * 1e300], axis=1)
+    calls = []
+    real_unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or real_unique(*a, **k))
+    assert_same_documents(table)
+    assert not calls
+    assert_same_documents(np.stack([column, np.floor(column)], axis=1))
+    assert calls
+
+
+def test_other_float_dtypes_render_like_the_reference():
+    table = np.array([[1.5, -0.0], [math.nan, 0.1], [math.inf, 0.1]], dtype=np.float32)
+    assert_same_documents(table)
+
+
 def test_tables_nested_anywhere_render_like_the_reference():
     a = np.array([[1.0, -math.inf], [math.nan, 1e-7]])
     b = np.array([[0.5]])
