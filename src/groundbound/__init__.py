@@ -18,7 +18,6 @@ from .core import (
     Hamiltonian,
     LocalEnergyField,
     LogTrialFunction,
-    RatioTrialFunction,
     SingularEvaluationError,
     SingularSet,
     cross_check_field,
@@ -44,7 +43,6 @@ __all__ = [
     "Hamiltonian",
     "LocalEnergyField",
     "LogTrialFunction",
-    "RatioTrialFunction",
     "SearchConfig",
     "SingularEvaluationError",
     "SingularSet",

@@ -38,7 +38,6 @@ from .output import envelope, render_csv, render_json, write_text_atomic
 from .refine import default_centers, new_refinement_state, optimize_bump_amplitude
 from .search import EmptySearchRegionError, SearchConfig, bounds_of_field, grid_points
 from .systems import (
-    VARIANTS,
     AnnularBilliard,
     MagneticHydrogen,
     QuarticOscillator,
@@ -87,8 +86,9 @@ class System:
 
     ``params`` maps each parameter to ``(default, help)``; the default's type
     parses the flag and config values.  ``check`` raises ``ValueError`` for a
-    bad parameter set (non-finite floats are refused for every system).  A
-    command whose builder is ``None`` does not support the system:
+    bad parameter set (non-finite floats are refused for every system) and
+    calls the system's own code, so each rule is stated once.  A command
+    whose builder is ``None`` does not support the system:
 
     - ``bounds(params, cfg)`` returns a :class:`BoundsResult` (also used by
       ``sweep`` for each value of a ``sweepable`` parameter);
@@ -118,19 +118,6 @@ class System:
 
 def _billiard(p: dict) -> LocalEnergyField:
     return billiard_local_energy_field(AnnularBilliard(p["r"], p["delta"]))
-
-
-def _check_helium(p: dict) -> None:
-    if p["Z"] < 1.0:
-        raise ValueError("helium-like bounds need Z >= 1")
-
-
-def _check_magnetic(p: dict) -> None:
-    MagneticHydrogen(p["B"])
-    if p["variant"] not in (*VARIANTS, "trivial"):
-        raise ValueError(f"unknown variant {p['variant']!r}")
-    if p["variant"] == "improved" and p["B"] <= 0:
-        raise ValueError("the improved trial needs B > 0")
 
 
 def _magnetic_bounds(p: dict, cfg: SearchConfig) -> BoundsResult:
@@ -168,6 +155,20 @@ def _dirichlet_2d(field: LocalEnergyField, n: int, box) -> OracleResult:
     return solve_2d_dirichlet_ground_state(field.domain, Grid2D(box or field.domain.box, n))
 
 
+# the radial profile of hydrogen's exact trial, under two names
+_HYDROGEN = System(
+    dim=1,
+    params={},
+    grid_n=401,
+    oracle_grid_n=4000,
+    bounds=lambda p, cfg: bounds_of_field(hydrogen_radial_field(1.0), cfg),
+    field=lambda p: (p, hydrogen_radial_field(1.0)),
+    columns=("r", "e_loc"),
+    oracle=lambda p, n, box: solve_1d_ground_state(
+        lambda r: -1.0 / r, _line(box, RADIAL_BOX, n), dirichlet_edges=(True, False)
+    ),
+)
+
 SYSTEMS: dict[str, System] = {
     "annular-billiard": System(
         dim=2,
@@ -184,7 +185,7 @@ SYSTEMS: dict[str, System] = {
     "helium": System(
         dim=3,
         params={"Z": (2.0, "helium-like nuclear charge")},
-        check=_check_helium,
+        check=lambda p: helium_bounds(p["Z"]),
         grid_n=61,
         sweepable=("Z",),
         bounds=lambda p, cfg: helium_bounds(p["Z"]),
@@ -195,7 +196,7 @@ SYSTEMS: dict[str, System] = {
             "B": (1.0, "magnetic field strength"),
             "variant": ("trivial", "magnetic trial: lower, upper, improved or trivial"),
         },
-        check=_check_magnetic,
+        check=_magnetic_field,  # the field's builder checks B and the variant
         grid_n=161,
         sweepable=("B",),
         bounds=_magnetic_bounds,
@@ -219,23 +220,8 @@ SYSTEMS: dict[str, System] = {
         oracle=_quartic_oracle,
         refine=_quartic_refine,
     ),
-    "hydrogen": System(
-        dim=1,
-        params={},
-        grid_n=401,
-        bounds=lambda p, cfg: bounds_of_field(hydrogen_radial_field(1.0), cfg),
-    ),
-    "hydrogen-radial": System(
-        dim=1,
-        params={},
-        grid_n=401,
-        oracle_grid_n=4000,
-        field=lambda p: (p, hydrogen_radial_field(1.0)),
-        columns=("r", "e_loc"),
-        oracle=lambda p, n, box: solve_1d_ground_state(
-            lambda r: -1.0 / r, _line(box, RADIAL_BOX, n), dirichlet_edges=(True, False)
-        ),
-    ),
+    "hydrogen": _HYDROGEN,
+    "hydrogen-radial": _HYDROGEN,
     "harmonic": System(
         dim=1,
         params={},
@@ -455,7 +441,7 @@ def cmd_sweep(spec: RunSpec) -> tuple[dict, dict]:
 def cmd_field(spec: RunSpec) -> tuple[dict, dict]:
     system = SYSTEMS[spec.system]
     params, field = system.field(spec.params)
-    qs = grid_points(spec.search.box or field.domain.box, spec.search.grid_points_per_axis)
+    qs = grid_points(spec.search.box_for(field.domain), spec.search.grid_points_per_axis)
     qs = qs[field.domain.interior_mask(qs)]
     vals = field.evaluate_with_limits(qs, singular_as_nan=spec.extras["singular"] == "nan")
     # the rows stay one float array; both renderers write it column by column

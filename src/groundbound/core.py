@@ -31,17 +31,21 @@ __all__ = [
     "Domain",
     "Hamiltonian",
     "LogTrialFunction",
-    "RatioTrialFunction",
     "LocalEnergyField",
     "BoundsResult",
     "CrossCheckReport",
     "SingularEvaluationError",
     "local_energy_log_batch",
-    "local_energy_ratio_batch",
     "cross_check_field",
     "derivative_consistency",
     "make_log_field",
 ]
+
+SAMPLE_ROUNDS = 200  # rejection-sampling draws before sample_interior gives up
+CROSS_CHECK_TOLERANCE = 1e-8  # relative, between analytically equal representations
+FD_STEP_GRAD = 1e-5  # central-difference steps of derivative_consistency
+FD_STEP_LAP = 1e-4
+
 
 class SingularEvaluationError(ValueError):
     """No point outside the declared singular sets could be drawn to evaluate at."""
@@ -207,26 +211,9 @@ class LogTrialFunction:
     the identity.
     """
 
-    params: np.ndarray
     s: Callable[[np.ndarray], np.ndarray]
     derivs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     normalizable: bool = True
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", np.atleast_1d(np.asarray(self.params, dtype=float)))
-
-
-@dataclass(frozen=True)
-class RatioTrialFunction:
-    """Trial state given directly as ``phi`` and ``H phi`` (both analytic).
-
-    Needed where ``phi`` vanishes (billiard boundaries); ``phi`` must be
-    positive on the interior except on declared zero sets.
-    """
-
-    phi: Callable[[np.ndarray], np.ndarray]
-    h_phi: Callable[[np.ndarray], np.ndarray]
     label: str = ""
 
 
@@ -275,6 +262,20 @@ class LocalEnergyField:
         for tube, limit in fills:
             out[tube] = limit
         return out
+
+
+def declared_limits(
+    domain: Domain, asymptotic_limits: tuple[AsymptoticLimit, ...], kind: str
+) -> list[tuple[str, float]]:
+    """The declared candidates of a ``kind`` (``"min"`` or ``"max"``) search as
+    ``(attained, value)`` pairs: each singular set's limit on that side, then
+    each asymptotic limit, in declaration order."""
+    out = []
+    for s in domain.excluded_singular_sets:
+        lim = s.min_limit if kind == "min" else s.max_limit
+        if lim is not None:
+            out.append((f"singular:{s.name}", lim))
+    return out + [(f"asymptotic:{a.name}", a.value) for a in asymptotic_limits]
 
 
 @dataclass(frozen=True)
@@ -346,15 +347,6 @@ def local_energy_log_batch(h: Hamiltonian, trial: LogTrialFunction, qs: np.ndarr
     return v - kin
 
 
-def local_energy_ratio_batch(trial: RatioTrialFunction, qs: np.ndarray) -> np.ndarray:
-    """Vectorized ``(H phi)(q) / phi(q)``; zero denominators yield inf/nan."""
-    qs = np.asarray(qs, dtype=float)
-    phi = np.asarray(trial.phi(qs), dtype=float)
-    hphi = np.asarray(trial.h_phi(qs), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return hphi / phi
-
-
 # ---------------------------------------------------------------------------
 # field construction helpers
 
@@ -363,7 +355,6 @@ def make_log_field(
     h: Hamiltonian,
     trial: LogTrialFunction,
     asymptotic_limits: tuple[AsymptoticLimit, ...] = (),
-    alternates: tuple = (),
     label: str = "",
 ) -> LocalEnergyField:
     def _eval(qs: np.ndarray) -> np.ndarray:
@@ -372,7 +363,6 @@ def make_log_field(
     return LocalEnergyField(
         domain=h.domain,
         evaluate=_eval,
-        alternates=tuple(alternates),
         asymptotic_limits=tuple(asymptotic_limits),
         label=label or (trial.label and f"log-form local energy of {trial.label}"),
     )
@@ -383,16 +373,16 @@ def sample_interior(
     n: int,
     rng: np.random.Generator,
     extra_mask: Callable[[np.ndarray], np.ndarray] | None = None,
-    max_tries: int = 200,
 ) -> np.ndarray:
-    """Rejection-sample ``n`` strictly interior (and unmasked) points."""
+    """Rejection-sample ``n`` strictly interior (and unmasked) points, in at
+    most ``SAMPLE_ROUNDS`` draws."""
     if domain.box is None:
         raise ValueError("domain has no search box to sample from")
     lo = np.array([b[0] for b in domain.box])
     hi = np.array([b[1] for b in domain.box])
     got: list[np.ndarray] = []
     total = 0
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_ROUNDS):
         cand = rng.uniform(lo, hi, size=(max(4 * n, 64), domain.dimension))
         ok = domain.valid_mask(cand)
         if extra_mask is not None:
@@ -409,17 +399,12 @@ def sample_interior(
     )
 
 
-def cross_check_field(
-    f: LocalEnergyField,
-    n_samples: int,
-    seed: int,
-    tolerance: float = 1e-8,
-) -> CrossCheckReport:
+def cross_check_field(f: LocalEnergyField, n_samples: int, seed: int) -> CrossCheckReport:
     """Sample interior points and compare all representations of the field.
 
     The representations are analytically equal, so the maximum relative
     discrepancy over the sample is itself the oracle: the check passes iff it
-    stays at rounding level (default ``1e-8``).
+    stays at rounding level (``CROSS_CHECK_TOLERANCE``).
     """
     if not f.alternates:
         raise ValueError("field has a single representation; nothing to cross-check")
@@ -432,7 +417,10 @@ def cross_check_field(
         scale = np.maximum(np.maximum(np.abs(reps[0]), np.abs(other)), 1e-300)
         worst = max(worst, float(np.max(np.abs(reps[0] - other) / scale)))
     return CrossCheckReport(
-        n_requested=n_samples, n_used=pts.shape[0], max_rel_discrepancy=worst, tolerance=tolerance
+        n_requested=n_samples,
+        n_used=pts.shape[0],
+        max_rel_discrepancy=worst,
+        tolerance=CROSS_CHECK_TOLERANCE,
     )
 
 
@@ -440,18 +428,14 @@ def cross_check_field(
 # finite-difference consistency of supplied derivatives
 
 
-def derivative_consistency(
-    trial: LogTrialFunction,
-    qs: np.ndarray,
-    h_grad: float = 1e-5,
-    h_lap: float = 1e-4,
-) -> tuple[float, float]:
+def derivative_consistency(trial: LogTrialFunction, qs: np.ndarray) -> tuple[float, float]:
     """Max relative error of the gradient from ``derivs`` vs central
     differences of ``s``, and of its Laplacian (a Hessian's trace) vs the
     finite-difference divergence of the gradient.
 
-    Step sizes follow the usual central-difference optimum; the returned pair
-    is compared against (1e-6, 1e-5) by the shipped-trial consistency tests.
+    The steps ``FD_STEP_GRAD`` and ``FD_STEP_LAP`` follow the usual
+    central-difference optimum; the returned pair is compared against
+    (1e-6, 1e-5) by the shipped-trial consistency tests.
     """
     qs = np.asarray(qs, dtype=float)
     n, dim = qs.shape
@@ -464,10 +448,12 @@ def derivative_consistency(
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = 1.0
-        g_fd[:, i] = (trial.s(qs + h_grad * e) - trial.s(qs - h_grad * e)) / (2 * h_grad)
-        gp = np.asarray(trial.derivs(qs + h_lap * e)[0], dtype=float)[:, i]
-        gm = np.asarray(trial.derivs(qs - h_lap * e)[0], dtype=float)[:, i]
-        div_fd += (gp - gm) / (2 * h_lap)
+        g_fd[:, i] = (
+            trial.s(qs + FD_STEP_GRAD * e) - trial.s(qs - FD_STEP_GRAD * e)
+        ) / (2 * FD_STEP_GRAD)
+        gp = np.asarray(trial.derivs(qs + FD_STEP_LAP * e)[0], dtype=float)[:, i]
+        gm = np.asarray(trial.derivs(qs - FD_STEP_LAP * e)[0], dtype=float)[:, i]
+        div_fd += (gp - gm) / (2 * FD_STEP_LAP)
 
     g_scale = np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1.0)
     grad_err = float(np.max(np.abs(g - g_fd) / g_scale))

@@ -13,11 +13,12 @@ construction.  Bumps share a center and width only once: committing at a
 sum has one term per distinct center however often the schedule revisits it.
 
 Selection is cheap because the local energy is exactly quadratic in one
-amplitude: with unit-bump derivatives ``g1, g2`` and the committed trial's
-``grad S0, lap S0``,
+amplitude: with the kinetic coefficient ``c`` of ``H = -c d^2/dq^2 + V``
+(``1/2`` for the shipped systems), unit-bump derivatives ``g1, g2`` and the
+committed trial's ``grad S0, lap S0``,
 
-    E_loc(q; s) = [V - (lap S0 + (grad S0)^2)/2]
-                  - s (g2 + 2 g1 grad S0)/2  -  s^2 g1^2/2
+    E_loc(q; s) = [V - c (lap S0 + (grad S0)^2)]
+                  - s c (g2 + 2 g1 grad S0)  -  s^2 c g1^2
 
 so a dense amplitude scan costs a few small broadcasts over a fixed grid.  The
 committed trial's part of it (the grid, ``grad S0`` and the ``alpha`` term) is
@@ -42,6 +43,7 @@ from .core import (
     LocalEnergyField,
     LogTrialFunction,
     coordinate_1d,
+    declared_limits,
     make_log_field,
 )
 from .search import SearchConfig, global_min
@@ -75,6 +77,9 @@ SCAN_BLOCK = 8
 # Bound changes below this are search-resolution noise, not regressions; the
 # commit rule itself stays strict so the recorded history never decreases.
 CENSOR_TOL = 1e-9
+# The default schedule's centers: [-4, 4] at spacing 0.5.
+CENTER_SPAN = (-4.0, 4.0)
+CENTER_SPACING = 0.5
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,6 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
         return grad, np.asarray(lap0, dtype=float) + d2
 
     return LogTrialFunction(
-        params=np.concatenate([base.params, s_arr]),
         s=s,
         derivs=derivs,
         normalizable=base.normalizable,
@@ -268,8 +272,7 @@ def censor_guard(
 def _selection_grid(state: RefinementState, cfg: SearchConfig) -> _SelectionGrid:
     """The state's cached selection grid, or a fresh one if it no longer fits."""
     h = state.hamiltonian
-    box_q = (cfg.box or h.domain.box)[0]
-    box = (float(box_q[0]), float(box_q[1]))
+    box = cfg.box_for(h.domain)[0]
     n = max(SELECTION_GRID_MIN, 10 * cfg.grid_points_per_axis + 1)
     if state.selection is not None and state.selection.fits(state, box, n):
         return state.selection
@@ -279,7 +282,7 @@ def _selection_grid(state: RefinementState, cfg: SearchConfig) -> _SelectionGrid
     grad, lap0 = perturbed_trial(state).derivs(qs)
     grad0 = np.asarray(grad, dtype=float)[:, 0]
     lap0 = np.asarray(lap0, dtype=float)
-    alpha = v - 0.5 * (lap0 + grad0 * grad0)
+    alpha = v - h.isotropic_coefficient * (lap0 + grad0 * grad0)
     return _SelectionGrid(h, state.base, state.bumps, box, n, qs[:, 0], grad0, alpha)
 
 
@@ -294,16 +297,15 @@ class _AmplitudeCurve:
     def __init__(self, state: RefinementState, a: float, sigma: float, cfg: SearchConfig):
         self.selection = sel = _selection_grid(state, cfg)
         self.grid, self.alpha = sel.grid, sel.alpha
+        c = state.hamiltonian.isotropic_coefficient
         g1, g2 = _bump_derivs(self.grid, 1.0, a, sigma)
-        self.beta = -0.5 * (g2 + 2.0 * sel.grad0 * g1)
-        self.gamma = -0.5 * g1 * g1
+        self.beta = -c * (g2 + 2.0 * sel.grad0 * g1)
+        self.gamma = -c * g1 * g1
         # |q - a| is monotone on either side of a, so the window is one slice
         inside = np.flatnonzero(np.abs(self.grid - a) <= LOCAL_WINDOW_SIGMAS * sigma)
         self.window = slice(inside[0], inside[-1] + 1) if inside.size else None
-        domain = state.hamiltonian.domain
-        limits = [lim.value for lim in state.asymptotic_limits]
-        limits += [s.min_limit for s in domain.excluded_singular_sets if s.min_limit is not None]
-        self.limit_floor = min(limits, default=math.inf)
+        limits = declared_limits(state.hamiltonian.domain, state.asymptotic_limits, "min")
+        self.limit_floor = min((lim for _, lim in limits), default=math.inf)
 
     def _energies(self, svals) -> np.ndarray:
         """E_loc on the grid, one row per amplitude: ``alpha + s beta + s^2 gamma``."""
@@ -450,12 +452,9 @@ def refine_schedule(
     return state
 
 
-def default_centers(
-    span: tuple[float, float] = (-4.0, 4.0),
-    spacing: float = 0.5,
-    sweeps: int = 12,
-) -> list[float]:
-    """Equi-spaced centers ordered inside-out, swept repeatedly.
+def default_centers(sweeps: int = 12) -> list[float]:
+    """``CENTER_SPAN`` at ``CENTER_SPACING``, ordered inside-out, swept
+    ``sweeps`` times.
 
     The first center sits where the committed trial's log-derivative is small
     (between symmetric wells a bump there lifts both minima at once, so the
@@ -464,7 +463,7 @@ def default_centers(
     pins the bound, so the schedule revisits every center and lets the two
     sides leapfrog.
     """
-    lo, hi = span
-    n = int(round((hi - lo) / spacing))
-    one = sorted((lo + spacing * i for i in range(n + 1)), key=lambda a: (abs(a), -a))
+    lo, hi = CENTER_SPAN
+    n = int(round((hi - lo) / CENTER_SPACING))
+    one = sorted((lo + CENTER_SPACING * i for i in range(n + 1)), key=lambda a: (abs(a), -a))
     return one * max(1, sweeps)

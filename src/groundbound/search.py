@@ -36,10 +36,12 @@ import numpy as np
 
 from .core import (
     BoundsResult,
+    Domain,
     Hamiltonian,
     LocalEnergyField,
     ResolutionCaveat,
     SingularEvaluationError,
+    declared_limits,
     evaluate_masked,
     sample_interior,
 )
@@ -87,6 +89,14 @@ class SearchConfig:
             raise ValueError("refinement_levels must be at least 1")
         if self.multistart_count < 1:
             raise ValueError("multistart_count must be at least 1")
+
+    def box_for(self, domain: Domain) -> tuple[tuple[float, float], ...]:
+        """The search box over ``domain``: this config's box, else the
+        domain's, as float pairs."""
+        box = self.box or domain.box
+        if box is None:
+            raise ValueError("no search box: neither the domain nor the config supplies one")
+        return tuple((float(lo), float(hi)) for lo, hi in box)
 
 
 @dataclass(frozen=True)
@@ -297,10 +307,7 @@ def _search_extrema(
     invariant, so each report is the one a search of its field for its kind
     alone would give.
     """
-    box = cfg.box or fields[0].domain.box
-    if box is None:
-        raise ValueError("no search box: neither the domain nor the config supplies one")
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    box = cfg.box_for(fields[0].domain)
     for field in fields:
         if field.domain.kind == "unbounded" and not field.asymptotic_limits:
             raise ValueError(
@@ -383,22 +390,14 @@ def _extremum_report(
         if v < interior_v or (v == interior_v and interior_x is not None and tuple(x) < tuple(interior_x)):
             interior_x, interior_v = x, v
     if interior_x is not None and np.isfinite(interior_v):
-        history.append(min(history[-1], interior_v) if history else interior_v)
+        history.append(min(history[-1], interior_v))
 
-    # fold in declared limits
     winner_value = interior_v
     winner_attained = "interior"
-    for s in field.domain.excluded_singular_sets:
-        lim = s.min_limit if kind == "min" else s.max_limit
-        if lim is None:
-            continue
+    for attained, lim in declared_limits(field.domain, field.asymptotic_limits, kind):
         if sign * lim < winner_value:
             winner_value = sign * lim
-            winner_attained = f"singular:{s.name}"
-    for a in field.asymptotic_limits:
-        if sign * a.value < winner_value:
-            winner_value = sign * a.value
-            winner_attained = f"asymptotic:{a.name}"
+            winner_attained = attained
 
     at_limit = winner_attained != "interior"
     if at_limit:
@@ -434,16 +433,15 @@ def global_max(field: LocalEnergyField, cfg: SearchConfig | None = None) -> Extr
 
 
 def _caveat(field: LocalEnergyField, cfg: SearchConfig) -> ResolutionCaveat:
-    box = cfg.box or field.domain.box or ()
-    spacing = max((hi - lo) / (cfg.grid_points_per_axis - 1) for lo, hi in box) if box else float("nan")
+    box = cfg.box_for(field.domain)
     # the polish refines far below the final grid, but the grid is what
     # certifies globality, so the caveat reports the level-0 spacing
     return ResolutionCaveat(
         grid_points_per_axis=cfg.grid_points_per_axis,
         refinement_levels=cfg.refinement_levels,
         multistart_count=cfg.multistart_count,
-        box=tuple((float(lo), float(hi)) for lo, hi in box),
-        final_grid_spacing=spacing,
+        box=box,
+        final_grid_spacing=max((hi - lo) / (cfg.grid_points_per_axis - 1) for lo, hi in box),
     )
 
 

@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import (
-    Domain,
-    Hamiltonian,
-    LocalEnergyField,
-    RatioTrialFunction,
-    SingularSet,
-    local_energy_ratio_batch,
-)
+from ..core import Domain, Hamiltonian, LocalEnergyField, SingularSet
 from ..polynomials import MultivariatePolynomial
 
 __all__ = ["AnnularBilliard", "billiard_local_energy_field", "unit_disk_field"]
@@ -79,32 +72,28 @@ class AnnularBilliard:
     def hamiltonian(self) -> Hamiltonian:
         return Hamiltonian.isotropic(0.5, lambda qs: np.zeros(qs.shape[0]), self.domain())
 
-    def trial(self) -> RatioTrialFunction:
-        """phi = -b (positive on the interior), H phi = Delta(b)/2."""
-        b_poly = self.boundary_polynomial()
-        lap_b = b_poly.laplacian()
-        return RatioTrialFunction(
-            phi=lambda qs: -self.b(qs),
-            h_phi=lambda qs: 0.5 * lap_b(qs),
-            label=f"annular billiard r={self.r} delta={self.delta}",
-        )
-
 
 def billiard_local_energy_field(ab: AnnularBilliard) -> LocalEnergyField:
     """Closed-form field -Delta(b)/(2b), cross-checkable against the
     polynomial-arithmetic ratio form of the same trial."""
     r2, d = ab.r * ab.r, ab.delta
+    lap_b = ab.boundary_polynomial().laplacian()
 
     def closed_form(qs: np.ndarray) -> np.ndarray:
         x, y = qs[:, 0], qs[:, 1]
         ring = (x - d / 2.0) ** 2 + y * y - (1.0 + r2) / 4.0
         return -8.0 * ring / ab.b(qs)
 
-    trial = ab.trial()
+    def ratio_form(qs: np.ndarray) -> np.ndarray:
+        """``H phi / phi`` of ``phi = -b``: ``0.5 Delta(b) / (-b)``, with
+        ``Delta(b)`` from polynomial arithmetic; a zero ``b`` gives inf/nan."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (0.5 * lap_b(qs)) / (-ab.b(qs))
+
     return LocalEnergyField(
         domain=ab.domain(),
         evaluate=closed_form,
-        alternates=(lambda qs: local_energy_ratio_batch(trial, qs),),
+        alternates=(ratio_form,),
         asymptotic_limits=(),
         label=f"annular billiard local energy (r={ab.r}, delta={ab.delta})",
     )

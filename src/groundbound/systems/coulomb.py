@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 COINCIDENCE_TUBE = 1e-6
+BOX_HALF_WIDTH = 3.0  # the search box of coulomb_hamiltonian, per flat coordinate
+NORMALIZABLE_DIRECTIONS = 256  # random unit configurations of trial_is_normalizable
+NORMALIZABLE_SEED = 7
 
 
 def _reduced_mass(mi: float, mj: float) -> float:
@@ -167,13 +170,14 @@ def _flat_to_positions(cs: CoulombSystem, qs: np.ndarray) -> np.ndarray:
     return qs.reshape(qs.shape[0], cs.n_particles - 1, cs.space_dim)
 
 
-def trial_is_normalizable(cs: CoulombSystem, n_dirs: int = 256, seed: int = 7) -> bool:
+def trial_is_normalizable(cs: CoulombSystem) -> bool:
     """Directional decay check for exp(S): S is homogeneous of degree one in a
     global dilation, so exp(S) decays in every direction iff S < 0 on all
-    unit-scale configurations.  Sampled, with collinear adversaries included.
+    unit-scale configurations.  Sampled (``NORMALIZABLE_DIRECTIONS`` seeded
+    draws), with collinear adversaries included.
     """
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_dirs, cs.n_particles - 1, cs.space_dim))
+    rng = np.random.default_rng(NORMALIZABLE_SEED)
+    dirs = rng.standard_normal((NORMALIZABLE_DIRECTIONS, cs.n_particles - 1, cs.space_dim))
     # collinear adversaries: all particles along one axis, both orientations
     line = np.zeros((2 * (cs.n_particles - 1), cs.n_particles - 1, cs.space_dim))
     for k in range(cs.n_particles - 1):
@@ -235,7 +239,6 @@ def coulomb_log_trial(cs: CoulombSystem, check_normalizable: bool = True) -> Log
             stacklevel=2,
         )
     return LogTrialFunction(
-        params=lam[iu],
         s=s,
         derivs=derivs,
         normalizable=normalizable,
@@ -253,7 +256,7 @@ def _coincidence_tube(cs: CoulombSystem):
     return tube
 
 
-def coulomb_hamiltonian(cs: CoulombSystem, box_half_width: float = 3.0) -> Hamiltonian:
+def coulomb_hamiltonian(cs: CoulombSystem) -> Hamiltonian:
     """Eq-form Hamiltonian on flat relative coordinates.
 
     The inverse-mass form has diagonal blocks I/(2 m_{0k}) and off-diagonal
@@ -285,7 +288,7 @@ def coulomb_hamiltonian(cs: CoulombSystem, box_half_width: float = 3.0) -> Hamil
     dom = Domain(
         dimension=cs.flat_dim,
         kind="unbounded",
-        box=tuple((-box_half_width, box_half_width) for _ in range(cs.flat_dim)),
+        box=tuple((-BOX_HALF_WIDTH, BOX_HALF_WIDTH) for _ in range(cs.flat_dim)),
         excluded_singular_sets=(coincide,),
     )
     return Hamiltonian(a, potential, dom)
@@ -343,7 +346,7 @@ def helium_bounds(z: float) -> BoundsResult:
     [-Z^2 - 1/4, -(Z - 1/2)^2].  No search involved.
     """
     if z < 1.0:
-        raise ValueError("helium-like bounds need Z >= 1")
+        raise ValueError(f"helium-like bounds need Z >= 1, got Z = {z!r}")
     lower = -z * z - 0.25
     upper = -((z - 0.5) ** 2)
     # sup attained at diametrically opposed electrons; inf only in the

@@ -49,7 +49,6 @@ def hydrogen_trial_3d(lam: float = 1.0) -> LogTrialFunction:
         return -lam * qs / r[:, None], -2.0 * lam / r
 
     return LogTrialFunction(
-        params=np.array([lam]),
         s=lambda qs: -lam * r_of(qs),
         derivs=derivs,
         normalizable=lam > 0,

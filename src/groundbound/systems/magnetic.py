@@ -56,6 +56,8 @@ __all__ = [
 VARIANTS = ("lower", "upper", "improved")
 ORIGIN_TUBE = 1e-6
 CUSP_TOL = 1e-10
+BOX_HALF_WIDTH = 10.0  # the (rho, z) search box is [0, BOX_HALF_WIDTH]^2
+AXIS_RADII = (0.1, 1.0, 10.0)  # where cusp_defects checks the axis condition
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,10 @@ class MagneticHydrogen:
 
     def __post_init__(self) -> None:
         if self.B < 0:
-            raise ValueError("field strength must be nonnegative")
+            raise ValueError(f"field strength must be nonnegative, got B = {self.B!r}")
 
-    def box(self, half_width: float = 10.0) -> tuple[tuple[float, float], ...]:
-        return ((0.0, half_width), (0.0, half_width))
+    def box(self) -> tuple[tuple[float, float], ...]:
+        return ((0.0, BOX_HALF_WIDTH), (0.0, BOX_HALF_WIDTH))
 
 
 def _improved_k(mh: MagneticHydrogen, variant: str) -> float:
@@ -78,7 +80,7 @@ def _improved_k(mh: MagneticHydrogen, variant: str) -> float:
     if variant != "improved":
         raise ValueError(f"unknown trial variant {variant!r}; pick one of {VARIANTS}")
     if mh.B <= 0:
-        raise ValueError("the improved trial needs B > 0 (it contains sqrt(B))")
+        raise ValueError(f"the improved trial needs B > 0 (it contains sqrt(B)), got B = {mh.B!r}")
     return 5.0 / math.sqrt(mh.B)
 
 
@@ -197,7 +199,6 @@ def magnetic_trial(mh: MagneticHydrogen, variant: str) -> LogTrialFunction:
         return g, -2.0 / r + u_rr + u_ror + u_zz
 
     return LogTrialFunction(
-        params=np.array([mh.B]),
         s=s,
         derivs=derivs,
         normalizable=True,
@@ -205,13 +206,13 @@ def magnetic_trial(mh: MagneticHydrogen, variant: str) -> LogTrialFunction:
     )
 
 
-def cusp_defects(mh: MagneticHydrogen, variant: str, radii=(0.1, 1.0, 10.0)) -> tuple[float, float]:
+def cusp_defects(mh: MagneticHydrogen, variant: str) -> tuple[float, float]:
     """Numerical defects of the two Coulomb-cusp conditions.
 
     Radial condition: the directional derivative of S at the origin must be -1
     in every direction; evaluated from the analytic gradient at r = 1e-12
     (no finite differencing, so the defect is O(r)).  Axis condition: the
-    rho-derivative of S must vanish at (0, r) for each requested r.
+    rho-derivative of S must vanish at (0, r) for each r of ``AXIS_RADII``.
     """
     t = 1e-12
     alphas = np.linspace(0.0, math.pi / 2.0, 19)
@@ -224,7 +225,7 @@ def cusp_defects(mh: MagneticHydrogen, variant: str, radii=(0.1, 1.0, 10.0)) -> 
     radial = (rho * s_r + z * s_z) / r
     defect_radial = float(np.max(np.abs(radial + 1.0)))
 
-    rr = np.asarray(radii, dtype=float)
+    rr = np.array(AXIS_RADII)
     axis = np.zeros_like(rr)
     u_r_axis, *_ = _u_derivs(mh, variant, axis, rr, np.hypot(axis, rr))
     defect_axis = float(np.max(np.abs(u_r_axis)))  # -rho/r vanishes at rho = 0

@@ -36,7 +36,7 @@ from ..core import (
 
 __all__ = ["QuarticOscillator", "quartic_system", "quartic_field"]
 
-DEFAULT_BOX_HALF_WIDTH = 8.0
+BOX_HALF_WIDTH = 8.0
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class QuarticOscillator:
     def asymptotic_local_energy(self) -> float:
         return (self.r**2 * self.delta2**2 / 2.0) * (1.0 - (1.0 - self.eta) ** 2 / 4.0)
 
-    def box(self, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> tuple[tuple[float, float], ...]:
-        return ((-half_width, half_width),)
+    def box(self) -> tuple[tuple[float, float], ...]:
+        return ((-BOX_HALF_WIDTH, BOX_HALF_WIDTH),)
 
     def domain(self) -> Domain:
         return Domain(dimension=1, kind="unbounded", box=self.box())
@@ -119,7 +119,6 @@ class QuarticOscillator:
             return s1[:, None], s2
 
         return LogTrialFunction(
-            params=np.array([self.r, float(self.eta), self.delta2]),
             s=lambda qs: self._s0(coordinate_1d(qs)),
             derivs=derivs,
             normalizable=True,
@@ -132,17 +131,15 @@ def quartic_system(qo: QuarticOscillator) -> tuple[Hamiltonian, LogTrialFunction
     return qo.hamiltonian(), qo.log_trial()
 
 
-def quartic_field(qo: QuarticOscillator, trial: LogTrialFunction | None = None) -> LocalEnergyField:
-    """Local-energy field of the (possibly perturbed) trial.
+def quartic_field(qo: QuarticOscillator) -> LocalEnergyField:
+    """Local-energy field of the base trial.
 
     The asymptotic limit is a property of the base trial's tail and survives
-    any bounded, localized perturbation, so it is attached unconditionally.
+    any bounded, localized perturbation (refinement's bumps carry it over).
     """
-    h = qo.hamiltonian()
-    trial = trial or qo.log_trial()
     return make_log_field(
-        h,
-        trial,
+        qo.hamiltonian(),
+        qo.log_trial(),
         asymptotic_limits=(
             AsymptoticLimit("|q| -> inf (both tails)", qo.asymptotic_local_energy()),
         ),

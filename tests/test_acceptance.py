@@ -157,7 +157,7 @@ def test_criterion_08_cusp_conditions():
     with criterion(8, "magnetic hydrogen cusp conditions hold to 1e-10 for every variant"):
         for b in (0.5, 1.0, 2.3, 4.0):
             for variant in ("lower", "upper", "improved"):
-                radial, axis = cusp_defects(MagneticHydrogen(b), variant, radii=(0.1, 1.0, 10.0))
+                radial, axis = cusp_defects(MagneticHydrogen(b), variant)
                 assert radial <= 1e-10, (b, variant, radial)
                 assert axis <= 1e-10, (b, variant, axis)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from groundbound.core import cross_check_field, local_energy_ratio_batch
+from groundbound.core import cross_check_field
 from groundbound.search import SearchConfig, global_min
 from groundbound.systems import AnnularBilliard, billiard_local_energy_field, unit_disk_field
 from groundbound.polynomials import MultivariatePolynomial as P, barta_polynomial_construction
@@ -25,8 +25,9 @@ def test_closed_form_equals_polynomial_ratio_everywhere():
 
 
 def test_ratio_value_near_the_minimizer():
-    ab = AnnularBilliard(r=0.75, delta=0.1)
-    val = local_energy_ratio_batch(ab.trial(), np.array([[0.86, 0.0]]))
+    # the alternate is H phi / phi of phi = -b, with Delta(b) from polynomial arithmetic
+    (ratio_form,) = billiard_local_energy_field(AnnularBilliard(r=0.75, delta=0.1)).alternates
+    val = ratio_form(np.array([[0.86, 0.0]]))
     assert val[0] == pytest.approx(28.390, abs=0.01)
 
 
@@ -41,7 +42,7 @@ def test_trial_is_positive_inside():
     ab = AnnularBilliard(r=0.75, delta=0.1)
     pts = np.random.default_rng(4).uniform(-1, 1.1, size=(4000, 2))
     inside = pts[ab.domain().interior_mask(pts)]
-    assert np.all(ab.trial().phi(inside) > 0)
+    assert np.all(-ab.b(inside) > 0)  # phi = -b
 
 
 def test_concentric_case_symmetry_and_ring_degeneracy():

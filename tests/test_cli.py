@@ -256,6 +256,52 @@ def test_exit_codes_for_bad_specs(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["bounds", "field", "oracle"])
+def test_hydrogen_and_hydrogen_radial_are_one_system(tmp_path, command):
+    _, radial = run(tmp_path, command, "--system", "hydrogen-radial", "--format", "json", name="radial")
+    code, plain = run(tmp_path, command, "--system", "hydrogen", "--format", "json", name="plain")
+    assert code == 0
+    assert json.loads(radial)["system"]["name"] == "hydrogen-radial"
+    assert json.loads(plain)["system"]["name"] == "hydrogen"
+    assert radial.count('"hydrogen-radial"') == 1
+    assert radial.replace('"hydrogen-radial"', '"hydrogen"') == plain
+
+
+# each bad value, as a flag, a config key and a sweep value, with the text
+# the system's own check names it by
+BAD_PARAMS = {
+    "improved-at-B-0": ("magnetic-hydrogen", {"variant": "improved", "B": "0"}, "B", "B = 0.0"),
+    "unknown-variant": ("magnetic-hydrogen", {"variant": "landau"}, "B", "'landau'"),
+    "Z-below-1": ("helium", {"Z": "0.5"}, "Z", "Z = 0.5"),
+}
+
+
+@pytest.mark.parametrize("how", ["flags", "config", "sweep"])
+@pytest.mark.parametrize("case", BAD_PARAMS)
+def test_systems_check_their_own_parameters(tmp_path, capsys, case, how):
+    system, params, swept, named = BAD_PARAMS[case]
+    if how == "flags":
+        argv = ["bounds", "--system", system, *(a for k, v in params.items() for a in (f"--{k}", v))]
+    elif how == "config":
+        conf = tmp_path / "run.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in params.items()))
+        argv = ["bounds", "--system", system, "--config", str(conf)]
+    else:
+        fixed = {k: v for k, v in params.items() if k != swept}
+        values = f"1,{params[swept]}" if swept in params else "1"
+        argv = ["sweep", "--system", system, "--param", swept, "--values", values,
+                *(a for k, v in fixed.items() for a in (f"--{k}", v))]
+    code, text = run(tmp_path, *argv)
+    assert (code, text) == (2, None)
+    assert named in capsys.readouterr().err
+
+
+def test_trivial_magnetic_bounds_accept_B_0(tmp_path):
+    code, text = run(tmp_path, "bounds", "--system", "magnetic-hydrogen", "--variant", "trivial", "--B", "0")
+    assert code == 0
+    assert json.loads(text)["result"]["lower"] == pytest.approx(-0.5, abs=1e-9)
+
+
 def test_trivial_magnetic_caveat_echoes_box(tmp_path):
     box = ["--box", "0.01:6,-6:6", "--grid-n", "41"]
     _, trivial = run(tmp_path, "bounds", "--system", "magnetic-hydrogen", *box, name="trivial")

@@ -11,14 +11,12 @@ from groundbound.core import (
     Hamiltonian,
     LocalEnergyField,
     LogTrialFunction,
-    RatioTrialFunction,
     SingularEvaluationError,
     SingularSet,
     cross_check_field,
     derivative_consistency,
     evaluate_masked,
     local_energy_log_batch,
-    local_energy_ratio_batch,
 )
 from groundbound.systems import (
     CoulombSystem,
@@ -30,6 +28,7 @@ from groundbound.systems import (
     hydrogen_trial_3d,
     magnetic_trial,
     quartic_system,
+    unit_disk_field,
 )
 
 EXPECTED_QUARTIC_ELOC_AT_ZERO = -7.0 / 16.0
@@ -42,7 +41,6 @@ def harmonic_hamiltonian():
 
 def harmonic_trial():
     return LogTrialFunction(
-        params=np.array([1.0]),
         s=lambda qs: -0.5 * qs[:, 0] ** 2,
         derivs=lambda qs: (-qs, np.full(qs.shape[0], -1.0)),
     )
@@ -160,7 +158,6 @@ def test_anisotropic_form_needs_hessian():
     a = np.array([[0.5, 0.1], [0.1, 0.5]])
     h = Hamiltonian(a, lambda qs: np.zeros(qs.shape[0]), dom)
     t = LogTrialFunction(
-        params=np.array([]),
         s=lambda qs: -qs[:, 0] ** 2 - qs[:, 1] ** 2,
         derivs=lambda qs: (-2 * qs, np.full(qs.shape[0], -4.0)),
     )
@@ -172,15 +169,9 @@ def test_anisotropic_form_needs_hessian():
 # local energy, ratio form
 
 
-def unit_disk_ratio_trial():
-    b = lambda qs: qs[:, 0] ** 2 + qs[:, 1] ** 2 - 1.0
-    return RatioTrialFunction(phi=lambda qs: -b(qs), h_phi=lambda qs: np.full(qs.shape[0], 2.0))
-
-
 def test_disk_ratio_values():
     # phi = 1 - x^2 - y^2, H phi = -lap(phi)/2 = 2, so E_loc = 2/(1 - s)
-    t = unit_disk_ratio_trial()
-    vals = local_energy_ratio_batch(t, np.array([[0.0, 0.0], [0.5, 0.0]]))
+    vals = unit_disk_field().evaluate(np.array([[0.0, 0.0], [0.5, 0.0]]))
     assert vals == pytest.approx([2.0, 8.0 / 3.0], abs=1e-14)
 
 

@@ -31,7 +31,7 @@ def test_field_strength_validation():
 @pytest.mark.parametrize("B", [0.5, 1.0, 2.3, 4.0])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_cusp_conditions(B, variant):
-    radial, axis = cusp_defects(MagneticHydrogen(B), variant, radii=(0.1, 1.0, 10.0))
+    radial, axis = cusp_defects(MagneticHydrogen(B), variant)
     assert radial <= CUSP_TOL
     assert axis <= CUSP_TOL
 

@@ -74,14 +74,28 @@ SPECIALS = [
 CELLS = st.one_of(st.sampled_from(SPECIALS), st.floats(allow_subnormal=True))
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``; a mismatch reports its first offset with a short window
+    of each side, since a diff of two long documents takes minutes."""
+    if got == want:
+        return
+    at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+    window = slice(max(0, at - 40), at + 40)
+    pytest.fail(
+        f"documents differ at offset {at} (lengths {len(got)} and {len(want)}): "
+        f"got {got[window]!r}, want {want[window]!r}",
+        pytrace=False,
+    )
+
+
 def assert_same_documents(table):
     header = [f"c{j}" for j in range(table.shape[1])]
     rows = table.tolist()
-    assert render_csv(header, table) == ref_csv(header, rows)
+    assert_same_text(render_csv(header, table), ref_csv(header, rows))
     system = {"name": "test", "p": 1.5}
     config = {"box": None, "seed": 0}
     got = render_json(envelope("field", system, config, {"columns": header, "rows": table}))
-    assert got == ref_json("field", system, config, {"columns": header, "rows": rows})
+    assert_same_text(got, ref_json("field", system, config, {"columns": header, "rows": rows}))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -153,7 +167,7 @@ def test_tables_nested_anywhere_render_like_the_reference():
     empty = np.empty((0, 2))
     doc = {"a": a, "b": {"c": {"d": b, "e": [empty, a]}}, "z": "s"}
     listed = {"a": a.tolist(), "b": {"c": {"d": b.tolist(), "e": [[], a.tolist()]}}, "z": "s"}
-    assert render_json(envelope("x", {}, {}, doc)) == ref_json("x", {}, {}, listed)
+    assert_same_text(render_json(envelope("x", {}, {}, doc)), ref_json("x", {}, {}, listed))
 
 
 def test_non_table_objects_are_still_rejected():

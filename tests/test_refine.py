@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from groundbound.core import derivative_consistency
+from groundbound.core import Hamiltonian, derivative_consistency
 from groundbound.refine import (
     DEFAULT_AMPLITUDE_RANGE,
     LOCAL_TIEBREAK_WEIGHT,
@@ -57,10 +57,18 @@ def test_bump_validation_and_derivatives():
     assert all(np.all(np.isfinite(f)) for f in parts(wide))
 
 
-@pytest.mark.parametrize("sigma", [1.0, 0.7])
-def test_amplitude_curve_matches_the_bumped_field(quartic_state, sigma):
+@pytest.mark.parametrize(
+    "sigma, coefficient",
+    [(1.0, 0.5), (0.7, 0.5), (1.0, 0.25), (0.7, 0.25)],
+    ids=["1.0", "0.7", "1.0-c0.25", "0.7-c0.25"],
+)
+def test_amplitude_curve_matches_the_bumped_field(quartic_state, sigma, coefficient):
+    # H = -c d^2/dq^2 + V: the curve's alpha, beta and gamma all carry c
+    h = quartic_state.hamiltonian
     state = replace(
-        quartic_state, bumps=(GaussianBump(0.3, -1.0, 1.0), GaussianBump(-0.2, 1.5, 0.7))
+        quartic_state,
+        hamiltonian=Hamiltonian.isotropic(coefficient, h.potential, h.domain),
+        bumps=(GaussianBump(0.3, -1.0, 1.0), GaussianBump(-0.2, 1.5, 0.7)),
     )
     curve = _AmplitudeCurve(state, 0.5, sigma, CFG)
     qs = curve.grid[:, None]
