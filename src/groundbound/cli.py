@@ -24,7 +24,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .core import BoundsResult, LocalEnergyField, SingularEvaluationError
+from .core import BoundsResult, Domain, LocalEnergyField, SingularEvaluationError
 from .oracle import (
     BoxTooSmallError,
     ConvergenceError,
@@ -50,7 +50,7 @@ from .systems import (
     quartic_system,
     unit_disk_field,
 )
-from .systems.hydrogen import RADIAL_BOX
+from .systems.magnetic import SYSTEM_VARIANTS
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -94,7 +94,9 @@ class System:
       ``sweep`` for each value of a ``sweepable`` parameter);
     - ``field(params)`` returns the parameters it used and the field, dumped
       under ``columns``;
-    - ``oracle(params, n, box)`` returns an :class:`OracleResult`;
+    - ``oracle(params, cfg)`` returns an :class:`OracleResult` on a grid of
+      ``cfg.grid_points_per_axis`` points per axis over ``cfg.box_for`` the
+      system's domain;
     - ``refine(params)`` returns the Hamiltonian, the base log-trial and the
       asymptotic limits of a one-dimensional system.
     """
@@ -108,7 +110,7 @@ class System:
     bounds: Callable[[dict, SearchConfig], BoundsResult] | None = None
     field: Callable[[dict], tuple[dict, LocalEnergyField]] | None = None
     columns: tuple[str, ...] = ()
-    oracle: Callable[[dict, int, tuple | None], OracleResult] | None = None
+    oracle: Callable[[dict, SearchConfig], OracleResult] | None = None
     refine: Callable[[dict], tuple] | None = None
 
 
@@ -128,6 +130,8 @@ def _magnetic_bounds(p: dict, cfg: SearchConfig) -> BoundsResult:
 
 
 def _magnetic_field(p: dict) -> tuple[dict, LocalEnergyField]:
+    if p["variant"] not in SYSTEM_VARIANTS:
+        raise ValueError(f"unknown variant {p['variant']!r}; pick one of {SYSTEM_VARIANTS}")
     # the trivial sandwich is two fields; its lower one is dumped
     p = {**p, "variant": "lower" if p["variant"] == "trivial" else p["variant"]}
     return p, magnetic_hydrogen_field(MagneticHydrogen(p["B"]), p["variant"])
@@ -137,9 +141,9 @@ def _quartic(p: dict) -> QuarticOscillator:
     return QuarticOscillator(p["rr"], p["eta"], p["delta2"])
 
 
-def _quartic_oracle(p: dict, n: int, box) -> OracleResult:
+def _quartic_oracle(p: dict, cfg: SearchConfig) -> OracleResult:
     qo = _quartic(p)
-    return solve_1d_ground_state(qo.potential, _line(box, qo.box()[0], n))
+    return solve_1d_ground_state(qo.potential, _line(qo.domain(), cfg))
 
 
 def _quartic_refine(p: dict) -> tuple:
@@ -147,12 +151,17 @@ def _quartic_refine(p: dict) -> tuple:
     return (*quartic_system(qo), quartic_field(qo).asymptotic_limits)
 
 
-def _line(box, default: tuple[float, float], n: int) -> Grid1D:
-    return Grid1D(*(box[0] if box else default), n)
+def _line(domain: Domain, cfg: SearchConfig) -> Grid1D:
+    return Grid1D(*cfg.box_for(domain)[0], cfg.grid_points_per_axis)
 
 
-def _dirichlet_2d(field: LocalEnergyField, n: int, box) -> OracleResult:
-    return solve_2d_dirichlet_ground_state(field.domain, Grid2D(box or field.domain.box, n))
+def _dirichlet_2d(field: LocalEnergyField, cfg: SearchConfig) -> OracleResult:
+    grid = Grid2D(cfg.box_for(field.domain), cfg.grid_points_per_axis)
+    return solve_2d_dirichlet_ground_state(field.domain, grid)
+
+
+# the harmonic oscillator has no field; its oracle's default box
+_HARMONIC_DOMAIN = Domain(dimension=1, kind="unbounded", box=((-10.0, 10.0),))
 
 
 # the radial profile of hydrogen's exact trial, under two names
@@ -164,8 +173,8 @@ _HYDROGEN = System(
     bounds=lambda p, cfg: bounds_of_field(hydrogen_radial_field(1.0), cfg),
     field=lambda p: (p, hydrogen_radial_field(1.0)),
     columns=("r", "e_loc"),
-    oracle=lambda p, n, box: solve_1d_ground_state(
-        lambda r: -1.0 / r, _line(box, RADIAL_BOX, n), dirichlet_edges=(True, False)
+    oracle=lambda p, cfg: solve_1d_ground_state(
+        lambda r: -1.0 / r, _line(hydrogen_radial_field(1.0).domain, cfg), dirichlet_edges=(True, False)
     ),
 )
 
@@ -180,7 +189,7 @@ SYSTEMS: dict[str, System] = {
         bounds=lambda p, cfg: bounds_of_field(_billiard(p), cfg),
         field=lambda p: (p, _billiard(p)),
         columns=("x", "y", "e_loc"),
-        oracle=lambda p, n, box: _dirichlet_2d(_billiard(p), n, box),
+        oracle=lambda p, cfg: _dirichlet_2d(_billiard(p), cfg),
     ),
     "helium": System(
         dim=3,
@@ -194,7 +203,7 @@ SYSTEMS: dict[str, System] = {
         dim=2,
         params={
             "B": (1.0, "magnetic field strength"),
-            "variant": ("trivial", "magnetic trial: lower, upper, improved or trivial"),
+            "variant": ("trivial", f"magnetic trial: {', '.join(SYSTEM_VARIANTS)}"),
         },
         check=_magnetic_field,  # the field's builder checks B and the variant
         grid_n=161,
@@ -226,13 +235,13 @@ SYSTEMS: dict[str, System] = {
         dim=1,
         params={},
         oracle_grid_n=2000,
-        oracle=lambda p, n, box: solve_1d_ground_state(lambda x: 0.5 * x * x, _line(box, (-10.0, 10.0), n)),
+        oracle=lambda p, cfg: solve_1d_ground_state(lambda x: 0.5 * x * x, _line(_HARMONIC_DOMAIN, cfg)),
     ),
     "disk": System(
         dim=2,
         params={},
         oracle_grid_n=200,
-        oracle=lambda p, n, box: _dirichlet_2d(unit_disk_field(), n, box),
+        oracle=lambda p, cfg: _dirichlet_2d(unit_disk_field(), cfg),
     ),
 }
 
@@ -450,7 +459,7 @@ def cmd_field(spec: RunSpec) -> tuple[dict, dict]:
 
 def cmd_oracle(spec: RunSpec) -> tuple[dict, dict]:
     try:
-        res = SYSTEMS[spec.system].oracle(spec.params, spec.search.grid_points_per_axis, spec.search.box)
+        res = SYSTEMS[spec.system].oracle(spec.params, spec.search)
     except ValueError as exc:  # grid validation
         raise SpecError(str(exc)) from exc
     return {}, asdict(res)  # energy, error_bar, coarse_value, fine_value, detail

@@ -21,15 +21,15 @@ field for that kind alone would give, bit for bit.  ``global_min``,
 than two searches.
 ``optimize_parameters`` runs the outer sup/inf over a trial family's control
 vector with a full inner extremum search per probe: the initial probes form
-one stack, the outer starts are polished in lockstep one step direction per
-call, and each round's new control vectors form one stack.  A family that
-supplies ``evaluate_rows`` has a whole stack evaluated in one call per probe
-batch.
+one stack, and so does each call of the same lockstep polish on the outer
+starts, both step directions at once.  A family that supplies
+``evaluate_rows`` has a whole stack evaluated in one call per probe batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -169,8 +169,6 @@ def _polish(
     box: Sequence[tuple[float, float]],
     initial_step: np.ndarray,
     signs: np.ndarray | None = None,
-    *,
-    paired: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Derivative-free coordinate descent with shrinking steps, run in lockstep.
 
@@ -183,23 +181,22 @@ def _polish(
     non-negative, so every point stays inside.
     Each start keeps its own point, value and step vector, and probes each
     coordinate at ``+step``, then at ``-step`` from wherever the ``+`` probe
-    left it, taking a candidate when it is strictly better.  Without
-    ``paired`` each of the two probes sends one candidate per running start
-    to one ``objective`` call.  With ``paired`` one call carries both: each
-    start's ``+`` candidate and its ``-`` candidate from the point before the
-    ``+`` probe, rows ``np.repeat(rows, 2)``.  A start whose ``+`` candidate
-    wins then owes a ``-`` probe from its new point.  Where that lands
-    bitwise on its old coordinate, its value is the old one, which loses;
-    the rest (after rounding, or after an up step clipped to the box) go to
-    one follow-up call of just those starts.
+    left it, taking a candidate when it is strictly better.  One call
+    carries both probes: each start's ``+`` candidate and its ``-`` candidate
+    from the point before the ``+`` probe, rows ``np.repeat(rows, 2)``.  A
+    start whose ``+`` candidate wins then owes a ``-`` probe from its new
+    point.  Where that lands bitwise on its old coordinate, its value is the
+    old one, which loses; the rest (after rounding, or after an up step
+    clipped to the box) go to one follow-up call of just those starts.  Only
+    these paired calls repeat rows; the first call is of the starts.
     A sweep that improves a start by less than ``POLISH_VALUE_STOP`` counts
     as stalled, so that start's steps keep halving until they drop below
     ``POLISH_STEP_STOP``, where it stops; this drives each location in to
     step resolution rather than quitting on the first flat sweep.  When
     ``objective`` is batch invariant (a row's value does not depend on the
     other rows) and deterministic, every start follows exactly the
-    trajectory it would follow alone, paired or not.  Returns the polished
-    points and their signed values.
+    trajectory it would follow alone.  Returns the polished points and their
+    signed values.
     """
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -246,28 +243,22 @@ def _polish(
             for i in range(dim):
                 xi = x[:, i]  # a view: accepted moves land in x
                 col = up(xi, i)
-                if paired:
-                    # rows 2j and 2j + 1: start j's + candidate and its - candidate
-                    # from the point it holds before the + probe
-                    pair = np.repeat(col, 2)
-                    pair[1::2] = down(xi, i)
-                    f = probe(both, i, pair)
-                    f_up, f_down = f[0::2], f[1::2]
-                else:
-                    f_up = probe(each, i, col)
+                # rows 2j and 2j + 1: start j's + candidate and its - candidate
+                # from the point it holds before the + probe
+                pair = np.repeat(col, 2)
+                pair[1::2] = down(xi, i)
+                f = probe(both, i, pair)
+                f_up, f_down = f[0::2], f[1::2]
                 took = f_up < fx
-                if paired:
-                    # a start that takes its + candidate probes - from there; back
-                    # on its old coordinate bit for bit, that is its old point,
-                    # whose value loses to the new one, so only the rest are redone
-                    f_down[took] = np.inf
-                    redo = took & (down(col, i).view(np.int64) != xi.view(np.int64))
+                # a start that takes its + candidate probes - from there; back
+                # on its old coordinate bit for bit, that is its old point,
+                # whose value loses to the new one, so only the rest are redone
+                f_down[took] = np.inf
+                redo = took & (down(col, i).view(np.int64) != xi.view(np.int64))
                 np.copyto(xi, col, where=took)
                 np.copyto(fx, f_up, where=took)
                 col = down(xi, i)
-                if not paired:
-                    f_down = probe(each, i, col)
-                elif redo.any():
+                if redo.any():
                     f_down[redo] = probe(each[redo], i, col[redo])
                 better = f_down < fx
                 np.copyto(xi, col, where=better)
@@ -370,9 +361,7 @@ def _search_extrema(
     def objective(polished: np.ndarray, qs: np.ndarray) -> np.ndarray:
         return _stack_values(fields, rows, row_member[polished], qs)
 
-    xs, vs = _polish(
-        objective, np.concatenate(starts), box, spacing, np.repeat(signs * k, sizes), paired=True
-    )
+    xs, vs = _polish(objective, np.concatenate(starts), box, spacing, np.repeat(signs * k, sizes))
     ends = np.cumsum(sizes)[:-1]
     groups = iter(zip(histories, np.split(xs, ends), np.split(vs, ends)))
     return [[_extremum_report(field, kind, *next(groups)) for kind in kinds] for field in fields]
@@ -537,10 +526,11 @@ def optimize_parameters(
     family's builder owns the Hamiltonian.
 
     The initial probes are searched as one stack, and the outer starts are
-    polished in lockstep, each round's new control vectors searched as one
-    stack.  Each start follows the trajectory it would follow alone, so the
-    record lists the initial probes and then each start's visits in start
-    order: the order a one-start-at-a-time polish meets them.
+    polished in lockstep by :func:`_polish`, each call's new control vectors
+    (every start's ``+step`` and ``-step`` candidates) searched as one stack.
+    Each start follows the trajectory it would follow alone, so the record
+    lists the initial probes and then each start's visits in start order:
+    the order a one-start-at-a-time polish meets them.
     """
     if objective not in ("maximize-lower", "minimize-upper"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -587,16 +577,26 @@ def optimize_parameters(
     n_starts = min(cfg.multistart_count, len(start_vals))
     starts = np.array([key for _, key in start_vals[:n_starts]])
     visits: list[list[tuple[float, ...]]] = [[] for _ in starts]  # each start's probes, in order
+    held = np.full(n_starts, np.inf)  # each start's signed value, as the polish holds it
 
     def search_rows(rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        # in a paired call (rows repeat) a start that takes its + candidate
+        # never visits its - candidate from the old point: searched, not recorded
         keys = [key_of(lam) for lam in lams]
-        for row, key in zip(rows.tolist(), keys):
+        f = search(keys)
+        seen = np.ones(rows.size, dtype=bool)
+        if (np.diff(rows) == 0).any():
+            pair = rows[0::2]
+            took = f[0::2] < held[pair]
+            seen[1::2] = ~took
+            held[pair] = np.where(took, f[0::2], np.minimum(held[pair], f[1::2]))
+        else:
+            held[rows] = np.minimum(held[rows], f)
+        for row, key in compress(zip(rows.tolist(), keys), seen.tolist()):
             visits[row].append(key)
-        return search(keys)
+        return f
 
-    # one direction per call: each candidate is a whole inner search, and the
-    # record must list only the candidates a start visits
-    xs, fs = _polish(search_rows, starts, family.control_box, (hi - lo) / 8.0, paired=False)
+    xs, fs = _polish(search_rows, starts, family.control_box, (hi - lo) / 8.0)
     best_x, best_f = None, np.inf
     for x, f in zip(xs, fs):
         if f < best_f:

@@ -46,6 +46,7 @@ from .. import search
 __all__ = [
     "MagneticHydrogen",
     "VARIANTS",
+    "SYSTEM_VARIANTS",
     "magnetic_hydrogen_field",
     "magnetic_trial",
     "magnetic_trivial_bounds",
@@ -54,6 +55,9 @@ __all__ = [
 ]
 
 VARIANTS = ("lower", "upper", "improved")
+# what the magnetic-hydrogen system bounds with: one trial variant, or the
+# trivial sandwich of the lower and upper trials (magnetic_trivial_bounds)
+SYSTEM_VARIANTS = (*VARIANTS, "trivial")
 ORIGIN_TUBE = 1e-6
 CUSP_TOL = 1e-10
 BOX_HALF_WIDTH = 10.0  # the (rho, z) search box is [0, BOX_HALF_WIDTH]^2

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from groundbound.core import sample_interior
 from groundbound.refine import GaussianBump, RefinementState, perturbed_field
+from groundbound import search
 from groundbound.search import (
     POLISH_STEP_STOP,
     POLISH_VALUE_STOP,
     RANDOM_PROBE_COUNT,
     SearchConfig,
+    TrialFamily,
     _fd_gradient_norm,
     _polish,
     _search_extrema,
@@ -44,7 +46,7 @@ def reference_polish(objective, x0, box, initial_step):
     """Greedy coordinate descent from one start, one point per call.
 
     Returns the polished point, its value, the number of sweeps taken and
-    the ``(sweep, coordinate)`` probes at which a paired polish owes this
+    the ``(sweep, coordinate)`` probes at which the lockstep polish owes this
     start a follow-up call: the ``+`` step won and the ``-`` step from the
     new point does not land on the old coordinate bit for bit.
     """
@@ -107,16 +109,16 @@ def counted(fn):
     return wrapper, calls
 
 
-def assert_matches_reference(starts, step, signs=None, fn=wells, paired=True):
+def assert_matches_reference(starts, step, signs=None, fn=wells):
     """The lockstep polish of ``fn`` against one reference polish per start
     of ``sign * fn``, a non-finite value counting as +inf.
 
     Returns the signed values, each start's sweep count and the number of
-    follow-up calls the paired polish made.
+    follow-up calls the polish made.
     """
     signs = np.ones(len(starts)) if signs is None else np.asarray(signs, dtype=float)
     objective, calls = counted(fn)
-    xs, fs = _polish(objective, starts, BOX, step, signs, paired=paired)
+    xs, fs = _polish(objective, starts, BOX, step, signs)
     sweeps, redo = [], set()
     for j, x0 in enumerate(starts):
 
@@ -131,11 +133,8 @@ def assert_matches_reference(starts, step, signs=None, fn=wells, paired=True):
         redo |= owed
     # one batched call for the start values, then per coordinate of each sweep
     # of the longest run: one call for both directions plus one follow-up
-    # call when any start owes one, or one call per direction unpaired
-    if paired:
-        assert len(calls) == 1 + len(BOX) * max(sweeps) + len(redo)
-    else:
-        assert len(calls) == 1 + 2 * len(BOX) * max(sweeps)
+    # call when any start owes one
+    assert len(calls) == 1 + len(BOX) * max(sweeps) + len(redo)
     return fs, sweeps, len(redo)
 
 
@@ -152,11 +151,6 @@ def test_lockstep_matches_reference_with_unequal_sweeps_clipping_and_masked_star
     _, sweeps, _ = assert_matches_reference(MIXED_STARTS, np.array([0.04, 0.03]))
     assert len(set(sweeps)) > 1
     assert wells(MIXED_STARTS[3:4])[0] == math.inf
-
-
-def test_one_direction_polish_matches_reference():
-    _, sweeps, _ = assert_matches_reference(MIXED_STARTS, np.array([0.04, 0.03]), paired=False)
-    assert len(set(sweeps)) > 1
 
 
 def test_paired_polish_evaluates_a_minus_step_that_misses_the_old_point():
@@ -438,3 +432,63 @@ def test_lockstep_optimizer_matches_reference_when_member_boxes_differ():
     family = replace(family, control_box=((1.0, 6.0),), build=build, evaluate_rows=None)
     cfg = SearchConfig(grid_points_per_axis=24, refinement_levels=2, multistart_count=3, rng_seed=5)
     assert_optimizer_matches_reference(family, "maximize-lower", cfg)
+
+
+def test_lockstep_optimizer_matches_reference_over_a_2d_control_box():
+    # the quartic's stiffness and offset: each sweep probes two coordinates
+    def build(lam):
+        return quartic_field(QuarticOscillator(float(lam[0]), -1, float(lam[1])))
+
+    family = TrialFamily(control_box=((0.5, 1.0), (2.0, 8.0)), build=build, label="quartic (r, delta2)")
+    cfg = SearchConfig(grid_points_per_axis=10, refinement_levels=2, multistart_count=2, rng_seed=3)
+    assert_optimizer_matches_reference(family, "maximize-lower", cfg)
+
+
+def test_lockstep_optimizer_follow_up_after_a_step_clipped_to_the_box(monkeypatch):
+    # below lam = 1 the exponent family's upper bound is -lam^2 / 2, least at
+    # the top of this control box: a + step that clips there wins, and the -
+    # step from it misses the start's old point, so that start owes a
+    # follow-up call
+    family = hydrogen_exponent_family((0.3, 1.0))
+    outer = []  # (rows, control vectors) of each objective call of the optimizer's polish
+    polish = search._polish
+
+    def watched(objective, starts, box, *args):
+        if box != family.control_box:  # an inner search's polish
+            return polish(objective, starts, box, *args)
+
+        def seen(rows, lams):
+            outer.append((rows.copy(), lams.copy()))
+            return objective(rows, lams)
+
+        return polish(seen, starts, box, *args)
+
+    monkeypatch.setattr(search, "_polish", watched)
+    cfg = SearchConfig(grid_points_per_axis=24, refinement_levels=2, multistart_count=2, rng_seed=0)
+    assert_optimizer_matches_reference(family, "minimize-upper", cfg)
+    # a call whose rows repeat is paired; one with distinct rows right after
+    # it is its follow-up, of the starts that took their + candidate there
+    clipped = 0
+    for (rows, lams), (after, _) in zip(outer, outer[1:]):
+        if (np.diff(rows) == 0).any() and not (np.diff(after) == 0).any():
+            plus = dict(zip(rows[0::2].tolist(), lams[0::2, 0].tolist()))
+            clipped += sum(plus[row] == 1.0 for row in after.tolist())
+    assert clipped > 0
+
+
+def test_optimizer_searches_each_sweep_coordinate_as_one_stack(monkeypatch):
+    # the optimize-hydrogen benchmark case: one stack of initial probes, then
+    # one per paired call of the outer polish and per follow-up call that
+    # has uncached candidates (a polish probing one direction per call made 83)
+    stacks = []
+    extrema = search._search_extrema
+
+    def stacked(*args):
+        stacks.append(None)
+        return extrema(*args)
+
+    monkeypatch.setattr(search, "_search_extrema", stacked)
+    cfg = SearchConfig(multistart_count=2, rng_seed=0)
+    res = optimize_parameters(hydrogen_exponent_family((0.5, 2.0)), None, "maximize-lower", cfg)
+    assert len(res.probes) == 136
+    assert len(stacks) == 42
