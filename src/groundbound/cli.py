@@ -90,8 +90,9 @@ class System:
     calls the system's own code, so each rule is stated once.  A command
     whose builder is ``None`` does not support the system:
 
-    - ``bounds(params, cfg)`` returns a :class:`BoundsResult` (also used by
-      ``sweep`` for each value of a ``sweepable`` parameter);
+    - ``bounds(param_sets, cfg)`` returns one :class:`BoundsResult` per
+      parameter set: ``bounds`` passes one set, and ``sweep`` one per value
+      of a ``sweepable`` parameter, so a system may search them together;
     - ``field(params)`` returns the parameters it used and the field, dumped
       under ``columns``;
     - ``oracle(params, cfg)`` returns an :class:`OracleResult` on a grid of
@@ -107,7 +108,7 @@ class System:
     grid_n: int | None = None
     oracle_grid_n: int | None = None  # reference solves want finer grids
     sweepable: tuple[str, ...] = ()
-    bounds: Callable[[dict, SearchConfig], BoundsResult] | None = None
+    bounds: Callable[[list[dict], SearchConfig], list[BoundsResult]] | None = None
     field: Callable[[dict], tuple[dict, LocalEnergyField]] | None = None
     columns: tuple[str, ...] = ()
     oracle: Callable[[dict, SearchConfig], OracleResult] | None = None
@@ -122,11 +123,21 @@ def _billiard(p: dict) -> LocalEnergyField:
     return billiard_local_energy_field(AnnularBilliard(p["r"], p["delta"]))
 
 
-def _magnetic_bounds(p: dict, cfg: SearchConfig) -> BoundsResult:
-    mh = MagneticHydrogen(p["B"])
-    if p["variant"] == "trivial":
-        return magnetic_trivial_bounds(mh, cfg)
-    return bounds_of_field(magnetic_hydrogen_field(mh, p["variant"]), cfg)
+def _each(bounds: Callable[[dict, SearchConfig], BoundsResult]):
+    """A ``System.bounds`` that searches each parameter set on its own."""
+    return lambda ps, cfg: [bounds(p, cfg) for p in ps]
+
+
+def _magnetic_bounds(ps: list[dict], cfg: SearchConfig) -> list[BoundsResult]:
+    # every trivial sandwich of the list is one stacked search
+    trivial = iter(magnetic_trivial_bounds(
+        [MagneticHydrogen(p["B"]) for p in ps if p["variant"] == "trivial"], cfg
+    ))
+    return [
+        next(trivial) if p["variant"] == "trivial"
+        else bounds_of_field(magnetic_hydrogen_field(MagneticHydrogen(p["B"]), p["variant"]), cfg)
+        for p in ps
+    ]
 
 
 def _magnetic_field(p: dict) -> tuple[dict, LocalEnergyField]:
@@ -170,7 +181,7 @@ _HYDROGEN = System(
     params={},
     grid_n=401,
     oracle_grid_n=4000,
-    bounds=lambda p, cfg: bounds_of_field(hydrogen_radial_field(1.0), cfg),
+    bounds=_each(lambda p, cfg: bounds_of_field(hydrogen_radial_field(1.0), cfg)),
     field=lambda p: (p, hydrogen_radial_field(1.0)),
     columns=("r", "e_loc"),
     oracle=lambda p, cfg: solve_1d_ground_state(
@@ -186,7 +197,7 @@ SYSTEMS: dict[str, System] = {
         grid_n=101,
         oracle_grid_n=400,
         sweepable=("r", "delta"),
-        bounds=lambda p, cfg: bounds_of_field(_billiard(p), cfg),
+        bounds=_each(lambda p, cfg: bounds_of_field(_billiard(p), cfg)),
         field=lambda p: (p, _billiard(p)),
         columns=("x", "y", "e_loc"),
         oracle=lambda p, cfg: _dirichlet_2d(_billiard(p), cfg),
@@ -197,7 +208,7 @@ SYSTEMS: dict[str, System] = {
         check=lambda p: helium_bounds(p["Z"]),
         grid_n=61,
         sweepable=("Z",),
-        bounds=lambda p, cfg: helium_bounds(p["Z"]),
+        bounds=_each(lambda p, cfg: helium_bounds(p["Z"])),
     ),
     "magnetic-hydrogen": System(
         dim=2,
@@ -223,7 +234,7 @@ SYSTEMS: dict[str, System] = {
         grid_n=401,
         oracle_grid_n=2000,
         sweepable=("rr", "delta2"),
-        bounds=lambda p, cfg: bounds_of_field(quartic_field(_quartic(p)), cfg),
+        bounds=_each(lambda p, cfg: bounds_of_field(quartic_field(_quartic(p)), cfg)),
         field=lambda p: (p, quartic_field(_quartic(p))),
         columns=("q", "e_loc"),
         oracle=_quartic_oracle,
@@ -398,7 +409,8 @@ def _finite(bounds: dict) -> bool:
 
 def cmd_bounds(spec: RunSpec) -> tuple[dict, dict]:
     # the bounds, both witness reports and the caveat, field by field
-    return {}, asdict(SYSTEMS[spec.system].bounds(spec.params, spec.search))
+    [bounds] = SYSTEMS[spec.system].bounds([spec.params], spec.search)
+    return {}, asdict(bounds)
 
 
 def _table(key: str, header: list[str]) -> Callable[[dict], tuple[list[str], list[list]]]:
@@ -438,12 +450,10 @@ def cmd_refine(spec: RunSpec) -> tuple[dict, dict]:
 
 
 def cmd_sweep(spec: RunSpec) -> tuple[dict, dict]:
-    bounds = SYSTEMS[spec.system].bounds
-    param = spec.extras["param"]
-    rows = []
-    for v in spec.extras["values"]:
-        b = bounds({**spec.params, param: v}, spec.search)
-        rows.append({"param": param, "value": v, "lower": b.lower, "upper": b.upper})
+    param, values = spec.extras["param"], spec.extras["values"]
+    results = SYSTEMS[spec.system].bounds([{**spec.params, param: v} for v in values], spec.search)
+    rows = [{"param": param, "value": v, "lower": b.lower, "upper": b.upper}
+            for v, b in zip(values, results)]
     return {"swept": param}, {"rows": rows}
 
 
@@ -518,6 +528,8 @@ def _sweep_extras(m: _Merger, system: System, params: dict) -> dict:
             f"(allowed: {', '.join(system.sweepable) or 'none'})"
         )
     values = _parse_float_list(m.get("values", ""))
+    if not values:
+        raise SpecError("--values needs at least one value")
     for v in values:
         _checked(system, {**params, param: v})
     return {"param": param, "values": values}
@@ -553,7 +565,7 @@ _COMMANDS: dict[str, Command] = {
         builder="bounds",
         flags=(
             ("--param", {"required": True, "help": "parameter to sweep"}),
-            ("--values", {"required": True, "help": "comma list of values"}),
+            ("--values", {"help": "comma list of values"}),
         ),
         extras=_sweep_extras,
         unbounded=lambda result: not all(map(_finite, result["rows"])),

@@ -10,10 +10,12 @@ start to a single batched field call, with a small follow-up call for the
 few starts whose ``-step`` from an accepted ``+step`` misses their old point,
 and each start keeps its own greedy acceptance and step halving, so the
 result is the same as polishing the starts one by one.
-One search covers a stack of fields that share a dimension and a box, and
-any of the kinds ``"min"`` and ``"max"``: the stack shares the level-0 grid
-scan and one lockstep polish, whose rows are tagged ``(member, kind)`` and
-carry their own sign, while each ``(member, kind)`` keeps its own zoomed
+One search covers a stack of fields that share a dimension and a box, each
+member asking for its own kinds among ``"min"`` and ``"max"`` (the magnetic
+trivial sandwich asks each lower trial for its minimum and each upper trial
+for its maximum): each member's level-0 grid scan serves all its kinds, one
+lockstep polish serves the whole stack, its rows tagged ``(member, kind)``
+and carrying their own sign, and each ``(member, kind)`` keeps its own zoomed
 levels, history and winner.  Every report equals the one a search of that
 field for that kind alone would give, bit for bit.  ``global_min``,
 ``global_max`` and ``bounds_of_field`` search a stack of one field;
@@ -254,10 +256,12 @@ def _polish(
                 # on its old coordinate bit for bit, that is its old point,
                 # whose value loses to the new one, so only the rest are redone
                 f_down[took] = np.inf
-                redo = took & (down(col, i).view(np.int64) != xi.view(np.int64))
+                back = down(col, i)
+                redo = took & (back.view(np.int64) != xi.view(np.int64))
                 np.copyto(xi, col, where=took)
                 np.copyto(fx, f_up, where=took)
-                col = down(xi, i)
+                # each start's - candidate from the point it now holds
+                col = np.where(took, back, pair[1::2])
                 if redo.any():
                     f_down[redo] = probe(each[redo], i, col[redo])
                 better = f_down < fx
@@ -284,20 +288,23 @@ def _fd_gradient_norm(field: LocalEnergyField, x: np.ndarray) -> float | None:
 def _search_extrema(
     fields: Sequence[LocalEnergyField],
     cfg: SearchConfig,
-    kinds: tuple[str, ...],
+    kinds: Sequence[tuple[str, ...]],
     rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> list[list[ExtremumReport]]:
-    """For each field of a stack, one report per entry of ``kinds`` (``"min"``
-    or ``"max"``), in order.
+    """For each field of a stack, one report per entry of its own tuple of
+    ``kinds`` (``"min"`` or ``"max"``), in order.
 
-    The fields share a dimension and a search box.  Every ``(member, kind)``
-    shares the level-0 grid scan and one lockstep polish, whose rows are the
-    member's grid winner for that kind and the member's multistarts; each keeps
-    its own zoomed levels, history and winner.  ``rows`` optionally evaluates
-    the stack in one call (see :func:`_stack_values`).  Fields are batch
-    invariant, so each report is the one a search of its field for its kind
-    alone would give.
+    The fields share a dimension and a search box.  A member's kinds share
+    its level-0 grid scan, one field call per member, and every
+    ``(member, kind)`` shares one lockstep polish, whose rows are the member's
+    grid winner for that kind and the member's multistarts; each keeps its own
+    zoomed levels, history and winner.  ``rows`` optionally evaluates the
+    stack in one call per polish probe (see :func:`_stack_values`).  Fields
+    are batch invariant, so each report is the one a search of its field for
+    its kind alone would give.
     """
+    if len(kinds) != len(fields):
+        raise ValueError("a stack needs one tuple of kinds per field")
     box = cfg.box_for(fields[0].domain)
     for field in fields:
         if field.domain.kind == "unbounded" and not field.asymptotic_limits:
@@ -306,16 +313,12 @@ def _search_extrema(
             )
         if cfg.box is None and field.domain.box != fields[0].domain.box:
             raise ValueError("a stack of fields must share one search box")
-    signs = [1.0 if kind == "min" else -1.0 for kind in kinds]
-    k = len(fields)
 
-    # level 0: one full-box scan for the whole stack
+    # level 0: one full-box scan per member, shared by that member's kinds;
+    # one call per member, so no call holds every member's temporaries
     grid0 = grid_points(box, cfg.grid_points_per_axis)
-    n0 = grid0.shape[0]
-    raw0 = _stack_values(
-        fields, rows, np.repeat(np.arange(k), n0), np.tile(grid0, (k, 1))
-    ).reshape(k, n0)
-    if not np.isfinite(raw0).any(axis=1).all():
+    raw0 = [_field_values(field, grid0) for field in fields]
+    if not all(np.isfinite(raw).any() for raw in raw0):
         raise EmptySearchRegionError("every grid point is exterior, singular, or non-finite")
 
     # then each (member, kind) re-grids a zoomed window around its own running
@@ -324,7 +327,9 @@ def _search_extrema(
     spacing = np.array([(hi - lo) / (cfg.grid_points_per_axis - 1) for lo, hi in box])
     histories: list[list[float]] = []
     starts: list[np.ndarray] = []
-    for m, field in enumerate(fields):
+    group_member: list[int] = []
+    group_sign: list[float] = []
+    for m, (field, member_kinds) in enumerate(zip(fields, kinds)):
         rng = np.random.default_rng(cfg.rng_seed)
         try:
             multistarts = sample_interior(replace(field.domain, box=box), cfg.multistart_count, rng)
@@ -332,7 +337,8 @@ def _search_extrema(
             # a sliver domain can defeat rejection sampling; the grid scan
             # already covered it, so multistarts are merely skipped
             multistarts = np.empty((0, len(box)))
-        for sign in signs:
+        for kind in member_kinds:
+            sign = 1.0 if kind == "min" else -1.0
             history: list[float] = []
             best_x: np.ndarray  # level 0 has a finite value, so it sets best_x
             best_v = np.inf
@@ -353,18 +359,23 @@ def _search_extrema(
                 )
             histories.append(history)
             starts.append(np.concatenate([best_x[None, :], multistarts]))
+            group_member.append(m)
+            group_sign.append(sign)
 
     # polish every (member, kind)'s grid winner and multistarts together
     sizes = [len(s) for s in starts]
-    row_member = np.repeat(np.arange(k).repeat(len(kinds)), sizes)
+    row_member = np.repeat(group_member, sizes)
 
     def objective(polished: np.ndarray, qs: np.ndarray) -> np.ndarray:
         return _stack_values(fields, rows, row_member[polished], qs)
 
-    xs, vs = _polish(objective, np.concatenate(starts), box, spacing, np.repeat(signs * k, sizes))
+    xs, vs = _polish(objective, np.concatenate(starts), box, spacing, np.repeat(group_sign, sizes))
     ends = np.cumsum(sizes)[:-1]
     groups = iter(zip(histories, np.split(xs, ends), np.split(vs, ends)))
-    return [[_extremum_report(field, kind, *next(groups)) for kind in kinds] for field in fields]
+    return [
+        [_extremum_report(field, kind, *next(groups)) for kind in member_kinds]
+        for field, member_kinds in zip(fields, kinds)
+    ]
 
 
 def _extremum_report(
@@ -413,12 +424,12 @@ def _extremum_report(
 
 def global_min(field: LocalEnergyField, cfg: SearchConfig | None = None) -> ExtremumReport:
     """Global minimum of the field over its domain, including declared limits."""
-    return _search_extrema([field], cfg or SearchConfig(), ("min",))[0][0]
+    return _search_extrema([field], cfg or SearchConfig(), [("min",)])[0][0]
 
 
 def global_max(field: LocalEnergyField, cfg: SearchConfig | None = None) -> ExtremumReport:
     """Mirror of :func:`global_min`."""
-    return _search_extrema([field], cfg or SearchConfig(), ("max",))[0][0]
+    return _search_extrema([field], cfg or SearchConfig(), [("max",)])[0][0]
 
 
 def _caveat(field: LocalEnergyField, cfg: SearchConfig) -> ResolutionCaveat:
@@ -437,7 +448,7 @@ def _caveat(field: LocalEnergyField, cfg: SearchConfig) -> ResolutionCaveat:
 def bounds_of_field(field: LocalEnergyField, cfg: SearchConfig | None = None) -> BoundsResult:
     """Lower/upper energy bounds as the global min/max of one field."""
     cfg = cfg or SearchConfig()
-    return _bounds_result(field, cfg, *_search_extrema([field], cfg, ("min", "max"))[0])
+    return _bounds_result(field, cfg, *_search_extrema([field], cfg, [("min", "max")])[0])
 
 
 def _bounds_result(
@@ -505,7 +516,7 @@ def _stacked_bounds(
             def rows(members: np.ndarray, qs: np.ndarray, controls=controls) -> np.ndarray:
                 return family.evaluate_rows(controls[members], qs)
 
-        reports = _search_extrema(stack, cfg, ("min", "max"), rows)
+        reports = _search_extrema(stack, cfg, [("min", "max")] * len(stack), rows)
         for key, field, (lo, hi) in zip(stack_keys, stack, reports):
             out[key] = _bounds_result(field, cfg, lo, hi)
     return out

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -153,11 +154,38 @@ def _u_derivs(mh: MagneticHydrogen, variant: str, rho: np.ndarray, z: np.ndarray
 def _cancelled_local_energy(mh: MagneticHydrogen, variant: str, qs: np.ndarray) -> np.ndarray:
     rho, z = qs[:, 0], qs[:, 1]
     r = np.hypot(rho, z)
-    u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(mh, variant, rho, z, r)
+    return _cancelled_from_derivs(mh.B**2, rho, z, r, *_u_derivs(mh, variant, rho, z, r))
+
+
+def _cancelled_from_derivs(b2, rho, z, r, u_r, u_z, u_rr, u_ror, u_zz) -> np.ndarray:
+    """The cancelled local energy from ``B^2`` (a float, or one per point) and
+    the derivatives of U."""
     lap_u = u_rr + u_ror + u_zz
     grad2 = u_r * u_r + u_z * u_z
     radial = (rho * u_r + z * u_z) / r
-    return mh.B**2 * rho * rho / 8.0 - 0.5 * (1.0 + lap_u + grad2) + radial
+    return b2 * rho * rho / 8.0 - 0.5 * (1.0 + lap_u + grad2) + radial
+
+
+def _trivial_rows(members: Sequence[tuple[MagneticHydrogen, str]]):
+    """Row evaluator of a stack of trivial fields: member ``m`` is the
+    ``members[m][1]`` trial (``"lower"`` or ``"upper"``) at ``members[m][0]``.
+    Each row takes the operations of its member's ``_cancelled_local_energy``,
+    so its value equals that field's ``evaluate`` bit for bit."""
+    b = np.array([mh.B for mh, _ in members])
+    b2 = np.array([mh.B**2 for mh, _ in members])  # squared as the field squares it
+    upper = np.array([variant == "upper" for _, variant in members])
+
+    def rows(stacked: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        rho, z = qs[:, 0], qs[:, 1]
+        r = np.hypot(rho, z)
+        bm, up = b[stacked], upper[stacked]
+        zeros = np.zeros_like(rho)
+        # U = -B rho^2/4 on an upper row: u_rho = -B rho/2, u_rr = u_rho/rho = -B/2
+        u_r = np.where(up, -bm * rho / 2.0, zeros)
+        half = np.where(up, -bm / 2.0, zeros)
+        return _cancelled_from_derivs(b2[stacked], rho, z, r, u_r, zeros, half, half, zeros)
+
+    return rows
 
 
 def _plain_local_energy(mh: MagneticHydrogen, variant: str, qs: np.ndarray) -> np.ndarray:
@@ -340,13 +368,20 @@ def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyFi
     )
 
 
-def magnetic_trivial_bounds(mh: MagneticHydrogen, cfg=None) -> BoundsResult:
-    """Sandwich from the two trivial trials: lower from ``h = 0``, upper from
-    ``h = -B/4`` (each certifies only its own side)."""
-    # searched through the module, so a wrapper installed on
-    # ``search.global_min`` / ``search.global_max`` sees these calls
+def magnetic_trivial_bounds(mhs: Sequence[MagneticHydrogen], cfg=None) -> list[BoundsResult]:
+    """Sandwich of each entry from the two trivial trials: lower from
+    ``h = 0``, upper from ``h = -B/4`` (each certifies only its own side).
+
+    Every entry's lower field (searched for its minimum only) and upper
+    field (for its maximum only) form one stack, searched once with a row
+    evaluator."""
+    if not mhs:
+        return []
     cfg = cfg or search.SearchConfig()
-    lower = magnetic_hydrogen_field(mh, "lower")
-    lo = search.global_min(lower, cfg=cfg)
-    hi = search.global_max(magnetic_hydrogen_field(mh, "upper"), cfg=cfg)
-    return search._bounds_result(lower, cfg, lo, hi)
+    members = [(mh, variant) for mh in mhs for variant in ("lower", "upper")]
+    fields = [magnetic_hydrogen_field(mh, variant) for mh, variant in members]
+    reports = search._search_extrema(fields, cfg, [("min",), ("max",)] * len(mhs), _trivial_rows(members))
+    return [
+        search._bounds_result(lower, cfg, lo, hi)
+        for lower, [lo], [hi] in zip(fields[0::2], reports[0::2], reports[1::2])
+    ]

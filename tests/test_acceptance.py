@@ -118,8 +118,8 @@ def test_criterion_05_two_body_flatness():
 
 def test_criterion_06_magnetic_trivial_and_improved():
     with criterion(6, "magnetic hydrogen: (-0.5, -0.5+B/2) to 1e-6; improved B=4 beats -0.5", 60.0):
-        for b in (0.5, 1.0, 2.0):
-            res = magnetic_trivial_bounds(MagneticHydrogen(b))
+        bs = (0.5, 1.0, 2.0)
+        for b, res in zip(bs, magnetic_trivial_bounds([MagneticHydrogen(b) for b in bs])):
             assert abs(res.lower - (-0.5)) <= 1e-6
             assert abs(res.upper - (-0.5 + b / 2.0)) <= 1e-6
         improved = global_min(

@@ -9,7 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from groundbound import cli
+from groundbound import cli, search
 from groundbound.cli import main
 from groundbound.output import from_jsonable
 
@@ -147,10 +147,55 @@ def test_refine_csv_empty_centers(tmp_path):
     assert float(lines[1].split(",")[-1]) == pytest.approx(-3.27, abs=0.01)
 
 
-def test_sweep_csv_empty_range_is_header_only(tmp_path):
-    code, text = run(tmp_path, "sweep", "--system", "magnetic-hydrogen", "--param", "B", "--values", "")
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("values", ["", ","])
+def test_sweep_rejects_an_empty_list(tmp_path, capsys, how, values):
+    argv = ["sweep", "--system", "magnetic-hydrogen", "--param", "B"]
+    if how == "flag":
+        argv += ["--values", values]
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"values = {values}\n")
+        argv += ["--config", str(conf)]
+    assert run(tmp_path, *argv) == (2, None)
+    assert "--values" in capsys.readouterr().err
+
+
+def test_sweep_values_from_a_config_file(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("values = 0.5,1\n")
+    sweep = ["sweep", "--system", "magnetic-hydrogen", "--param", "B"]
+    _, from_config = run(tmp_path, *sweep, "--config", str(conf), name="config")
+    _, from_flag = run(tmp_path, *sweep, "--values", "0.5,1", name="flag")
+    assert from_config == from_flag
+    assert len(from_flag.strip().splitlines()) == 3
+
+
+def test_trivial_sweep_is_one_stacked_search(tmp_path, monkeypatch):
+    # every value's lower and upper field share one search (one per field before)
+    calls = []
+    extrema = search._search_extrema
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return extrema(*args)
+
+    monkeypatch.setattr(search, "_search_extrema", counted)
+    code, _ = run(tmp_path, "sweep", "--system", "magnetic-hydrogen", "--param", "B", "--values", "0.5,1,2,4")
     assert code == 0
-    assert text.strip() == "param,value,lower,upper"
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("variant, values", [("trivial", "0,0.5,1,2,4"), ("improved", "1,4")])
+def test_sweep_rows_equal_separate_bounds_runs(tmp_path, variant, values):
+    common = ["--system", "magnetic-hydrogen", "--variant", variant, "--format", "json"]
+    _, text = run(tmp_path, "sweep", *common, "--param", "B", "--values", values, name="sweep")
+    rows = json.loads(text)["result"]["rows"]
+    assert [row["value"] for row in rows] == [float(v) for v in values.split(",")]
+    for row in rows:
+        _, one = run(tmp_path, "bounds", *common, "--B", repr(row["value"]), name="bounds")
+        result = json.loads(one)["result"]
+        assert (row["lower"], row["upper"]) == (result["lower"], result["upper"])
 
 
 def test_field_csv_quartic_row_count(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from groundbound.core import sample_interior
 from groundbound.refine import GaussianBump, RefinementState, perturbed_field
 from groundbound import search
+from groundbound.systems import magnetic
 from groundbound.search import (
     POLISH_STEP_STOP,
     POLISH_VALUE_STOP,
@@ -271,6 +272,10 @@ def _hydrogen_rows(lams):
     return lambda members, qs: family.evaluate_rows(controls[members], qs)
 
 
+def _magnetic_trivial_rows(members):
+    return magnetic._trivial_rows([(MagneticHydrogen(b), variant) for b, variant in members])
+
+
 # family -> (member parameters, member builder, stacked evaluator or None);
 # the members of a family share a search box
 STACKED_FAMILIES = {
@@ -284,6 +289,9 @@ STACKED_FAMILIES = {
                        lambda b: magnetic_hydrogen_field(MagneticHydrogen(b), "upper"), None),
     "magnetic-improved": ((0.5, 1.0, 2.0, 4.0, 8.0),
                           lambda b: magnetic_hydrogen_field(MagneticHydrogen(b), "improved"), None),
+    "magnetic-trivial-rows": (tuple((b, v) for b in (0.0, 0.5, 2.0, 8.0) for v in ("lower", "upper")),
+                              lambda p: magnetic_hydrogen_field(MagneticHydrogen(p[0]), p[1]),
+                              _magnetic_trivial_rows),
     "hydrogen-radial": ((0.5, 0.8, 1.0, 1.25, 2.0), hydrogen_radial_field, None),
     "hydrogen-radial-rows": ((0.5, 0.8, 1.0, 1.25, 2.0), hydrogen_radial_field, _hydrogen_rows),
 }
@@ -313,7 +321,10 @@ def assert_same_report(got, want):
 def test_stacked_search_equals_one_search_per_field(family, data):
     choices, build, stacked_rows = STACKED_FAMILIES[family]
     params = data.draw(st.lists(st.sampled_from(choices), min_size=1, max_size=4), label="members")
-    kinds = data.draw(st.sampled_from([("min",), ("max",), ("min", "max"), ("max", "min")]), label="kinds")
+    kinds = [
+        data.draw(st.sampled_from([("min",), ("max",), ("min", "max"), ("max", "min")]), label="kinds")
+        for _ in params
+    ]
     cfg = SearchConfig(
         grid_points_per_axis=data.draw(st.integers(8, 24), label="grid"),
         refinement_levels=data.draw(st.integers(1, 3), label="levels"),
@@ -324,9 +335,9 @@ def test_stacked_search_equals_one_search_per_field(family, data):
     rows = None if stacked_rows is None else stacked_rows(params)
     stacked = _search_extrema(fields, cfg, kinds, rows)
     assert len(stacked) == len(fields)
-    for field, reports in zip(fields, stacked):
-        solo = _search_extrema([field], cfg, kinds)
-        assert len(solo) == 1 and len(reports) == len(kinds)
+    for field, member_kinds, reports in zip(fields, kinds, stacked):
+        solo = _search_extrema([field], cfg, [member_kinds])
+        assert len(solo) == 1 and len(reports) == len(member_kinds)
         for got, want in zip(reports, solo[0]):
             assert_same_report(got, want)
 
@@ -334,7 +345,7 @@ def test_stacked_search_equals_one_search_per_field(family, data):
 def test_stacked_search_rejects_fields_with_different_boxes():
     fields = [billiard_local_energy_field(AnnularBilliard(0.5, d)) for d in (0.0, 0.1)]
     with pytest.raises(ValueError, match="share one search box"):
-        _search_extrema(fields, SearchConfig(grid_points_per_axis=8), ("min",))
+        _search_extrema(fields, SearchConfig(grid_points_per_axis=8), [("min",)] * len(fields))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

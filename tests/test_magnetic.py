@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundbound.core import cross_check_field
 from groundbound.search import SearchConfig, global_max, global_min
@@ -36,11 +38,53 @@ def test_cusp_conditions(B, variant):
     assert axis <= CUSP_TOL
 
 
-@pytest.mark.parametrize("B", [0.5, 1.0, 2.0])
-def test_trivial_bounds(B):
-    res = magnetic_trivial_bounds(MagneticHydrogen(B))
-    assert res.lower == pytest.approx(-0.5, abs=1e-6)
-    assert res.upper == pytest.approx(-0.5 + B / 2.0, abs=1e-6)
+def test_trivial_bounds():
+    Bs = [0.5, 1.0, 2.0]
+    results = magnetic_trivial_bounds([MagneticHydrogen(B) for B in Bs])
+    assert len(results) == len(Bs)
+    for B, res in zip(Bs, results):
+        assert res.lower == pytest.approx(-0.5, abs=1e-6)
+        assert res.upper == pytest.approx(-0.5 + B / 2.0, abs=1e-6)
+
+
+def test_trivial_bounds_of_no_entries():
+    assert magnetic_trivial_bounds([]) == []
+
+
+_TUBE = magnetic.ORIGIN_TUBE
+_EDGE = magnetic.BOX_HALF_WIDTH
+_coord = st.floats(0.0, _EDGE)
+# generic points, the axis rho = 0, the plane z = 0, just outside the origin
+# tube (and on its rim, which rounding may put on either side) and the corners
+_points = st.one_of(
+    st.tuples(_coord, _coord),
+    st.tuples(st.just(0.0), _coord),
+    st.tuples(_coord, st.just(0.0)),
+    st.builds(
+        lambda a, t: (t * math.cos(a), t * math.sin(a)),
+        st.floats(0.0, math.pi / 2),
+        st.floats(_TUBE, 1.01 * _TUBE),
+    ),
+    st.sampled_from([(0.0, 0.0), (0.0, _EDGE), (_EDGE, 0.0), (_EDGE, _EDGE)]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    Bs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=1, max_size=4),
+    rows=st.lists(st.tuples(st.integers(0, 7), _points), min_size=1, max_size=12),
+)
+def test_trivial_rows_equal_each_member_field(Bs, rows):
+    members = [(MagneticHydrogen(B), variant) for B in Bs for variant in ("lower", "upper")]
+    fields = [magnetic_hydrogen_field(mh, variant) for mh, variant in members]
+    stacked = np.array(sorted(m % len(members) for m, _ in rows))
+    qs = np.array([q for _, q in rows], dtype=float)
+    for field in fields[1:]:
+        assert np.array_equal(field.domain.valid_mask(qs), fields[0].domain.valid_mask(qs))
+    with np.errstate(all="ignore"):  # the origin corner is 0/0 in both
+        got = magnetic._trivial_rows(members)(stacked, qs)
+        want = np.concatenate([fields[m].evaluate(qs[j:j + 1]) for j, m in enumerate(stacked)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_lower_variant_infimum_and_off_axis_divergence():
