@@ -363,32 +363,28 @@ def optimize_bump_amplitude(
             state, bound_history=state.bound_history + ((step_no, state.current_lower),)
         )
 
-    if s_hi == s_lo:
-        s_star = s_lo
-        if s_star == 0.0:
-            return unchanged()
-    else:
-        curve = _AmplitudeCurve(state, a, sigma, cfg)
-        # keep the selection grid for the next step, which reuses it unless this one commits
-        state = replace(state, selection=curve.selection)
-        coarse = np.linspace(s_lo, s_hi, 161)
-        scores = curve.score(coarse)
-        i = int(np.argmax(scores))
-        lo_b = float(coarse[max(0, i - 1)])
-        hi_b = float(coarse[min(len(coarse) - 1, i + 1)])
+    curve = _AmplitudeCurve(state, a, sigma, cfg)
+    # keep the selection grid for the next step, which reuses it unless this one commits
+    state = replace(state, selection=curve.selection)
+    coarse = np.linspace(s_lo, s_hi, 161)
+    scores = curve.score(coarse)
+    i = int(np.argmax(scores))
+    lo_b = float(coarse[max(0, i - 1)])
+    hi_b = float(coarse[min(len(coarse) - 1, i + 1)])
 
-        def score1(s: float) -> float:
-            return float(curve.score(s)[0])
+    def score1(s: float) -> float:
+        return float(curve.score(s)[0])
 
-        s_star = _golden_max(score1, lo_b, hi_b, AMPLITUDE_RESOLUTION)
-        # ties across the coarse plateau: prefer the best local lift among them
-        plateau = np.abs(scores - scores[i]) <= 1e-12
-        if plateau.sum() > 1 and score1(float(coarse[plateau][-1])) >= score1(s_star) - 1e-12:
-            s_star = float(coarse[plateau][np.argmax(curve.score(coarse[plateau]))])
-        if abs(s_star) < AMPLITUDE_RESOLUTION:
-            s_star = 0.0
-        if s_star == 0.0:
-            return unchanged()
+    s_star = _golden_max(score1, lo_b, hi_b, AMPLITUDE_RESOLUTION)
+    # ties across the coarse plateau: prefer the best local lift among them
+    # (each amplitude is scored on its own, so the scan's scores serve)
+    plateau = np.flatnonzero(np.abs(scores - scores[i]) <= 1e-12)
+    if plateau.size > 1 and scores[plateau[-1]] >= score1(s_star) - 1e-12:
+        s_star = float(coarse[plateau[np.argmax(scores[plateau])]])
+    if abs(s_star) < AMPLITUDE_RESOLUTION:
+        s_star = 0.0
+    if s_star == 0.0:
+        return unchanged()
 
     # certify with the full polished search; clip or reject regressions
     def certified(s: float) -> float:

@@ -9,11 +9,16 @@ analytically in the local energy:
     E_loc = B^2 rho^2/8 - (1 + lap U + |grad U|^2)/2 + (rho U_rho + z U_z)/r
 
 (the Laplacian is the axisymmetric 3D one, ``U_rr + U_r/r + U_zz`` in
-``(rho, z)``).  The regular parts are
+``(rho, z)``).  Every variant has one regular part in two parameters,
 
-    lower     U = 0                 ->  E_loc = B^2 rho^2/8 - 1/2
-    upper     U = -B rho^2/4        ->  E_loc = B/2 - 1/2 - B rho^2/(2r)
-    improved  U = -B rho^2/4 + rho^2 (r - z) / (rho^2 + 5 r / sqrt(B))
+    U = -beta rho^2 / 4  [ + rho^2 (r - z) / (rho^2 + k r) ]
+
+with the bracketed term present only where ``k`` is given:
+
+    variant   beta   k            E_loc
+    lower     0      -            B^2 rho^2/8 - 1/2
+    upper     B      -            B/2 - 1/2 - B rho^2/(2r)
+    improved  B      5/sqrt(B)    (no closed form)
 
 The improved trial uses ``r - z`` for ``r - sqrt(r^2 - rho^2)``: they are the
 same quantity on ``z >= 0`` but the former has no cancellation error near
@@ -79,51 +84,49 @@ class MagneticHydrogen:
         return ((0.0, BOX_HALF_WIDTH), (0.0, BOX_HALF_WIDTH))
 
 
-def _improved_k(mh: MagneticHydrogen, variant: str) -> float:
-    """``5 / sqrt(B)`` of the improved trial, once ``variant`` is known to be
-    neither trivial one."""
+def _trial_params(mh: MagneticHydrogen, variant: str) -> tuple[float, float | None]:
+    """``(beta, k)`` of a trial variant's regular part; ``k`` is ``None``
+    where U has no improved term."""
+    if variant == "lower":
+        return 0.0, None
+    if variant == "upper":
+        return mh.B, None
     if variant != "improved":
         raise ValueError(f"unknown trial variant {variant!r}; pick one of {VARIANTS}")
     if mh.B <= 0:
         raise ValueError(f"the improved trial needs B > 0 (it contains sqrt(B)), got B = {mh.B!r}")
-    return 5.0 / math.sqrt(mh.B)
+    return mh.B, 5.0 / math.sqrt(mh.B)
 
 
-def _u_value(mh: MagneticHydrogen, variant: str, rho: np.ndarray, z: np.ndarray,
-             r: np.ndarray) -> np.ndarray:
-    """The regular part U on z >= 0, given ``r = hypot(rho, z)``."""
-    b = mh.B
-    if variant == "lower":
-        return np.zeros_like(rho)
-    if variant == "upper":
-        return -b * rho * rho / 4.0
-    k = _improved_k(mh, variant)
-    n = rho * rho * (r - z)
-    d = rho * rho + k * r
-    return -b * rho * rho / 4.0 + n / d
+def _u_value(beta, k, rho: np.ndarray, z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The regular part U on z >= 0, given ``r = hypot(rho, z)``; ``beta``
+    and ``k`` are each a float or one value per point."""
+    u = -beta * rho * rho / 4.0
+    if k is None:
+        return u
+    return u + rho * rho * (r - z) / (rho * rho + k * r)
 
 
-def _u_derivs(mh: MagneticHydrogen, variant: str, rho: np.ndarray, z: np.ndarray,
-              r: np.ndarray):
+def _u_derivs(beta, k, rho: np.ndarray, z: np.ndarray, r: np.ndarray):
     """Derivatives of the regular part U on z >= 0, given ``r = hypot(rho, z)``,
-    without building U itself.
+    without building U itself; ``beta`` and ``k`` as for :func:`_u_value`.
 
-    Returns (u_rho, u_z, u_rr, u_r_over_rho, u_zz); all formulas carry
-    explicit rho factors so the axis rho = 0 evaluates exactly.
+    Returns (u_rho, u_z, u_rr, u_r_over_rho, u_zz), a float where a
+    derivative is constant.
     """
-    b = mh.B
-    zeros = np.zeros_like(rho)
-    if variant == "lower":
-        return (zeros,) * 5
-    if variant == "upper":
-        return (
-            -b * rho / 2.0,
-            zeros,
-            np.full_like(rho, -b / 2.0),
-            np.full_like(rho, -b / 2.0),
-            zeros,
-        )
-    k = _improved_k(mh, variant)
+    # the improved term first, so its temporaries are freed before the quadratic part is built
+    t = None if k is None else _improved_derivs(k, rho, z, r)
+    u_r, u_rr = -beta * rho / 2.0, -beta / 2.0
+    if t is None:
+        return u_r, 0.0, u_rr, u_rr, 0.0
+    t_r, t_z, t_rr, t_r_over_rho, t_zz = t
+    return u_r + t_r, t_z, u_rr + t_rr, u_rr + t_r_over_rho, t_zz
+
+
+def _improved_derivs(k, rho: np.ndarray, z: np.ndarray, r: np.ndarray):
+    """The derivatives of ``rho^2 (r - z) / (rho^2 + k r)``, in the order of
+    :func:`_u_derivs`; all formulas carry explicit rho factors so the axis
+    rho = 0 evaluates exactly."""
     m = r - z
     n = rho * rho * m
     d = rho * rho + k * r
@@ -142,24 +145,15 @@ def _u_derivs(mh: MagneticHydrogen, variant: str, rho: np.ndarray, z: np.ndarray
     t_zz = n_zz / d - 2.0 * n_z * d_z / d**2 - n * d_zz / d**2 + 2.0 * n * d_z**2 / d**3
     t_r_over_rho = (2.0 * m + rho * rho / r) / d - rho * rho * m * (2.0 + k / r) / d**2
 
-    return (
-        -b * rho / 2.0 + t_r,
-        t_z,
-        -b / 2.0 + t_rr,
-        -b / 2.0 + t_r_over_rho,
-        t_zz,
-    )
+    return t_r, t_z, t_rr, t_r_over_rho, t_zz
 
 
-def _cancelled_local_energy(mh: MagneticHydrogen, variant: str, qs: np.ndarray) -> np.ndarray:
+def _cancelled_local_energy(b2, beta, k, qs: np.ndarray) -> np.ndarray:
+    """The cancelled local energy from ``B^2`` and U's ``(beta, k)``, each a
+    float or one value per point."""
     rho, z = qs[:, 0], qs[:, 1]
     r = np.hypot(rho, z)
-    return _cancelled_from_derivs(mh.B**2, rho, z, r, *_u_derivs(mh, variant, rho, z, r))
-
-
-def _cancelled_from_derivs(b2, rho, z, r, u_r, u_z, u_rr, u_ror, u_zz) -> np.ndarray:
-    """The cancelled local energy from ``B^2`` (a float, or one per point) and
-    the derivatives of U."""
+    u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(beta, k, rho, z, r)
     lap_u = u_rr + u_ror + u_zz
     grad2 = u_r * u_r + u_z * u_z
     radial = (rho * u_r + z * u_z) / r
@@ -169,34 +163,23 @@ def _cancelled_from_derivs(b2, rho, z, r, u_r, u_z, u_rr, u_ror, u_zz) -> np.nda
 def _trivial_rows(members: Sequence[tuple[MagneticHydrogen, str]]):
     """Row evaluator of a stack of trivial fields: member ``m`` is the
     ``members[m][1]`` trial (``"lower"`` or ``"upper"``) at ``members[m][0]``.
-    Each row takes the operations of its member's ``_cancelled_local_energy``,
-    so its value equals that field's ``evaluate`` bit for bit."""
-    b = np.array([mh.B for mh, _ in members])
+    Each row passes its member's ``B^2`` and ``beta`` to the field's
+    ``_cancelled_local_energy``, so its value equals that field's
+    ``evaluate`` bit for bit."""
+    beta = np.array([_trial_params(mh, variant)[0] for mh, variant in members])
     b2 = np.array([mh.B**2 for mh, _ in members])  # squared as the field squares it
-    upper = np.array([variant == "upper" for _, variant in members])
-
-    def rows(stacked: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        rho, z = qs[:, 0], qs[:, 1]
-        r = np.hypot(rho, z)
-        bm, up = b[stacked], upper[stacked]
-        zeros = np.zeros_like(rho)
-        # U = -B rho^2/4 on an upper row: u_rho = -B rho/2, u_rr = u_rho/rho = -B/2
-        u_r = np.where(up, -bm * rho / 2.0, zeros)
-        half = np.where(up, -bm / 2.0, zeros)
-        return _cancelled_from_derivs(b2[stacked], rho, z, r, u_r, zeros, half, half, zeros)
-
-    return rows
+    return lambda stacked, qs: _cancelled_local_energy(b2[stacked], beta[stacked], None, qs)
 
 
-def _plain_local_energy(mh: MagneticHydrogen, variant: str, qs: np.ndarray) -> np.ndarray:
+def _plain_local_energy(b2, beta, k, qs: np.ndarray) -> np.ndarray:
     """Non-cancelled V - (lap S + |grad S|^2)/2; alternate representation."""
     rho, z = qs[:, 0], qs[:, 1]
     r = np.hypot(rho, z)
-    u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(mh, variant, rho, z, r)
+    u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(beta, k, rho, z, r)
     s_r = -rho / r + u_r
     s_z = -z / r + u_z
     lap_s = -2.0 / r + u_rr + u_ror + u_zz
-    v = mh.B**2 * rho * rho / 8.0 - 1.0 / r
+    v = b2 * rho * rho / 8.0 - 1.0 / r
     return v - 0.5 * (lap_s + s_r * s_r + s_z * s_z)
 
 
@@ -206,6 +189,7 @@ def magnetic_trial(mh: MagneticHydrogen, variant: str) -> LogTrialFunction:
     The improved variant's even extension has a kink on the plane z = 0, so
     finite-difference consistency checks should stay away from that plane.
     """
+    beta, k = _trial_params(mh, variant)
 
     def split(qs: np.ndarray):
         x, y, z = qs[:, 0], qs[:, 1], qs[:, 2]
@@ -214,13 +198,13 @@ def magnetic_trial(mh: MagneticHydrogen, variant: str) -> LogTrialFunction:
 
     def s(qs: np.ndarray) -> np.ndarray:
         x, y, z, rho, az = split(qs)
-        u = _u_value(mh, variant, rho, az, np.hypot(rho, az))
+        u = _u_value(beta, k, rho, az, np.hypot(rho, az))
         return -np.sqrt(rho * rho + z * z) + u
 
     def derivs(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, y, z, rho, az = split(qs)
         r = np.sqrt(rho * rho + z * z)
-        u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(mh, variant, rho, az, np.hypot(rho, az))
+        u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(beta, k, rho, az, np.hypot(rho, az))
         with np.errstate(invalid="ignore", divide="ignore"):
             cosphi = np.where(rho > 0, x / np.where(rho > 0, rho, 1.0), 0.0)
             sinphi = np.where(rho > 0, y / np.where(rho > 0, rho, 1.0), 0.0)
@@ -242,16 +226,19 @@ def cusp_defects(mh: MagneticHydrogen, variant: str) -> tuple[float, float]:
     """Numerical defects of the two Coulomb-cusp conditions.
 
     Radial condition: the directional derivative of S at the origin must be -1
-    in every direction; evaluated from the analytic gradient at r = 1e-12
-    (no finite differencing, so the defect is O(r)).  Axis condition: the
-    rho-derivative of S must vanish at (0, r) for each r of ``AXIS_RADII``.
+    in every direction; evaluated from the analytic gradient at
+    r = 1e-12 / max(1, B) (no finite differencing, so the defect is O(r); the
+    quadratic part alone leaves ``B r sin^2(alpha) / 2``, hence the radius
+    shrinks with B).  Axis condition: the rho-derivative of S must vanish at
+    (0, r) for each r of ``AXIS_RADII``.
     """
-    t = 1e-12
+    beta, k = _trial_params(mh, variant)
+    t = 1e-12 / max(1.0, mh.B)
     alphas = np.linspace(0.0, math.pi / 2.0, 19)
     rho = t * np.sin(alphas)
     z = t * np.cos(alphas)
     r = np.hypot(rho, z)
-    u_r, u_z, *_ = _u_derivs(mh, variant, rho, z, r)
+    u_r, u_z, *_ = _u_derivs(beta, k, rho, z, r)
     s_r = -rho / r + u_r
     s_z = -z / r + u_z
     radial = (rho * s_r + z * s_z) / r
@@ -259,7 +246,7 @@ def cusp_defects(mh: MagneticHydrogen, variant: str) -> tuple[float, float]:
 
     rr = np.array(AXIS_RADII)
     axis = np.zeros_like(rr)
-    u_r_axis, *_ = _u_derivs(mh, variant, axis, rr, np.hypot(axis, rr))
+    u_r_axis, *_ = _u_derivs(beta, k, axis, rr, np.hypot(axis, rr))
     defect_axis = float(np.max(np.abs(u_r_axis)))  # -rho/r vanishes at rho = 0
     return defect_radial, defect_axis
 
@@ -288,14 +275,6 @@ def improved_parabolic_limit(mh: MagneticHydrogen, u) -> np.ndarray:
     return (mh.B - 1.0) / 2.0 - 2.5 * math.sqrt(mh.B) * u / (1.0 + u) ** 2
 
 
-def _improved_limit_extrema(mh: MagneticHydrogen) -> tuple[float, float]:
-    # inf over all escapes: parabolic layer at u = 1; sup on the axis
-    b = mh.B
-    gmin = (b - 1.0) / 2.0 - 5.0 * math.sqrt(b) / 8.0
-    gmax = (b - 1.0) / 2.0
-    return gmin, gmax
-
-
 def _domain(mh: MagneticHydrogen, singular: tuple[SingularSet, ...]) -> Domain:
     pad = 1e-12
 
@@ -314,10 +293,7 @@ def _domain(mh: MagneticHydrogen, singular: tuple[SingularSet, ...]) -> Domain:
 
 def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyField:
     """Local-energy field of one trial variant over the (rho, z) half-plane."""
-    b = mh.B
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown trial variant {variant!r}; pick one of {VARIANTS}")
-
+    beta, k = _trial_params(mh, variant)
     d_radial, d_axis = cusp_defects(mh, variant)
     if max(d_radial, d_axis) > CUSP_TOL:
         raise AssertionError(
@@ -325,26 +301,15 @@ def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyFi
             f"radial defect {d_radial:.2e}, axis defect {d_axis:.2e}"
         )
 
-    origin = SingularSet(
-        name="origin",
-        tube=lambda qs: np.hypot(qs[:, 0], qs[:, 1]) <= ORIGIN_TUBE,
-        # the Coulomb pole cancels; the remaining limit is uniform for the
-        # trivial variants and direction-dependent (but harmless) otherwise
-        limit={"lower": -0.5, "upper": b / 2.0 - 0.5}.get(variant),
-    )
-
-    if variant == "lower":
-        singular = (origin,)
-        asym = (
-            AsymptoticLimit("along the field axis", -0.5),
-            AsymptoticLimit("off-axis (confining magnetic term)", math.inf),
-        )
-    elif variant == "upper":
-        singular = (origin,)
-        asym = (
-            AsymptoticLimit("along the field axis", b / 2.0 - 0.5),
-            AsymptoticLimit("off-axis", -math.inf),
-        )
+    # the Coulomb pole cancels at the origin
+    origin_tube = lambda qs: np.hypot(qs[:, 0], qs[:, 1]) <= ORIGIN_TUBE
+    if k is None:
+        # U = -beta rho^2/4 vanishes on the axis, leaving one limit there and at the origin
+        limit = beta / 2.0 - 0.5
+        singular = (SingularSet("origin", origin_tube, limit),)
+        off_axis = (AsymptoticLimit("off-axis (confining magnetic term)", math.inf) if variant == "lower"
+                    else AsymptoticLimit("off-axis", -math.inf))
+        asym = (AsymptoticLimit("along the field axis", limit), off_axis)
     else:
         never = lambda qs: np.zeros(qs.shape[0], dtype=bool)
         ridge = SingularSet(
@@ -352,25 +317,27 @@ def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyFi
             tube=never,  # zero measure; one-sided values remain searchable
             max_limit=math.inf,
         )
-        singular = (origin, ridge)
-        gmin, gmax = _improved_limit_extrema(mh)
+        # the origin limit is direction-dependent (but harmless)
+        singular = (SingularSet("origin", origin_tube), ridge)
+        # inf over all escapes: the parabolic layer at u = 1; sup on the axis
         asym = (
-            AsymptoticLimit("parabolic layer rho^2 = 5r/sqrt(B), u=1", gmin),
-            AsymptoticLimit("along the field axis", gmax),
+            AsymptoticLimit("parabolic layer rho^2 = 5r/sqrt(B), u=1", float(improved_parabolic_limit(mh, 1.0))),
+            AsymptoticLimit("along the field axis", float(improved_directional_limit(mh, 0.0))),
         )
 
+    b2 = mh.B**2
     return LocalEnergyField(
         domain=_domain(mh, singular),
-        evaluate=lambda qs: _cancelled_local_energy(mh, variant, qs),
-        alternates=(lambda qs: _plain_local_energy(mh, variant, qs),),
+        evaluate=lambda qs: _cancelled_local_energy(b2, beta, k, qs),
+        alternates=(lambda qs: _plain_local_energy(b2, beta, k, qs),),
         asymptotic_limits=asym,
-        label=f"magnetic hydrogen local energy ({variant}, B={b})",
+        label=f"magnetic hydrogen local energy ({variant}, B={mh.B})",
     )
 
 
 def magnetic_trivial_bounds(mhs: Sequence[MagneticHydrogen], cfg=None) -> list[BoundsResult]:
     """Sandwich of each entry from the two trivial trials: lower from
-    ``h = 0``, upper from ``h = -B/4`` (each certifies only its own side).
+    ``beta = 0``, upper from ``beta = B`` (each certifies only its own side).
 
     Every entry's lower field (searched for its minimum only) and upper
     field (for its maximum only) form one stack, searched once with a row

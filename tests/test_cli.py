@@ -349,6 +349,25 @@ def test_trivial_magnetic_bounds_accept_B_0(tmp_path):
     assert json.loads(text)["result"]["lower"] == pytest.approx(-0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("variant, want", [("trivial", 0), ("lower", 3), ("upper", 3), ("improved", 3)])
+def test_magnetic_bounds_at_a_strong_field(tmp_path, variant, want):
+    # the radial cusp probe shrinks with B; at a fixed radius the quadratic
+    # part of U failed the cusp tolerance for B above about 200
+    code, text = run(tmp_path, "bounds", "--system", "magnetic-hydrogen", "--variant", variant, "--B", "500")
+    assert code == want
+    if variant == "trivial":
+        result = json.loads(text)["result"]
+        assert result["lower"] == pytest.approx(-0.5, abs=1e-9)
+        assert result["upper"] == pytest.approx(249.5, abs=1e-9)
+
+
+def test_sweep_over_a_strong_field(tmp_path):
+    code, text = run(tmp_path, "sweep", "--system", "magnetic-hydrogen", "--param", "B", "--values", "1,300",
+                     "--format", "json")
+    assert code == 0
+    assert [row["upper"] for row in json.loads(text)["result"]["rows"]] == pytest.approx([0.0, 149.5], abs=1e-9)
+
+
 def test_trivial_magnetic_caveat_echoes_box(tmp_path):
     box = ["--box", "0.01:6,-6:6", "--grid-n", "41"]
     _, trivial = run(tmp_path, "bounds", "--system", "magnetic-hydrogen", *box, name="trivial")

@@ -38,6 +38,23 @@ def test_cusp_conditions(B, variant):
     assert axis <= CUSP_TOL
 
 
+# field strengths log-uniform over twelve decades, and zero
+_field_strengths = st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(B=_field_strengths)
+def test_every_variant_builds_its_field_at_any_field_strength(B):
+    mh = MagneticHydrogen(B)
+    for variant in VARIANTS:
+        if variant == "improved" and B == 0.0:
+            with pytest.raises(ValueError):
+                magnetic_hydrogen_field(mh, variant)
+            continue
+        magnetic_hydrogen_field(mh, variant)  # checks the cusp conditions
+        assert max(cusp_defects(mh, variant)) <= CUSP_TOL
+
+
 def test_trivial_bounds():
     Bs = [0.5, 1.0, 2.0]
     results = magnetic_trivial_bounds([MagneticHydrogen(B) for B in Bs])
@@ -241,25 +258,104 @@ def reference_cancelled_local_energy(mh, variant, qs):
     return mh.B**2 * rho * rho / 8.0 - 0.5 * (1.0 + lap_u + grad2) + radial
 
 
+def reference_plain_local_energy(mh, variant, qs):
+    rho, z = qs[:, 0], qs[:, 1]
+    r = np.hypot(rho, z)
+    _, u_r, u_z, u_rr, u_ror, u_zz = reference_u_parts(mh, variant, rho, z)
+    s_r = -rho / r + u_r
+    s_z = -z / r + u_z
+    lap_s = -2.0 / r + u_rr + u_ror + u_zz
+    v = mh.B**2 * rho * rho / 8.0 - 1.0 / r
+    return v - 0.5 * (lap_s + s_r * s_r + s_z * s_z)
+
+
+def reference_trial(mh, variant, qs):
+    """S, its gradient and its Laplacian over 3D points."""
+    x, y, z = qs[:, 0], qs[:, 1], qs[:, 2]
+    rho = np.hypot(x, y)
+    r = np.sqrt(rho * rho + z * z)
+    u, u_r, u_z, u_rr, u_ror, u_zz = reference_u_parts(mh, variant, rho, np.abs(z))
+    cosphi = np.where(rho > 0, x / np.where(rho > 0, rho, 1.0), 0.0)
+    sinphi = np.where(rho > 0, y / np.where(rho > 0, rho, 1.0), 0.0)
+    g = np.stack([-x / r + cosphi * u_r, -y / r + sinphi * u_r, -z / r + np.sign(z) * u_z], axis=1)
+    return -r + u, g, -2.0 / r + u_rr + u_ror + u_zz
+
+
 def assert_same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("B", [0.5, 2.0, 4.0])
-@pytest.mark.parametrize("variant", VARIANTS)
+def assert_same_values(got, want):
+    """Bit for bit, except that +0.0 and -0.0 count as equal and a float may
+    stand for an array of its value."""
+    got = np.broadcast_to(np.asarray(got, dtype=float), np.shape(want))
+    both_zero = (got == 0.0) & (want == 0.0)
+    assert np.array_equal(np.where(both_zero, 0.0, got).view(np.int64),
+                          np.where(both_zero, 0.0, want).view(np.int64))
+
+
+# a tensor grid with the axis, the plane z = 0, the origin and tiny radii
+_AXIS = np.concatenate([[0.0, 1e-12, 1e-6], np.linspace(0.01, 10.0, 37)])
+_GRID = np.stack([g.ravel() for g in np.meshgrid(_AXIS, _AXIS)], axis=1)
+# the grid turned about the field axis and mirrored below z = 0
+_GRID_3D = np.concatenate([
+    np.stack([_GRID[:, 0] * c, _GRID[:, 0] * s, sign * _GRID[:, 1]], axis=1)
+    for c, s, sign in [(1.0, 0.0, 1.0), (0.0, 1.0, -1.0), (0.6, -0.8, 1.0), (-0.28, 0.96, -1.0)]
+])
+# B = 3 is the one whose B^2 is not a power of two, so that a reordered
+# product shows in the last bit
+_BS = (0.0, 0.5, 2.0, 3.0, 4.0)
+_B_VARIANTS = [pytest.param(B, variant, id=f"{variant}-{B}")
+               for B in _BS for variant in VARIANTS if not (variant == "improved" and B == 0.0)]
+
+
+@pytest.mark.parametrize("B, variant", _B_VARIANTS)
 def test_u_value_and_derivs_match_the_joint_formula_bit_for_bit(B, variant):
+    # one formula in (beta, k) for every variant: its lower intermediates are
+    # -0.0 where the joint formula had +0.0, and its constant upper second
+    # derivatives are floats, so those compare by value with +-0 equal; every
+    # local energy built from them is bit-identical
     mh = MagneticHydrogen(B)
-    # a tensor grid with the axis, the plane z = 0, the origin and tiny radii
-    axis = np.concatenate([[0.0, 1e-12, 1e-6], np.linspace(0.01, 10.0, 37)])
-    rho, z = (g.ravel() for g in np.meshgrid(axis, axis))
+    params = magnetic._trial_params(mh, variant)
+    rho, z = _GRID[:, 0], _GRID[:, 1]
     r = np.hypot(rho, z)
+    same = assert_same_bits if variant == "improved" else assert_same_values
     with np.errstate(divide="ignore", invalid="ignore"):
         want = reference_u_parts(mh, variant, rho, z)
-        assert_same_bits(magnetic._u_value(mh, variant, rho, z, r), want[0])
-        for got, ref in zip(magnetic._u_derivs(mh, variant, rho, z, r), want[1:], strict=True):
-            assert_same_bits(got, ref)
-        qs = np.stack([rho, z], axis=1)
-        assert_same_bits(magnetic._cancelled_local_energy(mh, variant, qs),
-                         reference_cancelled_local_energy(mh, variant, qs))
+        same(magnetic._u_value(*params, rho, z, r), want[0])
+        for got, ref in zip(magnetic._u_derivs(*params, rho, z, r), want[1:], strict=True):
+            same(got, ref)
+        assert_same_bits(magnetic._cancelled_local_energy(mh.B**2, *params, _GRID),
+                         reference_cancelled_local_energy(mh, variant, _GRID))
+
+
+@pytest.mark.parametrize("B, variant", _B_VARIANTS)
+def test_field_and_trial_match_the_joint_formula_bit_for_bit(B, variant):
+    mh = MagneticHydrogen(B)
+    field = magnetic_hydrogen_field(mh, variant)
+    trial = magnetic.magnetic_trial(mh, variant)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert_same_bits(field.evaluate(_GRID), reference_cancelled_local_energy(mh, variant, _GRID))
+        assert_same_bits(field.alternates[0](_GRID), reference_plain_local_energy(mh, variant, _GRID))
+        want_s, want_g, want_lap = reference_trial(mh, variant, _GRID_3D)
+        got_g, got_lap = trial.derivs(_GRID_3D)
+        # the lower trial's zero dU/drho is -0.0, which flips the sign of S at
+        # the origin and of gradient components that are zero
+        same = assert_same_values if variant == "lower" else assert_same_bits
+        same(trial.s(_GRID_3D), want_s)
+        same(got_g, want_g)
+        assert_same_bits(got_lap, want_lap)
+
+
+def test_trivial_rows_match_the_joint_formula_bit_for_bit():
+    members = [(MagneticHydrogen(B), variant) for B in _BS for variant in ("lower", "upper")]
+    stacked = np.arange(_GRID.shape[0]) % len(members)
+    order = np.argsort(stacked, kind="stable")
+    stacked, qs = stacked[order], _GRID[order]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = magnetic._trivial_rows(members)(stacked, qs)
+        want = np.concatenate([reference_cancelled_local_energy(*members[m], qs[j:j + 1])
+                               for j, m in enumerate(stacked)])
+    assert_same_bits(got, want)

@@ -4,6 +4,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from groundbound.cli import SYSTEMS, main
 from groundbound.oracle import Grid1D, solve_1d_ground_state
 from groundbound.search import SearchConfig, bounds_of_field
 from groundbound.systems import QuarticOscillator, quartic_field
+from groundbound.systems.magnetic import SYSTEM_VARIANTS
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)
@@ -27,6 +29,10 @@ def test_quartic_bounds_sandwich_the_reference_energy(rr, delta2, eta):
     assert ref.energy - ref.error_bar <= b.upper
 
 
+def _float_keys(system):
+    return [key for key, (default, _) in system.params.items() if isinstance(default, float)]
+
+
 def _float_param_cases():
     """(command, system, parameter) for every float parameter a command accepts."""
     commands = {"bounds": "bounds", "sweep": "bounds", "field": "field",
@@ -35,9 +41,8 @@ def _float_param_cases():
         for command, builder in commands.items():
             if getattr(system, builder) is None or (command == "sweep" and not system.sweepable):
                 continue
-            for key, (default, _) in system.params.items():
-                if isinstance(default, float):
-                    yield command, name, key
+            for key in _float_keys(system):
+                yield command, name, key
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -69,3 +74,27 @@ def test_non_finite_parameters_exit_2(case, bad, via_config):
             warnings.simplefilter("error")
             assert main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+# finite values over twelve decades of either sign, and zero
+_wide_floats = st.one_of(
+    st.just(0.0),
+    st.floats(-1e6, 1e6),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 6.0)),
+)
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for name, system in SYSTEMS.items() for command in ("bounds", "field")
+    if getattr(system, command) is not None and _float_keys(system)
+])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_no_cli_run_ends_in_a_traceback(command, name, data):
+    system = SYSTEMS[name]
+    argv = [command, "--system", name, "--grid-n", "16", "--levels", "1", "--multistarts", "1"]
+    argv += [f"--{key}={data.draw(_wide_floats, label=key)!r}" for key in _float_keys(system)]
+    if "variant" in system.params:
+        argv += ["--variant", data.draw(st.sampled_from(SYSTEM_VARIANTS), label="variant")]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main([*argv, "--out", str(Path(tmp, "out"))]) in (0, 2, 3, 4)
