@@ -36,7 +36,7 @@ from .oracle import (
 )
 from .output import envelope, render_csv, render_json, write_text_atomic
 from .refine import default_centers, new_refinement_state, optimize_bump_amplitude
-from .search import EmptySearchRegionError, SearchConfig, bounds_of_field, grid_points
+from .search import EmptySearchRegionError, SearchConfig, _stacked_bounds, grid_points
 from .systems import (
     AnnularBilliard,
     MagneticHydrogen,
@@ -92,7 +92,7 @@ class System:
 
     - ``bounds(param_sets, cfg)`` returns one :class:`BoundsResult` per
       parameter set: ``bounds`` passes one set, and ``sweep`` one per value
-      of a ``sweepable`` parameter, so a system may search them together;
+      of a float parameter, so a system searches them together;
     - ``field(params)`` returns the parameters it used and the field, dumped
       under ``columns``;
     - ``oracle(params, cfg)`` returns an :class:`OracleResult` on a grid of
@@ -107,7 +107,6 @@ class System:
     check: Callable[[dict], object] = lambda p: None
     grid_n: int | None = None
     oracle_grid_n: int | None = None  # reference solves want finer grids
-    sweepable: tuple[str, ...] = ()
     bounds: Callable[[list[dict], SearchConfig], list[BoundsResult]] | None = None
     field: Callable[[dict], tuple[dict, LocalEnergyField]] | None = None
     columns: tuple[str, ...] = ()
@@ -123,21 +122,15 @@ def _billiard(p: dict) -> LocalEnergyField:
     return billiard_local_energy_field(AnnularBilliard(p["r"], p["delta"]))
 
 
-def _each(bounds: Callable[[dict, SearchConfig], BoundsResult]):
-    """A ``System.bounds`` that searches each parameter set on its own."""
-    return lambda ps, cfg: [bounds(p, cfg) for p in ps]
-
-
 def _magnetic_bounds(ps: list[dict], cfg: SearchConfig) -> list[BoundsResult]:
-    # every trivial sandwich of the list is one stacked search
+    # every trivial sandwich of the list is one stacked search, and so are the single trials
     trivial = iter(magnetic_trivial_bounds(
         [MagneticHydrogen(p["B"]) for p in ps if p["variant"] == "trivial"], cfg
     ))
-    return [
-        next(trivial) if p["variant"] == "trivial"
-        else bounds_of_field(magnetic_hydrogen_field(MagneticHydrogen(p["B"]), p["variant"]), cfg)
-        for p in ps
-    ]
+    single = iter(_stacked_bounds([
+        magnetic_hydrogen_field(MagneticHydrogen(p["B"]), p["variant"]) for p in ps if p["variant"] != "trivial"
+    ], cfg))
+    return [next(trivial if p["variant"] == "trivial" else single) for p in ps]
 
 
 def _magnetic_field(p: dict) -> tuple[dict, LocalEnergyField]:
@@ -181,7 +174,7 @@ _HYDROGEN = System(
     params={},
     grid_n=401,
     oracle_grid_n=4000,
-    bounds=_each(lambda p, cfg: bounds_of_field(hydrogen_radial_field(1.0), cfg)),
+    bounds=lambda ps, cfg: _stacked_bounds([hydrogen_radial_field(1.0) for _ in ps], cfg),
     field=lambda p: (p, hydrogen_radial_field(1.0)),
     columns=("r", "e_loc"),
     oracle=lambda p, cfg: solve_1d_ground_state(
@@ -196,8 +189,7 @@ SYSTEMS: dict[str, System] = {
         check=lambda p: AnnularBilliard(p["r"], p["delta"]),
         grid_n=101,
         oracle_grid_n=400,
-        sweepable=("r", "delta"),
-        bounds=_each(lambda p, cfg: bounds_of_field(_billiard(p), cfg)),
+        bounds=lambda ps, cfg: _stacked_bounds([_billiard(p) for p in ps], cfg),
         field=lambda p: (p, _billiard(p)),
         columns=("x", "y", "e_loc"),
         oracle=lambda p, cfg: _dirichlet_2d(_billiard(p), cfg),
@@ -207,8 +199,7 @@ SYSTEMS: dict[str, System] = {
         params={"Z": (2.0, "helium-like nuclear charge")},
         check=lambda p: helium_bounds(p["Z"]),
         grid_n=61,
-        sweepable=("Z",),
-        bounds=_each(lambda p, cfg: helium_bounds(p["Z"])),
+        bounds=lambda ps, cfg: [helium_bounds(p["Z"]) for p in ps],
     ),
     "magnetic-hydrogen": System(
         dim=2,
@@ -218,7 +209,6 @@ SYSTEMS: dict[str, System] = {
         },
         check=_magnetic_field,  # the field's builder checks B and the variant
         grid_n=161,
-        sweepable=("B",),
         bounds=_magnetic_bounds,
         field=_magnetic_field,
         columns=("rho", "z", "e_loc"),
@@ -233,8 +223,7 @@ SYSTEMS: dict[str, System] = {
         check=_quartic,
         grid_n=401,
         oracle_grid_n=2000,
-        sweepable=("rr", "delta2"),
-        bounds=_each(lambda p, cfg: bounds_of_field(quartic_field(_quartic(p)), cfg)),
+        bounds=lambda ps, cfg: _stacked_bounds([quartic_field(_quartic(p)) for p in ps], cfg),
         field=lambda p: (p, quartic_field(_quartic(p))),
         columns=("q", "e_loc"),
         oracle=_quartic_oracle,
@@ -522,10 +511,12 @@ def _refine_extras(m: _Merger, system: System, params: dict) -> dict:
 
 def _sweep_extras(m: _Merger, system: System, params: dict) -> dict:
     param = m.args["param"]
-    if param not in system.sweepable:
+    # every float parameter sweeps
+    sweepable = [key for key, (default, _) in system.params.items() if isinstance(default, float)]
+    if param not in sweepable:
         raise SpecError(
             f"system {m.args['system']!r} has no sweepable parameter {param!r} "
-            f"(allowed: {', '.join(system.sweepable) or 'none'})"
+            f"(allowed: {', '.join(sweepable) or 'none'})"
         )
     values = _parse_float_list(m.get("values", ""))
     if not values:
@@ -634,6 +625,10 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
         raise SpecError(f"unknown system {args.system!r}")
     if getattr(system, command.builder) is None:
         raise SpecError(f"{args.command} does not support system {args.system!r}")
+    foreign = {key for other in SYSTEMS.values() for key in other.params} - set(system.params)
+    given = sorted(key for key in foreign if m.args[key] is not None)
+    if given:
+        raise SpecError(f"system {args.system!r} has no parameter {', '.join('--' + key for key in given)}")
     params = _checked(system, {
         key: m.get(key, default, type(default)) for key, (default, _) in system.params.items()
     })
@@ -662,7 +657,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except (BoxTooSmallError, ConvergenceError, EmptySearchRegionError,
-            SingularEvaluationError, FloatingPointError) as exc:
+            SingularEvaluationError, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -214,7 +214,6 @@ class LogTrialFunction:
     s: Callable[[np.ndarray], np.ndarray]
     derivs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     normalizable: bool = True
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,6 @@ class LocalEnergyField:
     evaluate: Callable[[np.ndarray], np.ndarray]
     alternates: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
     asymptotic_limits: tuple[AsymptoticLimit, ...] = ()
-    label: str = ""
 
     def singular_mask(self, qs: np.ndarray) -> np.ndarray:
         """Points inside any of the domain's declared singular tubes."""
@@ -355,7 +353,6 @@ def make_log_field(
     h: Hamiltonian,
     trial: LogTrialFunction,
     asymptotic_limits: tuple[AsymptoticLimit, ...] = (),
-    label: str = "",
 ) -> LocalEnergyField:
     def _eval(qs: np.ndarray) -> np.ndarray:
         return local_energy_log_batch(h, trial, qs)
@@ -364,7 +361,6 @@ def make_log_field(
         domain=h.domain,
         evaluate=_eval,
         asymptotic_limits=tuple(asymptotic_limits),
-        label=label or (trial.label and f"log-form local energy of {trial.label}"),
     )
 
 

@@ -211,7 +211,6 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
         s=s,
         derivs=derivs,
         normalizable=base.normalizable,
-        label=base.label + f" + {len(bumps)} bump(s)",
     )
 
 

@@ -17,10 +17,12 @@ for its maximum): each member's level-0 grid scan serves all its kinds, one
 lockstep polish serves the whole stack, its rows tagged ``(member, kind)``
 and carrying their own sign, and each ``(member, kind)`` keeps its own zoomed
 levels, history and winner.  Every report equals the one a search of that
-field for that kind alone would give, bit for bit.  ``global_min``,
-``global_max`` and ``bounds_of_field`` search a stack of one field;
-``bounds_of_field`` asks for both kinds, from about 40% fewer field calls
-than two searches.
+field for that kind alone would give, bit for bit.  ``global_min`` and
+``global_max`` search a stack of one field.  ``_stacked_bounds`` turns any
+list of fields into bounds, one per ``(lower, upper)`` pair of field indices
+(each field with itself by default: both kinds from about 40% fewer field
+calls than two searches); ``bounds_of_field``, the CLI's ``bounds`` and
+``sweep``, the magnetic trivial sandwich and the optimizer all go through it.
 ``optimize_parameters`` runs the outer sup/inf over a trial family's control
 vector with a full inner extremum search per probe: the initial probes form
 one stack, and so does each call of the same lockstep polish on the outer
@@ -91,6 +93,8 @@ class SearchConfig:
             raise ValueError("refinement_levels must be at least 1")
         if self.multistart_count < 1:
             raise ValueError("multistart_count must be at least 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
     def box_for(self, domain: Domain) -> tuple[tuple[float, float], ...]:
         """The search box over ``domain``: this config's box, else the
@@ -447,20 +451,46 @@ def _caveat(field: LocalEnergyField, cfg: SearchConfig) -> ResolutionCaveat:
 
 def bounds_of_field(field: LocalEnergyField, cfg: SearchConfig | None = None) -> BoundsResult:
     """Lower/upper energy bounds as the global min/max of one field."""
-    cfg = cfg or SearchConfig()
-    return _bounds_result(field, cfg, *_search_extrema([field], cfg, [("min", "max")])[0])
+    return _stacked_bounds([field], cfg or SearchConfig())[0]
 
 
-def _bounds_result(
-    field: LocalEnergyField, cfg: SearchConfig, lo: ExtremumReport, hi: ExtremumReport
-) -> BoundsResult:
-    return BoundsResult(
-        lower=lo.value,
-        upper=hi.value,
-        lower_witness=lo,
-        upper_witness=hi,
-        resolution_caveat=_caveat(field, cfg),
-    )
+def _stacked_bounds(
+    fields: Sequence[LocalEnergyField],
+    cfg: SearchConfig,
+    rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    pairs: Sequence[tuple[int, int]] | None = None,
+) -> list[BoundsResult]:
+    """One :class:`BoundsResult` per ``(lower, upper)`` pair of indices into
+    ``fields``: the lower bound is the global minimum of ``fields[lower]``,
+    the upper the global maximum of ``fields[upper]``.  By default each field
+    is paired with itself.
+
+    Each field is searched only for the kinds its pairs ask of it, and the
+    fields that share a search box are searched as one stack.
+    ``rows(members, qs)``, when given, evaluates ``fields[members[j]]`` at
+    ``qs[j]`` (see :func:`_stack_values`).
+    """
+    pairs = [(i, i) for i in range(len(fields))] if pairs is None else pairs
+    lows, highs = {lo for lo, _ in pairs}, {hi for _, hi in pairs}
+    by_box: dict[tuple, list[int]] = {}
+    for i, field in enumerate(fields):
+        if i in lows or i in highs:
+            by_box.setdefault(cfg.box_for(field.domain), []).append(i)
+    reports: dict[tuple[int, str], ExtremumReport] = {}
+    for members in by_box.values():
+        kinds = [("min",) * (i in lows) + ("max",) * (i in highs) for i in members]
+        stack_rows = rows
+        if rows is not None and len(members) < len(fields):
+            index = np.array(members)  # the stack's member j is field index[j]
+            stack_rows = lambda stacked, qs, index=index: rows(index[stacked], qs)
+        found = _search_extrema([fields[i] for i in members], cfg, kinds, stack_rows)
+        for i, member_kinds, member_reports in zip(members, kinds, found):
+            reports.update(zip([(i, kind) for kind in member_kinds], member_reports))
+    results = []
+    for lo, hi in pairs:
+        lower, upper = reports[lo, "min"], reports[hi, "max"]
+        results.append(BoundsResult(lower.value, upper.value, lower, upper, _caveat(fields[lo], cfg)))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -493,33 +523,7 @@ class TrialFamily:
 class ParameterSearchResult:
     best_params: np.ndarray
     bounds: BoundsResult
-    objective: str
     probes: tuple[tuple[tuple[float, ...], float], ...]
-
-
-def _stacked_bounds(
-    family: TrialFamily, keys: list[tuple[float, ...]], cfg: SearchConfig
-) -> dict[tuple[float, ...], BoundsResult]:
-    """``bounds_of_field`` of each member ``keys[i]``, searched as stacks of
-    the members that share a search box."""
-    fields = {key: family.build(np.array(key)) for key in keys}
-    by_box: dict[object, list[tuple[float, ...]]] = {}
-    for key, field in fields.items():
-        by_box.setdefault(field.domain.box, []).append(key)
-    out = {}
-    for stack_keys in by_box.values():
-        stack = [fields[key] for key in stack_keys]
-        rows = None
-        if family.evaluate_rows is not None:
-            controls = np.array(stack_keys)
-
-            def rows(members: np.ndarray, qs: np.ndarray, controls=controls) -> np.ndarray:
-                return family.evaluate_rows(controls[members], qs)
-
-        reports = _search_extrema(stack, cfg, [("min", "max")] * len(stack), rows)
-        for key, field, (lo, hi) in zip(stack_keys, stack, reports):
-            out[key] = _bounds_result(field, cfg, lo, hi)
-    return out
 
 
 def optimize_parameters(
@@ -554,7 +558,7 @@ def optimize_parameters(
 
     if not family.control_box:
         b = bounds_of_field(family.build(np.empty(0)), inner_cfg)
-        return ParameterSearchResult(np.empty(0), b, objective, (((), value(b)),))
+        return ParameterSearchResult(np.empty(0), b, (((), value(b)),))
 
     lo = np.array([c[0] for c in family.control_box])
     hi = np.array([c[1] for c in family.control_box])
@@ -574,7 +578,11 @@ def optimize_parameters(
         """Signed objective of each key, searching the new ones as stacks."""
         new = [key for key in dict.fromkeys(keys) if key not in cache]
         if new:
-            cache.update(_stacked_bounds(family, new, inner_cfg))
+            controls = np.array(new)
+            rows = None if family.evaluate_rows is None else (
+                lambda members, qs: family.evaluate_rows(controls[members], qs))
+            fields = [family.build(np.array(key)) for key in new]
+            cache.update(zip(new, _stacked_bounds(fields, inner_cfg, rows)))
         return np.array([signed_value(key) for key in keys])
 
     random_probes = rng.uniform(lo, hi, size=(RANDOM_PROBE_COUNT, lo.shape[0]))
@@ -616,6 +624,5 @@ def optimize_parameters(
     return ParameterSearchResult(
         best_params=best_x,
         bounds=cache[key_of(best_x)],
-        objective=objective,
         probes=tuple((key, value(cache[key])) for key in record),
     )

@@ -95,7 +95,6 @@ def billiard_local_energy_field(ab: AnnularBilliard) -> LocalEnergyField:
         evaluate=closed_form,
         alternates=(ratio_form,),
         asymptotic_limits=(),
-        label=f"annular billiard local energy (r={ab.r}, delta={ab.delta})",
     )
 
 
@@ -133,4 +132,4 @@ def unit_disk_field(
         box=((-1.0, 1.0), (-1.0, 1.0)),
         excluded_singular_sets=sing,
     )
-    return LocalEnergyField(domain=dom, evaluate=evaluate, label="unit disk")
+    return LocalEnergyField(domain=dom, evaluate=evaluate)

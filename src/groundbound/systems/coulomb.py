@@ -242,7 +242,6 @@ def coulomb_log_trial(cs: CoulombSystem, check_normalizable: bool = True) -> Log
         s=s,
         derivs=derivs,
         normalizable=normalizable,
-        label=f"pair-exponential trial (N={n}, D={d})",
     )
 
 
@@ -310,7 +309,6 @@ def coulomb_field(cs: CoulombSystem, check_normalizable: bool = True) -> LocalEn
         domain=h.domain,
         evaluate=closed,
         alternates=(logform,),
-        label=f"Coulomb local energy (N={cs.n_particles}, D={cs.space_dim})",
     )
 
 
@@ -427,5 +425,4 @@ def helium_search_field(z: float) -> LocalEnergyField:
         domain=dom,
         evaluate=generic,
         alternates=(z_formula, logform),
-        label=f"helium-like two-electron local energy (Z={z})",
     )

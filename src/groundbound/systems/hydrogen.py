@@ -52,7 +52,6 @@ def hydrogen_trial_3d(lam: float = 1.0) -> LogTrialFunction:
         s=lambda qs: -lam * r_of(qs),
         derivs=derivs,
         normalizable=lam > 0,
-        label=f"hydrogen exponential trial (lam={lam})",
     )
 
 
@@ -105,7 +104,6 @@ def hydrogen_radial_field(lam: float = 1.0) -> LocalEnergyField:
         domain=dom,
         evaluate=evaluate,
         asymptotic_limits=(AsymptoticLimit("r -> inf", tail),),
-        label=f"hydrogen radial local energy (lam={lam})",
     )
 
 

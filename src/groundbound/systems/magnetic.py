@@ -218,7 +218,6 @@ def magnetic_trial(mh: MagneticHydrogen, variant: str) -> LogTrialFunction:
         s=s,
         derivs=derivs,
         normalizable=True,
-        label=f"magnetic hydrogen trial ({variant}, B={mh.B})",
     )
 
 
@@ -294,6 +293,9 @@ def _domain(mh: MagneticHydrogen, singular: tuple[SingularSet, ...]) -> Domain:
 def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyField:
     """Local-energy field of one trial variant over the (rho, z) half-plane."""
     beta, k = _trial_params(mh, variant)
+    # squared first: a B whose square overflows raises here, before the cusp
+    # probe radius 1e-12/B turns subnormal and the probe loses its precision
+    b2 = mh.B**2
     d_radial, d_axis = cusp_defects(mh, variant)
     if max(d_radial, d_axis) > CUSP_TOL:
         raise AssertionError(
@@ -307,8 +309,10 @@ def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyFi
         # U = -beta rho^2/4 vanishes on the axis, leaving one limit there and at the origin
         limit = beta / 2.0 - 0.5
         singular = (SingularSet("origin", origin_tube, limit),)
-        off_axis = (AsymptoticLimit("off-axis (confining magnetic term)", math.inf) if variant == "lower"
-                    else AsymptoticLimit("off-axis", -math.inf))
+        # off the axis E_loc = (B^2 - beta^2) rho^2/8 + limit - beta rho^2/(2r),
+        # and B, beta >= 0, so B^2 > beta^2 exactly when B > beta
+        off_axis = (AsymptoticLimit("off-axis (confining magnetic term)", math.inf) if mh.B > beta
+                    else AsymptoticLimit("off-axis", -math.inf if beta > 0 else limit))
         asym = (AsymptoticLimit("along the field axis", limit), off_axis)
     else:
         never = lambda qs: np.zeros(qs.shape[0], dtype=bool)
@@ -325,13 +329,11 @@ def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyFi
             AsymptoticLimit("along the field axis", float(improved_directional_limit(mh, 0.0))),
         )
 
-    b2 = mh.B**2
     return LocalEnergyField(
         domain=_domain(mh, singular),
         evaluate=lambda qs: _cancelled_local_energy(b2, beta, k, qs),
         alternates=(lambda qs: _plain_local_energy(b2, beta, k, qs),),
         asymptotic_limits=asym,
-        label=f"magnetic hydrogen local energy ({variant}, B={mh.B})",
     )
 
 
@@ -342,13 +344,7 @@ def magnetic_trivial_bounds(mhs: Sequence[MagneticHydrogen], cfg=None) -> list[B
     Every entry's lower field (searched for its minimum only) and upper
     field (for its maximum only) form one stack, searched once with a row
     evaluator."""
-    if not mhs:
-        return []
-    cfg = cfg or search.SearchConfig()
     members = [(mh, variant) for mh in mhs for variant in ("lower", "upper")]
     fields = [magnetic_hydrogen_field(mh, variant) for mh, variant in members]
-    reports = search._search_extrema(fields, cfg, [("min",), ("max",)] * len(mhs), _trivial_rows(members))
-    return [
-        search._bounds_result(lower, cfg, lo, hi)
-        for lower, [lo], [hi] in zip(fields[0::2], reports[0::2], reports[1::2])
-    ]
+    pairs = [(2 * i, 2 * i + 1) for i in range(len(mhs))]
+    return search._stacked_bounds(fields, cfg or search.SearchConfig(), _trivial_rows(members), pairs)

@@ -122,7 +122,6 @@ class QuarticOscillator:
             s=lambda qs: self._s0(coordinate_1d(qs)),
             derivs=derivs,
             normalizable=True,
-            label=f"quartic base trial (r={self.r}, eta={self.eta:+d}, d2={self.delta2})",
         )
 
 
@@ -143,5 +142,4 @@ def quartic_field(qo: QuarticOscillator) -> LocalEnergyField:
         asymptotic_limits=(
             AsymptoticLimit("|q| -> inf (both tails)", qo.asymptotic_local_energy()),
         ),
-        label=f"quartic local energy (r={qo.r}, eta={qo.eta:+d}, d2={qo.delta2})",
     )

@@ -171,8 +171,12 @@ def test_sweep_values_from_a_config_file(tmp_path):
     assert len(from_flag.strip().splitlines()) == 3
 
 
-def test_trivial_sweep_is_one_stacked_search(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv, stacks", [
     # every value's lower and upper field share one search (one per field before)
+    (["--system", "magnetic-hydrogen", "--param", "B", "--values", "0.5,1,2,4"], [8]),
+    (["--system", "quartic", "--param", "delta2", "--values", "2,4,8"], [3]),
+], ids=["magnetic-trivial", "quartic"])
+def test_a_sweep_is_one_stacked_search(tmp_path, monkeypatch, argv, stacks):
     calls = []
     extrema = search._search_extrema
 
@@ -181,19 +185,33 @@ def test_trivial_sweep_is_one_stacked_search(tmp_path, monkeypatch):
         return extrema(*args)
 
     monkeypatch.setattr(search, "_search_extrema", counted)
-    code, _ = run(tmp_path, "sweep", "--system", "magnetic-hydrogen", "--param", "B", "--values", "0.5,1,2,4")
+    code, _ = run(tmp_path, "sweep", *argv)
     assert code == 0
-    assert calls == [8]
+    assert calls == stacks
 
 
-@pytest.mark.parametrize("variant, values", [("trivial", "0,0.5,1,2,4"), ("improved", "1,4")])
-def test_sweep_rows_equal_separate_bounds_runs(tmp_path, variant, values):
-    common = ["--system", "magnetic-hydrogen", "--variant", variant, "--format", "json"]
-    _, text = run(tmp_path, "sweep", *common, "--param", "B", "--values", values, name="sweep")
+# name -> (system, swept parameter, values, fixed flags): every float parameter
+# of every system (the billiard's box moves with delta, so its delta sweep is
+# two stacks), B from 0 for the trivial sandwich, and the improved trial
+SWEEPS = {
+    f"{name}-{key}": (name, key, [0.9 * default, default], [])
+    for name, system in cli.SYSTEMS.items() if system.bounds is not None
+    for key, (default, _) in system.params.items() if isinstance(default, float)
+}
+SWEEPS["magnetic-hydrogen-B"] = ("magnetic-hydrogen", "B", [0.0, 0.5, 1.0, 2.0, 4.0], [])
+SWEEPS["magnetic-improved-B"] = ("magnetic-hydrogen", "B", [1.0, 4.0], ["--variant", "improved"])
+
+
+@pytest.mark.parametrize("case", SWEEPS)
+def test_sweep_rows_equal_separate_bounds_runs(tmp_path, case):
+    name, key, values, fixed = SWEEPS[case]
+    common = ["--system", name, *fixed, "--format", "json"]
+    _, text = run(tmp_path, "sweep", *common, "--param", key, "--values", ",".join(map(repr, values)),
+                  name="sweep")
     rows = json.loads(text)["result"]["rows"]
-    assert [row["value"] for row in rows] == [float(v) for v in values.split(",")]
+    assert [row["value"] for row in rows] == values
     for row in rows:
-        _, one = run(tmp_path, "bounds", *common, "--B", repr(row["value"]), name="bounds")
+        _, one = run(tmp_path, "bounds", *common, f"--{key}", repr(row["value"]), name="bounds")
         result = json.loads(one)["result"]
         assert (row["lower"], row["upper"]) == (result["lower"], result["upper"])
 
@@ -267,6 +285,8 @@ def test_field_singular_nan_flag(tmp_path):
 def test_exit_codes_for_bad_specs(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("B = nan\nvariant = bogus\n")
+    seed_conf = tmp_path / "seed.conf"
+    seed_conf.write_text("seed = -1\n")
     out = tmp_path / "out"
     bad_specs = [
         "bounds --system nonsense",
@@ -290,6 +310,8 @@ def test_exit_codes_for_bad_specs(tmp_path):
         "sweep --system magnetic-hydrogen --variant improved --param B --values 0",
         "field --system quartic --timing",
         "bounds --system helium --format csv --timing",
+        "bounds --system quartic --seed -1",
+        f"bounds --system quartic --config {seed_conf}",
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -347,6 +369,40 @@ def test_trivial_magnetic_bounds_accept_B_0(tmp_path):
     code, text = run(tmp_path, "bounds", "--system", "magnetic-hydrogen", "--variant", "trivial", "--B", "0")
     assert code == 0
     assert json.loads(text)["result"]["lower"] == pytest.approx(-0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("variant", ["lower", "upper"])
+def test_single_magnetic_trials_at_B_0(tmp_path, variant):
+    # at B = 0 both trials give E_loc = -1/2 everywhere, off the axis too
+    code, text = run(tmp_path, "bounds", "--system", "magnetic-hydrogen", "--variant", variant, "--B", "0")
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert (result["lower"], result["upper"]) == (-0.5, -0.5)
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [("r", "0.5"), ("variant", "improved")])
+def test_another_systems_parameter_exits_2(tmp_path, capsys, how, key, value):
+    argv = ["bounds", "--system", "quartic"]
+    if how == "flag":
+        argv += [f"--{key}", value]
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(conf)]
+    assert run(tmp_path, *argv) == (2, None)
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds --system magnetic-hydrogen --B 1e200",
+    "field --system magnetic-hydrogen --B 1e200 --variant improved",
+    "bounds --system quartic --rr 1e300",
+    "bounds --system quartic --delta2 1e300",
+    "bounds --system helium --Z 1e300",
+])
+def test_an_overflowing_parameter_exits_4(tmp_path, argv):
+    assert run(tmp_path, *argv.split(), "--grid-n", "16")[0] == 4
 
 
 @pytest.mark.parametrize("variant, want", [("trivial", 0), ("lower", 3), ("upper", 3), ("improved", 3)])

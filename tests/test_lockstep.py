@@ -348,6 +348,45 @@ def test_stacked_search_rejects_fields_with_different_boxes():
         _search_extrema(fields, SearchConfig(grid_points_per_axis=8), [("min",)] * len(fields))
 
 
+def _hydrogen_radial_over_two_boxes():
+    lams = (0.5, 0.8, 1.0, 1.25, 2.0)
+    fields = [hydrogen_radial_field(lam) for lam in lams]
+    boxes = [((0.0, 40.0 if i % 2 else 20.0),) for i in range(len(lams))]
+    return [replace(f, domain=replace(f.domain, box=box)) for f, box in zip(fields, boxes)], _hydrogen_rows(lams)
+
+
+# stack -> (fields over two search boxes, stacked evaluator or None)
+PAIRED_STACKS = {
+    "billiard": lambda: ([billiard_local_energy_field(AnnularBilliard(r, d))
+                          for r, d in ((0.3, 0.0), (0.5, 0.1), (0.6, 0.0), (0.4, 0.2))], None),
+    "hydrogen-radial-rows": _hydrogen_radial_over_two_boxes,
+}
+
+
+@pytest.mark.parametrize("stack", sorted(PAIRED_STACKS))
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_stacked_bounds_pairs_equal_global_min_and_max(stack, data):
+    # each pair's lower is its first field's minimum and its upper its second
+    # field's maximum, bit for bit, whichever box group each field falls in
+    fields, rows = PAIRED_STACKS[stack]()
+    index = st.integers(0, len(fields) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=4), label="pairs")
+    cfg = SearchConfig(
+        grid_points_per_axis=data.draw(st.integers(8, 24), label="grid"),
+        refinement_levels=data.draw(st.integers(1, 3), label="levels"),
+        multistart_count=data.draw(st.integers(1, 3), label="multistarts"),
+        rng_seed=data.draw(st.integers(0, 2**32 - 1), label="rng_seed"),
+    )
+    results = search._stacked_bounds(fields, cfg, rows, pairs)
+    assert len(results) == len(pairs)
+    for (lo, hi), got in zip(pairs, results):
+        assert_same_report(got.lower_witness, search.global_min(fields[lo], cfg))
+        assert_same_report(got.upper_witness, search.global_max(fields[hi], cfg))
+        assert (got.lower, got.upper) == (got.lower_witness.value, got.upper_witness.value)
+        assert got.resolution_caveat.box == cfg.box_for(fields[lo].domain)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     lams=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=6),
