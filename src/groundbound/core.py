@@ -334,7 +334,7 @@ def local_energy_log_batch(h: Hamiltonian, trial: LogTrialFunction, qs: np.ndarr
     second = np.asarray(second, dtype=float)
     c = h.isotropic_coefficient
     if c is not None:
-        return v - c * (_laplacian(second) + np.sum(g * g, axis=1))
+        return v - c * (_laplacian(second) + (g * g).sum(axis=1))
     if second.ndim == 1:
         raise ValueError(
             "trial supplies no Hessian but the inverse-mass form is not a multiple "

@@ -22,9 +22,17 @@ committed trial's ``grad S0, lap S0``,
 
 so a dense amplitude scan costs a few small broadcasts over a fixed grid.  The
 committed trial's part of it (the grid, ``grad S0`` and the ``alpha`` term) is
-kept with the state and rebuilt only after a commit.  The amplitude that wins
-the scan (golden-refined to 1e-4) is then certified by the ordinary polished
-global search before it may commit.
+kept with the state and rebuilt only after a commit.  The rebuild reuses what
+did not change: the potential and the base trial's derivatives on the grid,
+and each bump's ``(q - a)/sigma`` and ``exp(-t^2)`` column, so a commit costs a
+new column at most and a few products and sums over the bumps.  The scan
+scores only the grid columns that can hold the minimum over the amplitude
+range: each column is concave in s (its ``s^2`` term is ``-c g1^2``), so its
+least value sits at an end of the range, and a column whose least value lies
+above another column's largest, rounding included, never holds it.  The
+minimum of the rest is the same float.  The amplitude that wins the scan
+(golden-refined to 1e-4) is then certified by the ordinary polished global
+search before it may commit.
 
 Everything here is one-dimensional, matching the systems it refines.
 """
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,8 +80,14 @@ SELECTION_GRID_MIN = 4001
 # productive without measurably biasing the bound.
 LOCAL_TIEBREAK_WEIGHT = 1e-6
 LOCAL_WINDOW_SIGMAS = 3.0
-# Amplitudes scored per broadcast: an 8 x 4001 block of doubles stays in cache.
-SCAN_BLOCK = 8
+# Grid values scored per broadcast: a block of about 8 x 4001 doubles stays
+# in cache, however many grid columns the scan keeps.
+SCAN_BLOCK_CELLS = 8 * 4001
+# Bounds on the rounding of a computed amplitude-scan energy: a relative part
+# (8 unit roundoffs of |alpha| + S|beta| + S^2|gamma|, S the largest |s|), and
+# an absolute part that covers products rounded below the normal range.
+SCAN_ROUNDING = 8.0 * 2.0**-52
+SCAN_ROUNDING_FLOOR = 2.0**-1022
 # Bound changes below this are search-resolution noise, not regressions; the
 # commit rule itself stays strict so the recorded history never decreases.
 CENSOR_TOL = 1e-9
@@ -110,16 +124,31 @@ def _bump_value(q: np.ndarray, s, a, sigma) -> np.ndarray:
     return _bump_terms(q, s, a, sigma)[1].sum(axis=1)
 
 
-def _bump_derivs(q: np.ndarray, s, a, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivative of :func:`_bump_value` at the points ``q``.
+def _summed_derivs(t: np.ndarray, e: np.ndarray, sigma, sigma2) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivative of the bump sum from its terms ``t`` and
+    ``e`` (see :func:`_bump_terms`), given each ``sigma`` and its square.
 
     Each derivative is summed over the bumps as soon as it is built, which
-    keeps the peak memory of a long bump list down.
+    keeps the peak memory of a long bump list down.  Both are built in one
+    work array, since a large temporary costs more to allocate than to fill;
+    each element is ``e * (-2 t / sigma)`` and ``e * (4 t t - 2) / sigma2``
+    all the same.
     """
-    t, e = _bump_terms(q, s, a, sigma)
-    d1 = (e * (-2.0 * t / sigma)).sum(axis=1)
-    d2 = (e * (4.0 * t * t - 2.0) / sigma**2).sum(axis=1)
-    return d1, d2
+    w = np.multiply(t, -2.0)
+    w /= sigma
+    w *= e
+    d1 = w.sum(axis=1)
+    np.multiply(t, 4.0, out=w)
+    w *= t
+    w -= 2.0
+    w *= e
+    w /= sigma2
+    return d1, w.sum(axis=1)
+
+
+def _bump_derivs(q: np.ndarray, s, a, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivative of :func:`_bump_value` at the points ``q``."""
+    return _summed_derivs(*_bump_terms(q, s, a, sigma), sigma, sigma**2)
 
 
 def _with_bump(bumps: tuple[GaussianBump, ...], bump: GaussianBump) -> tuple[GaussianBump, ...]:
@@ -136,7 +165,11 @@ class _SelectionGrid:
     """The committed trial on the amplitude scan's fixed grid.
 
     ``grid`` holds the valid grid points, ``grad0`` the trial's gradient and
-    ``alpha`` the local energy there.  The other fields say what it was built
+    ``alpha`` the local energy there.  The rest is what a later build reuses:
+    ``v``, ``s1`` and ``s2`` are the potential and the base trial's ``S0'``
+    and ``S0''`` on the grid, and ``t`` and ``ex`` hold each bump's
+    ``(q - a)/sigma`` and ``exp(-t^2)``, one column per bump in bump order
+    (C-ordered ``(n, K)`` arrays).  The other fields say what it was built
     from; it is reused only while all of them still match the state.
     """
 
@@ -148,15 +181,23 @@ class _SelectionGrid:
     grid: np.ndarray
     grad0: np.ndarray
     alpha: np.ndarray
+    v: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    t: np.ndarray
+    ex: np.ndarray
 
-    def fits(self, state: "RefinementState", box: tuple[float, float], n: int) -> bool:
+    def shares_base(self, state: "RefinementState", box: tuple[float, float], n: int) -> bool:
+        """Whether the base trial's parts on the grid serve ``state``."""
         return (
             self.hamiltonian is state.hamiltonian
             and self.base is state.base
-            and self.bumps == state.bumps
             and self.box == box
             and self.n == n
         )
+
+    def fits(self, state: "RefinementState", box: tuple[float, float], n: int) -> bool:
+        return self.shares_base(state, box, n) and self.bumps == state.bumps
 
 
 @dataclass(frozen=True)
@@ -196,16 +237,17 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
     s_arr = np.array([b.s for b in bumps])
     a_arr = np.array([b.a for b in bumps])
     sig_arr = np.array([b.sigma for b in bumps])
+    sig2 = sig_arr**2
 
     def s(qs):
         return np.asarray(base.s(qs), dtype=float) + _bump_value(coordinate_1d(qs), s_arr, a_arr, sig_arr)
 
     def derivs(qs):
         g0, lap0 = base.derivs(qs)
-        d1, d2 = _bump_derivs(coordinate_1d(qs), s_arr, a_arr, sig_arr)
-        grad = np.array(g0, dtype=float)
-        grad[:, 0] += d1
-        return grad, np.asarray(lap0, dtype=float) + d2
+        t, e = _bump_terms(coordinate_1d(qs), s_arr, a_arr, sig_arr)
+        d1, d2 = _summed_derivs(t, e, sig_arr, sig2)
+        grad = np.asarray(g0, dtype=float)[:, 0] + d1
+        return grad[:, None], np.asarray(lap0, dtype=float) + d2
 
     return LogTrialFunction(
         s=s,
@@ -269,20 +311,104 @@ def censor_guard(
 
 
 def _selection_grid(state: RefinementState, cfg: SearchConfig) -> _SelectionGrid:
-    """The state's cached selection grid, or a fresh one if it no longer fits."""
+    """The state's cached selection grid, or a fresh one if it no longer fits.
+
+    A fresh grid reuses what the cached one shares with the state: the base
+    trial's parts while the Hamiltonian, base, box and grid size match, and
+    the bump columns while the cached bumps' centers and widths lead the
+    state's, so after a commit (:func:`_with_bump` appends a center or merges
+    into one) only an appended center's column is new.  Each element is built by the same operations, on
+    arrays of the same layout, as :func:`perturbed_trial`'s ``derivs`` on
+    the grid, so ``grad0`` and ``alpha`` are the same bit for bit.
+    """
     h = state.hamiltonian
     box = cfg.box_for(h.domain)[0]
     n = max(SELECTION_GRID_MIN, 10 * cfg.grid_points_per_axis + 1)
-    if state.selection is not None and state.selection.fits(state, box, n):
-        return state.selection
-    qs = np.linspace(box[0], box[1], n)[:, None]
-    qs = qs[h.domain.valid_mask(qs)]
-    v = np.asarray(h.potential(qs), dtype=float)
-    grad, lap0 = perturbed_trial(state).derivs(qs)
-    grad0 = np.asarray(grad, dtype=float)[:, 0]
-    lap0 = np.asarray(lap0, dtype=float)
-    alpha = v - h.isotropic_coefficient * (lap0 + grad0 * grad0)
-    return _SelectionGrid(h, state.base, state.bumps, box, n, qs[:, 0], grad0, alpha)
+    old = state.selection
+    if old is not None and old.fits(state, box, n):
+        return old
+    if old is not None and old.shares_base(state, box, n):
+        grid, v, s1, s2 = old.grid, old.v, old.s1, old.s2
+        t, ex = old.t, old.ex
+        if [(b.a, b.sigma) for b in old.bumps] != [(b.a, b.sigma) for b in state.bumps[: len(old.bumps)]]:
+            t, ex = np.empty((grid.size, 0)), np.empty((grid.size, 0))
+    else:
+        qs = np.linspace(box[0], box[1], n)[:, None]
+        qs = qs[h.domain.valid_mask(qs)]
+        v = np.asarray(h.potential(qs), dtype=float)
+        g0, lap0 = state.base.derivs(qs)
+        grid, s1, s2 = qs[:, 0], np.asarray(g0, dtype=float)[:, 0], np.asarray(lap0, dtype=float)
+        t, ex = np.empty((grid.size, 0)), np.empty((grid.size, 0))
+    bumps = state.bumps
+    shared = t.shape[1]
+    if len(bumps) > shared:
+        a_new = np.array([b.a for b in bumps[shared:]])
+        sig_new = np.array([b.sigma for b in bumps[shared:]])
+        t_new = (grid[:, None] - a_new) / sig_new
+        t = np.concatenate([t, t_new], axis=1)
+        ex = np.concatenate([ex, np.exp(-t_new * t_new)], axis=1)
+    grad0, lap = s1, s2
+    if bumps:
+        s_arr = np.array([b.s for b in bumps])
+        sig_arr = np.array([b.sigma for b in bumps])
+        d1, d2 = _summed_derivs(t, ex * s_arr, sig_arr, sig_arr**2)
+        grad0, lap = s1 + d1, s2 + d2
+    alpha = v - h.isotropic_coefficient * (lap + grad0 * grad0)
+    return _SelectionGrid(h, state.base, bumps, box, n, grid, grad0, alpha, v, s1, s2, t, ex)
+
+
+def _scan_energies(svals, alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """E_loc on the grid columns given, one row per amplitude ``s``:
+    ``alpha + s beta + s^2 gamma``."""
+    svals = np.atleast_1d(np.asarray(svals, dtype=float))
+    e = np.multiply.outer(svals, beta)
+    e += alpha
+    e += np.multiply.outer(svals * svals, gamma)
+    return e
+
+
+def _may_win(alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray, s_lo: float, s_hi: float) -> np.ndarray:
+    """Whether each column can hold the least of the columns' computed
+    energies (:func:`_scan_energies`) at some amplitude in ``[s_lo, s_hi]``.
+
+    Every ``gamma`` is at most zero (it is ``-c g1^2``), so each column's
+    energy is concave in s and its least value over the range sits at an
+    end, while ``alpha + s beta`` bounds it above at every s and is largest
+    at an end.  ``delta`` covers the rounding of both against the computed
+    energies.  A column whose least value lies above the smallest of the
+    columns' upper bounds never holds the minimum, so dropping it leaves the
+    minimum, one of the remaining floats, unchanged bit for bit.  Every
+    comparison with a NaN is false, so a NaN keeps every column.
+    """
+    scale = max(abs(s_lo), abs(s_hi))
+    delta = SCAN_ROUNDING * (np.abs(alpha) + scale * np.abs(beta) + scale * scale * np.abs(gamma))
+    delta += SCAN_ROUNDING_FLOOR
+    least = _scan_energies((s_lo, s_hi), alpha, beta, gamma).min(axis=0) - delta
+    most = alpha + np.maximum(s_lo * beta, s_hi * beta) + delta
+    return ~(least > most.min())
+
+
+class _Columns(NamedTuple):
+    """Grid columns of an amplitude curve, and the slice of them inside the
+    bump's window (``None`` when the window holds no grid point)."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    window: slice | None
+
+    def narrowed(self, s_lo: float, s_hi: float) -> "_Columns":
+        """The columns that can hold the least energy of these columns, or
+        of their window, at some amplitude in ``[s_lo, s_hi]``, in order, so
+        that those in the window are still one slice of them."""
+        keep = _may_win(self.alpha, self.beta, self.gamma, s_lo, s_hi)
+        w = self.window
+        if w is not None:
+            keep[w] |= _may_win(self.alpha[w], self.beta[w], self.gamma[w], s_lo, s_hi)
+        cols = np.flatnonzero(keep)
+        if w is not None:
+            w = slice(*np.searchsorted(cols, [w.start, w.stop]).tolist())
+        return _Columns(self.alpha[cols], self.beta[cols], self.gamma[cols], w)
 
 
 class _AmplitudeCurve:
@@ -291,9 +417,20 @@ class _AmplitudeCurve:
     Exact in s (the field is quadratic in the amplitude), approximate in q
     (fixed grid, no polish); the winning amplitude is re-certified by the full
     search before committing.
+
+    ``kept`` holds the grid columns that can hold a minimum at an amplitude
+    in ``s_range`` (see :func:`_may_win`).  Amplitudes in that range are
+    scored on them, and any other on the whole grid, with the same bits.
     """
 
-    def __init__(self, state: RefinementState, a: float, sigma: float, cfg: SearchConfig):
+    def __init__(
+        self,
+        state: RefinementState,
+        a: float,
+        sigma: float,
+        cfg: SearchConfig,
+        s_range: tuple[float, float],
+    ):
         self.selection = sel = _selection_grid(state, cfg)
         self.grid, self.alpha = sel.grid, sel.alpha
         c = state.hamiltonian.isotropic_coefficient
@@ -305,26 +442,24 @@ class _AmplitudeCurve:
         self.window = slice(inside[0], inside[-1] + 1) if inside.size else None
         limits = declared_limits(state.hamiltonian.domain, state.asymptotic_limits, "min")
         self.limit_floor = min((lim for _, lim in limits), default=math.inf)
-
-    def _energies(self, svals) -> np.ndarray:
-        """E_loc on the grid, one row per amplitude: ``alpha + s beta + s^2 gamma``."""
-        svals = np.atleast_1d(np.asarray(svals, dtype=float))
-        e = np.multiply.outer(svals, self.beta)
-        e += self.alpha
-        e += np.multiply.outer(svals * svals, self.gamma)
-        return e
+        self.full = _Columns(self.alpha, self.beta, self.gamma, self.window)
+        self.s_range = (float(s_range[0]), float(s_range[1]))
+        self.kept = self.full.narrowed(*self.s_range)
 
     def score(self, svals) -> np.ndarray:
         """The grid bound at each amplitude plus the local tie-break, scored
-        ``SCAN_BLOCK`` amplitudes at a time."""
+        a block of about ``SCAN_BLOCK_CELLS`` grid values at a time."""
         svals = np.atleast_1d(np.asarray(svals, dtype=float))
+        s_lo, s_hi = self.s_range
+        cols = self.kept if ((svals >= s_lo) & (svals <= s_hi)).all() else self.full
+        block = max(1, SCAN_BLOCK_CELLS // max(1, cols.alpha.size))
         out = np.empty(svals.shape[0])
-        for k in range(0, svals.shape[0], SCAN_BLOCK):
-            e = self._energies(svals[k : k + SCAN_BLOCK])
+        for k in range(0, svals.shape[0], block):
+            e = _scan_energies(svals[k : k + block], cols.alpha, cols.beta, cols.gamma)
             bound = np.minimum(e.min(axis=1), self.limit_floor)
-            if self.window is not None:  # else the bump window is outside the box
-                bound += LOCAL_TIEBREAK_WEIGHT * e[:, self.window].min(axis=1)
-            out[k : k + SCAN_BLOCK] = bound
+            if cols.window is not None:  # else the bump window is outside the box
+                bound += LOCAL_TIEBREAK_WEIGHT * e[:, cols.window].min(axis=1)
+            out[k : k + block] = bound
         return out
 
 
@@ -362,7 +497,7 @@ def optimize_bump_amplitude(
             state, bound_history=state.bound_history + ((step_no, state.current_lower),)
         )
 
-    curve = _AmplitudeCurve(state, a, sigma, cfg)
+    curve = _AmplitudeCurve(state, a, sigma, cfg, (s_lo, s_hi))
     # keep the selection grid for the next step, which reuses it unless this one commits
     state = replace(state, selection=curve.selection)
     coarse = np.linspace(s_lo, s_hi, 161)

@@ -149,10 +149,12 @@ def _stack_values(
     ``rows(members, qs)`` evaluates every member at its own points in one
     call; its members share one valid mask, so one mask covers the batch.
     Without it each member present evaluates its own run of points, a slice
-    of ``qs``.
+    of ``qs``; a stack of one field evaluates ``qs`` as it is.
     """
     if rows is not None:
         return evaluate_masked(fields[0].domain.valid_mask(qs), rows, members, qs)
+    if len(fields) == 1:
+        return _field_values(fields[0], qs)
     vals = np.empty(qs.shape[0])
     ends = np.searchsorted(members, np.arange(len(fields) + 1)).tolist()
     for m, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
@@ -180,10 +182,11 @@ def _polish(
 
     ``objective(rows, points)`` maps a ``(k, dim)`` batch of points, the
     candidates of the starts ``rows`` (nondecreasing indices into
-    ``starts``), to a new array of ``k`` raw values.  Row ``j`` of ``starts``
-    minimizes ``signs[j] * objective`` (every sign is +1 by default), a
-    non-finite product counting as +inf, so one call polishes minima and
-    maxima together.  Starts are clipped into ``box`` and ``initial_step`` is
+    ``starts``), to a new array of ``k`` raw values; it must not write into
+    either argument, which may be views of the polish's own arrays.  Row
+    ``j`` of ``starts`` minimizes ``signs[j] * objective`` (every sign is +1
+    by default), a non-finite product counting as +inf, so one call polishes
+    minima and maxima together.  Starts are clipped into ``box`` and ``initial_step`` is
     non-negative, so every point stays inside.
     Each start keeps its own point, value and step vector, and probes each
     coordinate at ``+step``, then at ``-step`` from wherever the ``+`` probe
@@ -215,13 +218,17 @@ def _polish(
     out_x, out_f = x.copy(), fx.copy()
     running = step.max(axis=1) >= POLISH_STEP_STOP
 
-    def probe(sel: np.ndarray, i: int, col: np.ndarray) -> np.ndarray:
-        """Signed values of the running starts ``sel`` with coordinate ``i`` set
-        to ``col``.  This and the two step helpers read the running arrays as
-        they are at the call."""
-        cand = x[sel]
-        cand[:, i] = col
-        return _signed(objective(rows[sel], cand), sign[sel])
+    def probe(sel: np.ndarray, i: int, col: np.ndarray, sel_rows: np.ndarray, sel_sign: np.ndarray) -> np.ndarray:
+        """Signed values of the running starts ``sel`` (output rows
+        ``sel_rows``, signs ``sel_sign``) with coordinate ``i`` set to ``col``.
+        This and the two step helpers read the running arrays as they are at
+        the call."""
+        if dim == 1:
+            cand = col[:, None]
+        else:
+            cand = x[sel]
+            cand[:, i] = col
+        return _signed(objective(sel_rows, cand), sel_sign)
 
     # x stays in the box, so a step up can pass only hi and a step down only
     # lo; this is then exactly min(max(c, lo), hi), which np.clip is not: it
@@ -236,6 +243,7 @@ def _polish(
 
     # a start stuck at +inf gives inf - inf in the stall test; it stalls either way
     with np.errstate(invalid="ignore"):
+        both = None
         while True:
             if not running.all():
                 out_x[rows[~running]] = x[~running]
@@ -243,9 +251,11 @@ def _polish(
                 rows, x, fx, step, sign = (a[running] for a in (rows, x, fx, step, sign))
                 if rows.size == 0:
                     return out_x, out_f
+                both = None
+            if both is None:  # the running starts changed: pair them anew
+                both = np.repeat(np.arange(rows.size), 2)
+                both_rows, both_sign = rows[both], sign[both]
             start = fx.copy()
-            each = np.arange(rows.size)
-            both = np.repeat(each, 2)
             for i in range(dim):
                 xi = x[:, i]  # a view: accepted moves land in x
                 col = up(xi, i)
@@ -253,7 +263,7 @@ def _polish(
                 # from the point it holds before the + probe
                 pair = np.repeat(col, 2)
                 pair[1::2] = down(xi, i)
-                f = probe(both, i, pair)
+                f = probe(both, i, pair, both_rows, both_sign)
                 f_up, f_down = f[0::2], f[1::2]
                 took = f_up < fx
                 # a start that takes its + candidate probes - from there; back
@@ -267,7 +277,8 @@ def _polish(
                 # each start's - candidate from the point it now holds
                 col = np.where(took, back, pair[1::2])
                 if redo.any():
-                    f_down[redo] = probe(each[redo], i, col[redo])
+                    again = np.flatnonzero(redo)
+                    f_down[again] = probe(again, i, col[again], rows[again], sign[again])
                 better = f_down < fx
                 np.copyto(xi, col, where=better)
                 np.copyto(fx, f_down, where=better)

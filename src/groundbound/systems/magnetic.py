@@ -68,6 +68,10 @@ ORIGIN_TUBE = 1e-6
 CUSP_TOL = 1e-10
 BOX_HALF_WIDTH = 10.0  # the (rho, z) search box is [0, BOX_HALF_WIDTH]^2
 AXIS_RADII = (0.1, 1.0, 10.0)  # where cusp_defects checks the axis condition
+# Improved-term scale k = 5/sqrt(B) above which (B below about 2.5e-99) the
+# denominator's powers are formed scaled: unscaled, its cube overflows first,
+# once rho^2 + k r passes about 5.6e102
+K_SCALED = 1e50
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ def _trial_params(mh: MagneticHydrogen, variant: str) -> tuple[float, float | No
 
 def _u_value(beta, k, rho: np.ndarray, z: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The regular part U on z >= 0, given ``r = hypot(rho, z)``; ``beta``
-    and ``k`` are each a float or one value per point."""
+    is a float or one value per point, and ``k`` a float or ``None``."""
     u = -beta * rho * rho / 4.0
     if k is None:
         return u
@@ -126,31 +130,57 @@ def _u_derivs(beta, k, rho: np.ndarray, z: np.ndarray, r: np.ndarray):
 def _improved_derivs(k, rho: np.ndarray, z: np.ndarray, r: np.ndarray):
     """The derivatives of ``rho^2 (r - z) / (rho^2 + k r)``, in the order of
     :func:`_u_derivs`; all formulas carry explicit rho factors so the axis
-    rho = 0 evaluates exactly."""
+    rho = 0 evaluates exactly.  ``k`` is one float.
+
+    The quotient rule puts ``d = rho^2 + k r`` squared and cubed in the
+    denominators.  Above ``K_SCALED`` (a tiny B) those powers overflow, so
+    each derivative of ``d`` is divided by ``d`` before it is squared, and
+    each result by ``d`` once more at the end.  Each power is built once and
+    each part dropped after its last use, so few are alive at once.
+    """
     m = r - z
     n = rho * rho * m
     d = rho * rho + k * r
+    r3 = r**3
+    rho4 = rho**4
+    n_rr = 2.0 * m + 5.0 * rho * rho / r - rho4 / r3
+    n_zz = rho4 / r3
+    del rho4
     n_r = 2.0 * rho * m + rho**3 / r
     n_z = rho * rho * (z / r - 1.0)
-    n_rr = 2.0 * m + 5.0 * rho * rho / r - rho**4 / r**3
-    n_zz = rho**4 / r**3
+    if k > K_SCALED:
+        p_r = rho * (2.0 + k / r) / d  # each derivative of d over d
+        p_z = k * z / r / d
+        p_rr = (2.0 + k * z * z / r3) / d
+        p_zz = k * rho * rho / r3 / d
+        return (
+            (n_r - n * p_r) / d,
+            (n_z - n * p_z) / d,
+            (n_rr - 2.0 * n_r * p_r - n * p_rr + 2.0 * n * p_r * p_r) / d,
+            (2.0 * m + rho * rho / r - n * (2.0 + k / r) / d) / d,
+            (n_zz - 2.0 * n_z * p_z - n * p_zz + 2.0 * n * p_z * p_z) / d,
+        )
     d_r = rho * (2.0 + k / r)
     d_z = k * z / r
-    d_rr = 2.0 + k * z * z / r**3
-    d_zz = k * rho * rho / r**3
-
-    t_r = n_r / d - n * d_r / d**2
-    t_z = n_z / d - n * d_z / d**2
-    t_rr = n_rr / d - 2.0 * n_r * d_r / d**2 - n * d_rr / d**2 + 2.0 * n * d_r**2 / d**3
-    t_zz = n_zz / d - 2.0 * n_z * d_z / d**2 - n * d_zz / d**2 + 2.0 * n * d_z**2 / d**3
-    t_r_over_rho = (2.0 * m + rho * rho / r) / d - rho * rho * m * (2.0 + k / r) / d**2
-
+    d_rr = 2.0 + k * z * z / r3
+    d_zz = k * rho * rho / r3
+    del r3
+    d2 = d**2
+    d3 = d**3
+    t_r = n_r / d - n * d_r / d2
+    t_rr = n_rr / d - 2.0 * n_r * d_r / d2 - n * d_rr / d2 + 2.0 * n * d_r**2 / d3
+    del n_r, n_rr, d_r, d_rr
+    t_z = n_z / d - n * d_z / d2
+    t_zz = n_zz / d - 2.0 * n_z * d_z / d2 - n * d_zz / d2 + 2.0 * n * d_z**2 / d3
+    del n_z, n_zz, d_z, d_zz, d3
+    t_r_over_rho = (2.0 * m + rho * rho / r) / d - rho * rho * m * (2.0 + k / r) / d2
     return t_r, t_z, t_rr, t_r_over_rho, t_zz
 
 
 def _cancelled_local_energy(b2, beta, k, qs: np.ndarray) -> np.ndarray:
-    """The cancelled local energy from ``B^2`` and U's ``(beta, k)``, each a
-    float or one value per point."""
+    """The cancelled local energy from ``B^2`` and U's ``(beta, k)``; ``B^2``
+    and ``beta`` are each a float or one value per point, ``k`` as for
+    :func:`_u_value`."""
     rho, z = qs[:, 0], qs[:, 1]
     r = np.hypot(rho, z)
     u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(beta, k, rho, z, r)

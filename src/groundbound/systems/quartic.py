@@ -90,26 +90,31 @@ class QuarticOscillator:
         )
 
     def _s_derivs(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """S0' and S0'' at the points ``q``, without building S0 itself."""
+        """S0' and S0'' at the points ``q``, without building S0 itself.
+
+        Each shared power of ``w`` is built once, and each temporary is
+        dropped after its last use.
+        """
         r, d2, eta = self.r, self.delta2, self.eta
-        w = q * q + d2
-        sw = np.sqrt(w)
-        # S0' = q * bracket
-        bracket = (
-            -r * sw
-            + (r * d2 * (1.0 - eta) / 2.0) / sw
-            - 1.0 / w
-            + (r * d2 * d2 / 2.0) / (w * sw)
-        )
-        s1 = q * bracket
+        k1 = r * d2 * (1.0 - eta) / 2.0
+        k2 = r * d2 * d2 / 2.0
         q2 = q * q
+        w = q2 + d2
+        sw = np.sqrt(w)
+        w_sw = w * sw
+        inv_w = 1.0 / w
+        ww = w * w
+        del w
+        neg_r_sw = -r * sw
+        # S0' = q * bracket
+        s1 = q * (neg_r_sw + k1 / sw - inv_w + k2 / w_sw)
         s2 = (
-            -r * sw
+            neg_r_sw
             - r * q2 / sw
-            + (r * d2 * (1.0 - eta) / 2.0) * (1.0 / sw - q2 / (w * sw))
-            - 1.0 / w
-            + 2.0 * q2 / (w * w)
-            + (r * d2 * d2 / 2.0) * (1.0 / (w * sw) - 3.0 * q2 / (w * w * sw))
+            + k1 * (1.0 / sw - q2 / w_sw)
+            - inv_w
+            + 2.0 * q2 / ww
+            + k2 * (1.0 / w_sw - 3.0 * q2 / (ww * sw))
         )
         return s1, s2
 

@@ -417,6 +417,19 @@ def test_magnetic_bounds_at_a_strong_field(tmp_path, variant, want):
         assert result["upper"] == pytest.approx(249.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("B", ["1e-300", "5e-324"])
+def test_improved_magnetic_bounds_at_a_tiny_field(tmp_path, B, capsys):
+    # k = 5/sqrt(B) is huge: the cube of the improved term's denominator
+    # overflowed and printed numpy warnings before the document
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, "bounds", "--system", "magnetic-hydrogen", "--variant", "improved",
+                         "--B", B, "--format", "json")
+    assert code == 3
+    assert json.loads(text)["result"]["lower"] == -0.5
+    assert "Warning" not in capsys.readouterr().err
+
+
 def test_sweep_over_a_strong_field(tmp_path):
     code, text = run(tmp_path, "sweep", "--system", "magnetic-hydrogen", "--param", "B", "--values", "1,300",
                      "--format", "json")

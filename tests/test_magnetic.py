@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -359,3 +361,32 @@ def test_trivial_rows_match_the_joint_formula_bit_for_bit():
         want = np.concatenate([reference_cancelled_local_energy(*members[m], qs[j:j + 1])
                                for j, m in enumerate(stacked)])
     assert_same_bits(got, want)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.floats(-3.0, 50.0).map(lambda e: 10.0**e))
+def test_scaled_improved_derivs_match_the_plain_form(k):
+    rho, z = _GRID[:, 0], _GRID[:, 1]
+    r = np.hypot(rho, z)
+    away = r >= _TUBE
+    rho, z, r = rho[away], z[away], r[away]
+    assert k <= magnetic.K_SCALED
+    plain = magnetic._improved_derivs(k, rho, z, r)
+    with mock.patch.object(magnetic, "K_SCALED", 0.0):
+        scaled = magnetic._improved_derivs(k, rho, z, r)
+    for p, s in zip(plain, scaled, strict=True):
+        np.testing.assert_allclose(s, p, rtol=0.0, atol=4e-15 * np.abs(p).max())
+
+
+@pytest.mark.parametrize("B", [1e-120, 1e-300, 5e-324])
+def test_improved_field_at_a_tiny_field_strength(B):
+    # below B = 2.5e-99 the improved term is formed scaled; it vanishes as
+    # B -> 0, leaving the lower trial's -1/2
+    qs = _GRID[np.hypot(_GRID[:, 0], _GRID[:, 1]) >= _TUBE]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = magnetic_hydrogen_field(MagneticHydrogen(B), "improved")  # checks the cusps
+        vals = field.evaluate(qs)
+        alternate = field.alternates[0](qs)
+    np.testing.assert_allclose(vals, -0.5, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(alternate, -0.5, rtol=0.0, atol=1e-9)

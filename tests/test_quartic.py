@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundbound.search import SearchConfig, global_max, global_min
 from groundbound.systems import QuarticOscillator, quartic_field, quartic_system
@@ -119,3 +121,65 @@ def test_system_returns_consistent_pair():
     qs = np.array([[1.3]])
     assert h.potential(qs)[0] == pytest.approx(qo.potential(np.array([1.3]))[0])
     assert trial.normalizable
+
+
+def reference_s_derivs(qo, q):
+    """S0' and S0'' as first written, one power of w at a time."""
+    r, d2, eta = qo.r, qo.delta2, qo.eta
+    w = q * q + d2
+    sw = np.sqrt(w)
+    bracket = (
+        -r * sw
+        + (r * d2 * (1.0 - eta) / 2.0) / sw
+        - 1.0 / w
+        + (r * d2 * d2 / 2.0) / (w * sw)
+    )
+    s1 = q * bracket
+    q2 = q * q
+    s2 = (
+        -r * sw
+        - r * q2 / sw
+        + (r * d2 * (1.0 - eta) / 2.0) * (1.0 / sw - q2 / (w * sw))
+        - 1.0 / w
+        + 2.0 * q2 / (w * w)
+        + (r * d2 * d2 / 2.0) * (1.0 / (w * sw) - 3.0 * q2 / (w * w * sw))
+    )
+    return s1, s2
+
+
+def _same_bits_or_both_nan(got, want):
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# r and delta2 cover the paper's range, the extremes near 1e300, and delta2
+# down to the least subnormal, where w*w (and, lower, w*sw) at q = 0 is 0.0
+# and a term is 0/0: both forms must then give NaN, which the search reads as
+# +inf.
+_WIDE = st.one_of(st.floats(1e-3, 1e3), st.floats(1e290, 1e300))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    q=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 8.0, -8.0]), st.floats(-8.0, 8.0)), min_size=1, max_size=40),
+    r=_WIDE,
+    eta=st.sampled_from([-1, 1]),
+    delta2=st.one_of(_WIDE, st.floats(5e-324, 1e-150), st.sampled_from([5e-324, 1e-300, 1e-200])),
+)
+def test_s_derivs_match_the_reference_bit_for_bit(q, r, eta, delta2):
+    qo = QuarticOscillator(r, eta, delta2)
+    pts = np.array(q)
+    with np.errstate(all="ignore"):
+        got, want = qo._s_derivs(pts), reference_s_derivs(qo, pts)
+    for g, w in zip(got, want, strict=True):
+        assert _same_bits_or_both_nan(g, w)
+
+
+def test_s_derivs_at_a_tiny_delta2_are_nan_at_zero():
+    qo = QuarticOscillator(1.0, -1, 1e-200)
+    with np.errstate(all="ignore"):
+        s1, s2 = qo._s_derivs(np.array([0.0, 1.0]))
+    assert np.isnan(s2[0]) and np.isfinite(s2[1])
+    # a field evaluation there is NaN too, which the search reads as +inf
+    with np.errstate(all="ignore"):
+        assert np.isnan(quartic_field(qo).evaluate(np.array([[0.0]]))[0])

@@ -3,16 +3,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groundbound import refine
 from groundbound.core import Hamiltonian, derivative_consistency
 from groundbound.refine import (
     DEFAULT_AMPLITUDE_RANGE,
     LOCAL_TIEBREAK_WEIGHT,
     LOCAL_WINDOW_SIGMAS,
+    SELECTION_GRID_MIN,
     GaussianBump,
     _AmplitudeCurve,
     _bump_derivs,
     _bump_value,
+    _scan_energies,
     _selection_grid,
     _with_bump,
     censor_guard,
@@ -70,12 +75,13 @@ def test_amplitude_curve_matches_the_bumped_field(quartic_state, sigma, coeffici
         hamiltonian=Hamiltonian.isotropic(coefficient, h.potential, h.domain),
         bumps=(GaussianBump(0.3, -1.0, 1.0), GaussianBump(-0.2, 1.5, 0.7)),
     )
-    curve = _AmplitudeCurve(state, 0.5, sigma, CFG)
+    curve = _AmplitudeCurve(state, 0.5, sigma, CFG, DEFAULT_AMPLITUDE_RANGE)
     qs = curve.grid[:, None]
     for s in (-1.3, -0.4, 0.25, 1.1):
         bumped = replace(state, bumps=state.bumps + (GaussianBump(s, 0.5, sigma),))
         want = perturbed_field(bumped).evaluate(qs)
-        np.testing.assert_allclose(curve._energies([s])[0], want, rtol=1e-10, atol=0.0)
+        got = _scan_energies([s], curve.alpha, curve.beta, curve.gamma)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def _full_broadcast_score(curve, a, sigma, svals):
@@ -93,17 +99,70 @@ def _full_broadcast_score(curve, a, sigma, svals):
     return bound + LOCAL_TIEBREAK_WEIGHT * e[:, window].min(axis=1)
 
 
-@pytest.mark.parametrize("a", [0.5, 8.0, 30.0], ids=["inside", "box-edge", "outside"])
-def test_blocked_score_equals_the_full_broadcast(quartic_state, a):
-    state = replace(quartic_state, bumps=(GaussianBump(0.3, -1.0, 1.0), GaussianBump(-0.2, 1.5, 0.7)))
-    curve = _AmplitudeCurve(state, a, 1.0, CFG)
-    window = np.flatnonzero(np.abs(curve.grid - a) <= LOCAL_WINDOW_SIGMAS * 1.0)
-    if a == 30.0:
+_CENTERS = (-3.0, -1.0, 0.5, 1.5, 4.0)
+# bump lists with repeated centers, which merge into the bump already there
+_bump_lists = st.lists(
+    st.builds(GaussianBump, st.floats(-1.0, 1.0), st.sampled_from(_CENTERS), st.sampled_from([0.7, 1.0])),
+    max_size=6,
+)
+# the candidate center inside the search box, at its edge (window half
+# outside) and beyond it (no window)
+_candidate_centers = {
+    "inside": st.floats(-7.5, 7.5),
+    "box-edge": st.sampled_from([-8.0, 8.0]),
+    "outside": st.one_of(st.floats(-40.0, -20.0), st.floats(20.0, 40.0)),
+}
+
+
+@pytest.mark.parametrize("where", list(_candidate_centers))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_blocked_score_equals_the_full_broadcast(quartic_state, where, data):
+    bumps = ()
+    for b in data.draw(_bump_lists, label="bumps"):
+        bumps = _with_bump(bumps, b)
+    a = data.draw(_candidate_centers[where], label="a")
+    sigma = data.draw(st.floats(0.3, 2.0), label="sigma")
+    c = data.draw(st.sampled_from([0.5, 0.25, 1.0]), label="c")
+    s_lo = data.draw(st.floats(-3.0, 1.0), label="s_lo")
+    s_hi = s_lo + data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), label="width")
+    h = quartic_state.hamiltonian
+    state = replace(quartic_state, hamiltonian=Hamiltonian.isotropic(c, h.potential, h.domain), bumps=bumps)
+    curve = _AmplitudeCurve(state, a, sigma, CFG, (s_lo, s_hi))
+    window = np.flatnonzero(np.abs(curve.grid - a) <= LOCAL_WINDOW_SIGMAS * sigma)
+    if where == "outside":
         assert curve.window is None and window.size == 0
     else:
         assert np.array_equal(np.arange(curve.grid.size)[curve.window], window)
-    for svals in (np.linspace(*DEFAULT_AMPLITUDE_RANGE, 161), np.array([0.37]), 0.37):
-        assert np.array_equal(curve.score(svals), _full_broadcast_score(curve, a, 1.0, svals))
+
+    outside = s_hi + data.draw(st.floats(1e-3, 2.0), label="beyond")
+    inner = np.linspace(s_lo, s_hi, data.draw(st.integers(1, 200), label="count"))
+    for svals in (inner, np.array([s_lo, s_hi]), np.array([s_lo, outside]), outside, s_hi):
+        assert np.array_equal(curve.score(svals), _full_broadcast_score(curve, a, sigma, svals))
+
+
+def test_a_schedule_scored_on_the_full_grid_is_the_same(quartic_state, monkeypatch):
+    def run():
+        return refine_schedule(
+            quartic_state.hamiltonian, quartic_state.base, quartic_state.asymptotic_limits,
+            default_centers(sweeps=2), sigma=1.0, cfg=CFG,
+        )
+
+    pruned = run()
+
+    class FullGrid(_AmplitudeCurve):
+        def __init__(self, state, a, sigma, cfg, s_range):
+            super().__init__(state, a, sigma, cfg, s_range)
+            self.a, self.sigma = a, sigma
+
+        def score(self, svals):
+            return _full_broadcast_score(self, self.a, self.sigma, svals)
+
+    monkeypatch.setattr(refine, "_AmplitudeCurve", FullGrid)
+    full = run()
+    assert np.array(pruned.bound_history).tobytes() == np.array(full.bound_history).tobytes()
+    assert pruned.bumps == full.bumps
+    assert len(pruned.bumps) > 1
 
 
 def test_amplitude_scan_is_concave(quartic_state):
@@ -112,8 +171,9 @@ def test_amplitude_scan_is_concave(quartic_state):
     state = replace(quartic_state, bumps=(GaussianBump(0.3, -1.0, 1.0), GaussianBump(-0.2, 1.5, 0.7)))
     coarse = np.linspace(*DEFAULT_AMPLITUDE_RANGE, 161)
     for a in (0.0, 0.5, -2.5):
-        curve = _AmplitudeCurve(state, a, 1.0, CFG)
-        bound = np.minimum(curve._energies(coarse).min(axis=1), curve.limit_floor)
+        curve = _AmplitudeCurve(state, a, 1.0, CFG, DEFAULT_AMPLITUDE_RANGE)
+        e = _scan_energies(coarse, curve.alpha, curve.beta, curve.gamma)
+        bound = np.minimum(e.min(axis=1), curve.limit_floor)
         for y in (bound, curve.score(coarse)):
             second = y[:-2] - 2.0 * y[1:-1] + y[2:]
             assert np.all(second <= 1e-12 * np.max(np.abs(y)))
@@ -141,25 +201,84 @@ def test_bumps_at_one_center_merge_into_the_same_field(quartic_state):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_selection_grid_is_reused_until_a_commit_and_matches_a_fresh_build(quartic_state):
-    def assert_fresh(sel, state):
-        fresh = _selection_grid(replace(state, selection=None), CFG)
-        for name in ("grid", "grad0", "alpha"):
-            assert np.array_equal(getattr(sel, name), getattr(fresh, name))
+def reference_derivs(state, qs):
+    """The bumped trial's gradient and Laplacian, each bump term broadcast
+    over all bumps at once: the formula the cached selection grid and
+    :func:`perturbed_trial` must match bit for bit."""
+    g0, lap0 = state.base.derivs(qs)
+    grad = np.array(g0, dtype=float)
+    lap = np.asarray(lap0, dtype=float)
+    if state.bumps:
+        s = np.array([b.s for b in state.bumps])
+        a = np.array([b.a for b in state.bumps])
+        sigma = np.array([b.sigma for b in state.bumps])
+        t = (qs[:, 0][:, None] - a) / sigma
+        e = np.exp(-t * t) * s
+        grad[:, 0] += (e * (-2.0 * t / sigma)).sum(axis=1)
+        lap = lap + (e * (4.0 * t * t - 2.0) / sigma**2).sum(axis=1)
+    return grad, lap
 
-    state, kinds = quartic_state, set()
-    for a in default_centers(sweeps=1):
+
+def reference_selection(state, cfg):
+    """``(grid, grad0, alpha)`` of the selection grid, built from scratch."""
+    h = state.hamiltonian
+    box = cfg.box_for(h.domain)[0]
+    qs = np.linspace(box[0], box[1], max(SELECTION_GRID_MIN, 10 * cfg.grid_points_per_axis + 1))[:, None]
+    qs = qs[h.domain.valid_mask(qs)]
+    v = np.asarray(h.potential(qs), dtype=float)
+    grad, lap = reference_derivs(state, qs)
+    grad0 = grad[:, 0]
+    return qs[:, 0], grad0, v - h.isotropic_coefficient * (lap + grad0 * grad0)
+
+
+def assert_selection_is_the_reference(sel, state, cfg=CFG):
+    for name, want in zip(("grid", "grad0", "alpha"), reference_selection(state, cfg)):
+        assert getattr(sel, name).tobytes() == want.tobytes(), name
+
+
+def test_selection_grid_is_reused_until_a_commit_and_matches_a_fresh_build(quartic_state):
+    # two sweeps: the first appends centers, the second merges into them
+    state, kinds, merged = quartic_state, set(), False
+    for a in default_centers(sweeps=2):
         s_star, after = optimize_bump_amplitude(state, a, 1.0, cfg=CFG)
-        assert_fresh(after.selection, state)  # built for the step's input state
+        assert_selection_is_the_reference(after.selection, state)  # built for the step's input state
         reused = _selection_grid(after, CFG)
         if s_star == 0.0:
             assert reused is after.selection
         else:
             assert reused is not after.selection
-            assert_fresh(reused, after)
+            assert_selection_is_the_reference(reused, after)
+            merged |= len(after.bumps) == len(state.bumps)
         kinds.add(s_star == 0.0)
         state = after
     assert kinds == {True, False}
+    assert merged
+    assert state.selection.t.shape == state.selection.ex.shape == (state.selection.grid.size, len(state.bumps))
+    assert state.selection.t.flags.c_contiguous and state.selection.ex.flags.c_contiguous
+
+    # a new box or grid size rebuilds it, and a state whose bumps dropped,
+    # moved or changed width rebuilds its bump columns
+    for cfg in (replace(CFG, box=((-6.0, 5.0),)), replace(CFG, grid_points_per_axis=501)):
+        assert_selection_is_the_reference(_selection_grid(state, cfg), state, cfg)
+    fresh = _selection_grid(state, CFG)
+    rewidened = state.bumps[:2] + tuple(replace(b, sigma=0.7) for b in state.bumps[2:])
+    for bumps in (state.bumps[:-1], state.bumps[1:], state.bumps[::-1], rewidened, ()):
+        changed = replace(state, bumps=bumps, selection=fresh)
+        rebuilt = _selection_grid(changed, CFG)
+        assert_selection_is_the_reference(rebuilt, changed)
+        assert rebuilt.t.flags.c_contiguous and rebuilt.ex.flags.c_contiguous
+
+
+def test_perturbed_trial_derivs_match_the_reference(quartic_state):
+    bumps = tuple(GaussianBump(0.1 * i - 0.4, a, sigma)
+                  for i, (a, sigma) in enumerate([(-3.0, 1.0), (-1.0, 0.7), (0.5, 1.3), (1.5, 1.0)] * 3))
+    for n in (1, 2, 4, 401, 4001):
+        qs = np.linspace(-8.0, 8.0, n)[:, None]
+        for k in (1, 2, 9, 12):
+            state = replace(quartic_state, bumps=bumps[:k])
+            got, want = perturbed_trial(state).derivs(qs), reference_derivs(state, qs)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_empty_bump_list_is_identity(quartic_state):
