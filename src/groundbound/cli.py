@@ -159,8 +159,24 @@ def _line(domain: Domain, cfg: SearchConfig) -> Grid1D:
     return Grid1D(*cfg.box_for(domain)[0], cfg.grid_points_per_axis)
 
 
+def _whole(field: LocalEnergyField, cfg: SearchConfig) -> LocalEnergyField:
+    """``field``, if ``cfg``'s box holds the whole of its bounded domain.
+
+    A box that cuts a bounded domain gives the numbers of the part inside
+    it, a local extremum or the eigenvalue of a smaller region, with nothing
+    to tell them from the domain's; so ``bounds``, ``sweep`` and ``oracle``
+    refuse it, while ``field`` dumps any box.
+    """
+    box, whole = cfg.box, field.domain.box
+    if field.domain.kind == "bounded" and box is not None and any(
+        lo > w_lo or hi < w_hi for (lo, hi), (w_lo, w_hi) in zip(box, whole)
+    ):
+        raise SpecError(f"--box {box} cuts the bounded domain; give a box that contains {whole}")
+    return field
+
+
 def _dirichlet_2d(field: LocalEnergyField, cfg: SearchConfig) -> OracleResult:
-    grid = Grid2D(cfg.box_for(field.domain), cfg.grid_points_per_axis)
+    grid = Grid2D(cfg.box_for(_whole(field, cfg).domain), cfg.grid_points_per_axis)
     return solve_2d_dirichlet_ground_state(field.domain, grid)
 
 
@@ -189,7 +205,7 @@ SYSTEMS: dict[str, System] = {
         check=lambda p: AnnularBilliard(p["r"], p["delta"]),
         grid_n=101,
         oracle_grid_n=400,
-        bounds=lambda ps, cfg: _stacked_bounds([_billiard(p) for p in ps], cfg),
+        bounds=lambda ps, cfg: _stacked_bounds([_whole(_billiard(p), cfg) for p in ps], cfg),
         field=lambda p: (p, _billiard(p)),
         columns=("x", "y", "e_loc"),
         oracle=lambda p, cfg: _dirichlet_2d(_billiard(p), cfg),

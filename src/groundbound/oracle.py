@@ -10,6 +10,14 @@ Comput. 23, 2001), preconditioned with a symmetric geometric-multigrid V-cycle
 over a grid pair (the 1D scheme is second order; the masked 2D boundary is
 staircase-limited, so its pair difference is treated as first order).  The
 results are what the bound inequalities are validated against.
+
+Node layout of the 2D path: a vector on a grid holds the mask's interior
+nodes only, in row-major order of the box array, plus one trailing zero
+slot that stands in for every neighbour off the mask.  The neighbours along
+axis 0 come from int32 index tables, those along axis 1 from the vector
+shifted by one slot, zeroed at the ends of each run of interior nodes; the
+grid transfers are int32 gather tables with one scalar weight per parity
+class.  Every table and buffer is built once per grid level.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ LOBPCG_MAX_ITER = 200
 JACOBI_OMEGA = 0.8
 SMOOTHING_SWEEPS = 2
 COARSEST_NODES = 28
+MASK_BLOCK_ROWS = 32  # rows of the box array per domain evaluation
 
 
 class BoxTooSmallError(RuntimeError):
@@ -253,11 +262,18 @@ def solve_1d_ground_state(
 
 
 def _mask_from_domain(domain: Domain, grid: Grid2D) -> np.ndarray:
+    """Interior nodes of the box array, node (i, j) at (xs[i], ys[j]); the
+    domain is evaluated ``MASK_BLOCK_ROWS`` rows at a time, so the point
+    array and the constraint's temporaries stay small on fine grids."""
     xs, ys = grid.axes()
-    pts = np.empty((grid.n, grid.n, 2))  # node (i, j) is (xs[i], ys[j])
-    pts[:, :, 0] = xs[:, None]
+    n = grid.n
+    mask = np.empty((n, n), dtype=bool)
+    pts = np.empty((MASK_BLOCK_ROWS, n, 2))
     pts[:, :, 1] = ys[None, :]
-    mask = domain.interior_mask(pts.reshape(-1, 2)).reshape(grid.n, grid.n)
+    for start in range(0, n, MASK_BLOCK_ROWS):
+        rows = min(MASK_BLOCK_ROWS, n - start)
+        pts[:rows, :, 0] = xs[start : start + rows, None]
+        mask[start : start + rows] = domain.interior_mask(pts[:rows].reshape(-1, 2)).reshape(rows, n)
     # Dirichlet ring: never let mask touch the array border
     mask[0, :] = mask[-1, :] = False
     mask[:, 0] = mask[:, -1] = False
@@ -297,80 +313,142 @@ def _assert_connected(mask: np.ndarray) -> None:
         raise ValueError("interior mask is not connected")
 
 
-def _apply_h(u: np.ndarray, mask: np.ndarray, hx: float, hy: float, out: np.ndarray) -> np.ndarray:
-    """out = H u for H = -(1/2) Laplacian with Dirichlet conditions off the
-    mask, written in place with no full-size temporary."""
-    ax, ay = 0.5 / (hx * hx), 0.5 / (hy * hy)
-    np.multiply(u, -2.0 * (ax + ay) / ax, out=out)
-    out[1:-1, :] += u[2:, :]
-    out[1:-1, :] += u[:-2, :]
-    out *= ax / ay
-    out[:, 1:-1] += u[:, 2:]
-    out[:, 1:-1] += u[:, :-2]
-    out *= -ay
-    out *= mask
-    return out
-
-
-def _transfer_pairs(fine_shape: tuple[int, int], coarse_shape: tuple[int, int]):
-    """The nine ``(fine slices, coarse slices, weight)`` terms of bilinear
-    prolongation from every other node: coarse node (i, j) sits on fine node
-    (2i, 2j), and a fine node past the last coarse line interpolates against
-    zero."""
-    per_axis = [
-        (
-            (slice(0, None, 2), slice(None), 1.0),  # on a coarse line
-            (slice(1, None, 2), slice(0, n // 2), 0.5),  # its lower neighbour
-            (slice(1, 2 * m - 2, 2), slice(1, m), 0.5),  # its upper neighbour
-        )
-        for n, m in zip(fine_shape, coarse_shape)
-    ]
-    return [
-        ((f0, f1), (c0, c1), w0 * w1)
-        for f0, c0, w0 in per_axis[0]
-        for f1, c1, w1 in per_axis[1]
-    ]
-
-
-def _prolong_add(coarse: np.ndarray, fine: np.ndarray) -> None:
-    """fine += P coarse."""
-    for f, c, weight in _transfer_pairs(fine.shape, coarse.shape):
-        fine[f] += weight * coarse[c]
-
-
-def _restrict(fine: np.ndarray, coarse: np.ndarray) -> None:
-    """coarse = P^T fine / 4: full weighting, the adjoint of ``_prolong_add``."""
-    coarse.fill(0.0)
-    for f, c, weight in _transfer_pairs(fine.shape, coarse.shape):
-        coarse[c] += 0.25 * weight * fine[f]
+def _node_index(mask: np.ndarray) -> np.ndarray:
+    """Each masked node's slot in row-major order, as an int32 array over the
+    box padded by one line on every side (node (i, j) at [1 + i, 1 + j]);
+    off the mask it holds the node count, the slot of the trailing zero."""
+    size = int(np.count_nonzero(mask))
+    index = np.full((mask.shape[0] + 2, mask.shape[1] + 2), size, dtype=np.int32)
+    index[1:-1, 1:-1][mask] = np.arange(size, dtype=np.int32)
+    return index
 
 
 class _Level:
-    """One grid of the V-cycle: its mask, spacings and work buffers."""
+    """One grid of the V-cycle: its stencil tables, weights and work buffers.
+
+    A vector on the level holds its ``size`` masked nodes in row-major order
+    and one trailing zero slot, which stands in for every neighbour off the
+    mask.  ``up`` and ``down`` are the slots of the neighbours along axis 0.
+    Along axis 1 a node's neighbours are the next and the previous slot,
+    except at the ``ends`` and ``starts`` of its run of masked nodes.
+    """
 
     def __init__(self, mask: np.ndarray, hx: float, hy: float, finest: bool) -> None:
         self.mask, self.hx, self.hy = mask, hx, hy
+        self.size = size = int(np.count_nonzero(mask))
+        index = _node_index(mask)
+        self.up = index[2:, 1:-1][mask]
+        self.down = index[:-2, 1:-1][mask]
+        self.ends = np.flatnonzero(~mask[:, 1:][mask[:, :-1]])
+        self.starts = np.flatnonzero(~mask[:, :-1][mask[:, 1:]])
         self.jacobi = JACOBI_OMEGA / (1.0 / (hx * hx) + 1.0 / (hy * hy))  # omega / diagonal of H
-        # the finest level works on the caller's residual and output arrays
-        self.r = None if finest else np.zeros(mask.shape)
-        self.z = None if finest else np.zeros(mask.shape)
-        self.t = np.empty(mask.shape)
-        self.nodes = self.inverse = None
+        # the finest level works on the caller's residual and output vectors
+        self.r = None if finest else np.zeros(size + 1)
+        self.z = None if finest else np.zeros(size + 1)
+        self.t = np.zeros(size + 1)
+        self.g = np.empty(size)  # gathered neighbours
+        self.inverse = None
 
     def make_coarsest(self) -> None:
         """Factor the level exactly: the inverse of its dense matrix."""
-        mask = self.mask
-        self.nodes = np.flatnonzero(mask)
-        index = np.full(mask.shape, -1)
-        index.flat[self.nodes] = np.arange(self.nodes.size)
-        ii, jj = np.nonzero(mask)
+        size = self.size
         ax, ay = 0.5 / (self.hx * self.hx), 0.5 / (self.hy * self.hy)
-        dense = np.diag(np.full(self.nodes.size, 2.0 * (ax + ay)))
-        for di, dj, a in ((1, 0, ax), (-1, 0, ax), (0, 1, ay), (0, -1, ay)):
-            nb = index[ii + di, jj + dj]  # the mask never touches the border
-            inside = nb >= 0
-            dense[np.flatnonzero(inside), nb[inside]] = -a
+        dense = np.diag(np.full(size, 2.0 * (ax + ay)))
+        rows = np.arange(size)
+        for nb in (self.up, self.down):
+            inside = nb < size
+            dense[rows[inside], nb[inside]] = -ax
+        left = np.delete(rows, self.ends)  # nodes with a right neighbour
+        dense[left, left + 1] = dense[left + 1, left] = -ay
         self.inverse = np.linalg.inv(dense)
+
+
+def _apply_h(u: np.ndarray, level: _Level, out: np.ndarray) -> np.ndarray:
+    """out = H u for H = -(1/2) Laplacian with Dirichlet conditions off the
+    mask, on the vectors of ``level``, as
+    ``((c u + up + down) (ax/ay) + right + left) (-ay)``."""
+    ax, ay = 0.5 / (level.hx * level.hx), 0.5 / (level.hy * level.hy)
+    size, g = level.size, level.g
+    nodes = out[:size]
+    np.multiply(u, -2.0 * (ax + ay) / ax, out=out)
+    # every table holds valid slots; mode "clip" lets take write straight into g
+    nodes += u.take(level.up, out=g, mode="clip")
+    nodes += u.take(level.down, out=g, mode="clip")
+    out *= ax / ay
+    g[:] = u[1:]
+    g[level.ends] = 0.0
+    nodes += g
+    g[1:] = u[: size - 1]
+    g[level.starts] = 0.0
+    nodes += g
+    out *= -ay
+    return out
+
+
+class _Transfer:
+    """Grid transfers between a level and the next coarser one, as gathers.
+
+    Coarse node (i, j) sits on fine node (2i, 2j).  Prolongation is bilinear:
+    the fine nodes fall into four parity classes, and a class interpolates
+    from one, two or four coarse nodes with one weight.  Restriction is its
+    transpose over 4 (full weighting): each coarse node gathers the fine
+    nodes of each class about it.  Each class is an int32 table per
+    neighbour and a scalar weight; a neighbour off the mask reads the zero
+    slot.
+    """
+
+    def __init__(self, fine: _Level, coarse: _Level) -> None:
+        self.fine, self.coarse = fine, coarse
+        m0, m1 = coarse.mask.shape
+        findex, cindex = _node_index(fine.mask), _node_index(coarse.mask)
+        self.prolong, self.restrict_from = [], []
+        # prolongation lays its values out class by class; ``order`` gathers
+        # them back into row-major order
+        self.order = np.empty(fine.size, dtype=np.int32)
+        start = 0
+        for pi in (0, 1):
+            for pj in (0, 1):
+                weight = 0.5 ** (pi + pj)
+                # fine node (2s + pi, 2t + pj) reads coarse (s + a, t + b), with
+                # a in {0} on a coarse line (pi = 0) and in {0, 1} between two
+                ours = findex[1 + pi :: 2, 1 + pj :: 2][:m0, :m1]
+                on = ours < fine.size
+                self.prolong.append((weight, np.stack([
+                    cindex[1 + a : 1 + a + m0, 1 + b : 1 + b + m1][on]
+                    for a in ((0,), (0, 1))[pi] for b in ((0,), (0, 1))[pj]
+                ])))
+                members = ours[on]
+                self.order[members] = np.arange(start, start + members.size, dtype=np.int32)
+                start += members.size
+                # and coarse node (i, j) reads fine (2i + a, 2j + b) of the class
+                self.restrict_from.append((0.25 * weight, np.stack([
+                    findex[1 + a :: 2, 1 + b :: 2][:m0, :m1][coarse.mask]
+                    for a in ((0,), (-1, 1))[pi] for b in ((0,), (-1, 1))[pj]
+                ])))
+
+    def prolong_add(self, coarse: np.ndarray, fine: np.ndarray) -> None:
+        """fine += P coarse, using the fine level's ``t`` and ``g`` as work buffers."""
+        by_class, g = self.fine.t, self.fine.g
+        start = 0
+        for weight, tables in self.prolong:
+            part = by_class[start : start + tables.shape[1]]
+            coarse.take(tables[0], out=part, mode="clip")
+            for table in tables[1:]:
+                part += coarse.take(table, out=g[: part.size], mode="clip")
+            part *= weight
+            start += part.size
+        fine[:-1] += by_class.take(self.order, out=g, mode="clip")
+
+    def restrict(self, fine: np.ndarray, coarse: np.ndarray) -> None:
+        """coarse = P^T fine / 4, using the coarse level's ``t`` and ``g`` as work buffers."""
+        nodes, part, g = coarse[:-1], self.coarse.t[:-1], self.coarse.g
+        nodes.fill(0.0)
+        for weight, tables in self.restrict_from:
+            fine.take(tables[0], out=part, mode="clip")
+            for table in tables[1:]:
+                part += fine.take(table, out=g, mode="clip")
+            part *= weight
+            nodes += part
 
 
 class _VCycle:
@@ -381,7 +459,8 @@ class _VCycle:
     prolongation is bilinear and restriction its transpose over 4.  Each
     level runs ``SMOOTHING_SWEEPS`` damped-Jacobi sweeps before and after
     its coarse correction, so the cycle is symmetric; the coarsest level
-    (at most ``COARSEST_NODES`` per axis) is solved exactly.
+    (at most ``COARSEST_NODES`` per axis) is solved exactly.  Every buffer
+    is allocated here, once.
     """
 
     def __init__(self, mask: np.ndarray, hx: float, hy: float) -> None:
@@ -393,14 +472,15 @@ class _VCycle:
             hx, hy = 2.0 * hx, 2.0 * hy
             self.levels.append(_Level(mask, hx, hy, finest=False))
         self.levels[-1].make_coarsest()
+        self.transfers = [_Transfer(fine, coarse) for fine, coarse in zip(self.levels, self.levels[1:])]
 
     def __call__(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = B r for a masked r."""
+        """out = B r for a vector of the finest level."""
         self._cycle(0, r, out)
         return out
 
     def _smooth(self, level: _Level, r: np.ndarray, z: np.ndarray) -> None:
-        t = _apply_h(z, level.mask, level.hx, level.hy, level.t)
+        t = _apply_h(z, level, level.t)
         np.subtract(r, t, out=t)
         t *= level.jacobi
         z += t
@@ -408,20 +488,17 @@ class _VCycle:
     def _cycle(self, k: int, r: np.ndarray, z: np.ndarray) -> None:
         level = self.levels[k]
         if level.inverse is not None:
-            z.fill(0.0)
-            z.flat[level.nodes] = level.inverse @ r.flat[level.nodes]
+            np.dot(level.inverse, r[:-1], out=z[:-1])
             return
         np.multiply(r, level.jacobi, out=z)  # the first sweep, from zero
         for _ in range(SMOOTHING_SWEEPS - 1):
             self._smooth(level, r, z)
-        t = _apply_h(z, level.mask, level.hx, level.hy, level.t)
+        t = _apply_h(z, level, level.t)
         np.subtract(r, t, out=t)
         coarse = self.levels[k + 1]
-        _restrict(t, coarse.r)
-        coarse.r *= coarse.mask
+        self.transfers[k].restrict(t, coarse.r)
         self._cycle(k + 1, coarse.r, coarse.z)
-        _prolong_add(coarse.z, z)
-        z *= level.mask
+        self.transfers[k].prolong_add(coarse.z, z)
         for _ in range(SMOOTHING_SWEEPS):
             self._smooth(level, r, z)
 
@@ -497,17 +574,23 @@ def _lobpcg(
 
 
 def _solve_2d_once(domain: Domain, grid: Grid2D, x0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair on one grid; a given start ``x0`` is overwritten."""
+    """Lowest eigenpair on one grid.  The start ``x0`` and the returned
+    eigenvector are arrays over the whole box, zero off the mask; a given
+    start is overwritten with the eigenvector."""
     mask = _mask_from_domain(domain, grid)
     _assert_connected(mask)
-    hx, hy = grid.spacings
-    u = mask.astype(float) if x0 is None else x0
-    u *= mask
+    vcycle = _VCycle(mask, *grid.spacings)
+    finest = vcycle.levels[0]
+    x = np.zeros(finest.size + 1)
+    x[:-1] = 1.0 if x0 is None else x0[mask]
 
     def apply_h(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return _apply_h(v, mask, hx, hy, out)
+        return _apply_h(v, finest, out)
 
-    lam = _lobpcg(u, apply_h, _VCycle(mask, hx, hy), LOBPCG_MAX_ITER)
+    lam = _lobpcg(x, apply_h, vcycle, LOBPCG_MAX_ITER)
+    u = np.empty(mask.shape) if x0 is None else x0
+    u.fill(0.0)
+    u[mask] = x[:-1]
     return lam, u
 
 

@@ -53,6 +53,29 @@ def test_bounds_billiard_unbounded_exit_code(tmp_path, schema):
     assert from_jsonable(doc["result"])["upper"] == math.inf
 
 
+# a box that cuts a bounded domain would report the numbers of the part
+# inside it: a false "lower bound" of 158.78 for the billiard (E0 is near
+# 42.9), the square's 9.87 for the unit disk (2.89)
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--system", "annular-billiard", "--box=-0.9:-0.5,-0.3:0.3"],
+    ["sweep", "--system", "annular-billiard", "--param", "r", "--values", "0.7,0.75", "--box=-0.9:1.1,-1:0.9"],
+    ["oracle", "--system", "disk", "--grid-n", "64", "--box=-0.5:0.5,-0.5:0.5"],
+])
+def test_a_box_that_cuts_a_bounded_domain_is_refused(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text is None
+    assert "cuts the bounded domain" in capsys.readouterr().err
+
+
+def test_a_box_that_holds_a_bounded_domain_is_accepted(tmp_path):
+    code, text = run(tmp_path, "bounds", "--system", "annular-billiard", "--box=-3:3,-3:3", "--format", "json")
+    assert code == 3  # as on the domain's own box: the upper side diverges at the boundary
+    assert 20.0 < json.loads(text)["result"]["lower"] <= 42.9
+    code, text = run(tmp_path, "oracle", "--system", "disk", "--grid-n", "64", "--box=-1.5:1.5,-1.5:1.5")
+    assert code == 0
+    assert json.loads(text)["result"]["energy"] == pytest.approx(2.8916, abs=0.1)
+
+
 def test_bounds_magnetic_upper_variant(tmp_path, schema):
     code, text = run(tmp_path, "bounds", "--system", "magnetic-hydrogen", "--B", "1", "--variant", "upper")
     assert code == 3  # the lower side of this trial is useless (-inf)

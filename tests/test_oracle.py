@@ -181,6 +181,76 @@ def _domain(name):
     return Domain(2, "bounded", constraint=ellipse, box=((-1.1, 1.1), (-1.6, 1.6)))
 
 
+def _corridor():
+    """A one-node-wide serpentine corridor with many turns."""
+    corridor = np.zeros((41, 41), dtype=bool)
+    corridor[1:-1:4, 1:-1] = True  # rows 1, 5, ..., 37
+    for k, row in enumerate(range(1, 37, 4)):
+        col = 1 if k % 2 else 39
+        corridor[row : row + 5, col] = True
+    return corridor
+
+
+@pytest.mark.parametrize("name", ["billiard", "disk", "ellipse"])
+def test_mask_is_built_in_row_blocks_like_the_whole_grid(name):
+    domain = _domain(name)
+    n = 3 * oracle.MASK_BLOCK_ROWS + 5  # a short last block
+    grid = Grid2D(domain.box, n)
+    xs, ys = grid.axes()
+    whole = domain.interior_mask(np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2))
+    whole = whole.reshape(n, n)
+    whole[0, :] = whole[-1, :] = whole[:, 0] = whole[:, -1] = False
+    mask = oracle._mask_from_domain(domain, grid)
+    assert 0 < mask.sum() < mask.size
+    assert np.array_equal(mask, whole)
+
+
+def _five_point_matrix(mask, hx, hy):
+    """The masked 5-point matrix of H = -(1/2) Laplacian, built by scipy."""
+    sparse = pytest.importorskip("scipy.sparse")
+
+    def second_difference(m, h):
+        a = 0.5 / (h * h)
+        return sparse.diags([np.full(m - 1, -a), np.full(m, 2.0 * a), np.full(m - 1, -a)], [-1, 0, 1])
+
+    n0, n1 = mask.shape
+    h = sparse.kron(second_difference(n0, hx), sparse.identity(n1)) + sparse.kron(
+        sparse.identity(n0), second_difference(n1, hy)
+    )
+    nodes = np.flatnonzero(mask)
+    return h.tocsr()[nodes][:, nodes]
+
+
+def _sparse_lowest_eigenvalue(mask, hx, hy):
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    h = _five_point_matrix(mask, hx, hy)
+    return float(linalg.eigsh(h, k=1, sigma=0.0, which="LM", return_eigenvectors=False)[0])
+
+
+@pytest.mark.parametrize("name", ["billiard", "disk", "ellipse", "corridor", "corridor-transposed"])
+def test_stencil_matches_the_five_point_matrix(name):
+    if name.startswith("corridor"):
+        # one node wide: along axis 1 every rung (transposed, every long
+        # row) is runs of a single node, each both a run start and a run end
+        mask = _corridor() if name == "corridor" else _corridor().T.copy()
+        hx, hy = 0.05, 0.08
+    else:
+        domain = _domain(name)
+        grid = Grid2D(domain.box, 97)
+        mask, (hx, hy) = oracle._mask_from_domain(domain, grid), grid.spacings
+    if name == "ellipse":
+        assert hx != hy
+    matrix = _five_point_matrix(mask, hx, hy)
+    level = oracle._Level(mask, hx, hy, finest=True)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        u = np.append(rng.standard_normal(level.size), 0.0)
+        hu = oracle._apply_h(u, level, np.empty_like(u))
+        want = matrix @ u[:-1]
+        assert hu[-1] == 0.0  # the zero slot stays zero
+        assert np.max(np.abs(hu[:-1] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize(
     "name, n",
     [("billiard", 96), ("billiard", 97), ("disk", 96), ("disk", 97), ("ellipse", 90)],
@@ -196,51 +266,51 @@ def test_vcycle_is_symmetric_positive_definite(name, n):
     assert len(vcycle.levels) >= 3  # smoothing, restriction and the exact solve all act
     rng = np.random.default_rng(n)
     for _ in range(3):
-        u, v = (rng.standard_normal(mask.shape) * mask for _ in range(2))
+        u, v = (np.append(rng.standard_normal(vcycle.levels[0].size), 0.0) for _ in range(2))
         bu = vcycle(u, np.empty_like(u))
         bv = vcycle(v, np.empty_like(v))
-        assert not np.any(bu[~mask])
+        assert bu[-1] == 0.0 and bv[-1] == 0.0  # the zero slot stays zero
         vbu, ubv = np.vdot(v, bu), np.vdot(u, bv)
         assert abs(vbu - ubv) <= 1e-12 * max(abs(vbu), abs(ubv))
         assert np.vdot(u, bu) > 0.0 and np.vdot(v, bv) > 0.0
 
 
+def _transfer(mask):
+    coarse = mask[::2, ::2].copy()
+    coarse[0, :] = coarse[-1, :] = coarse[:, 0] = coarse[:, -1] = False
+    return oracle._Transfer(*(oracle._Level(m, 1.0, 1.0, finest=False) for m in (mask, coarse)))
+
+
 @pytest.mark.parametrize("n", [16, 17])
 def test_grid_transfers_are_bilinear_and_adjoint(n):
     m = (n + 1) // 2
-    i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    fine = np.zeros((n, n))
-    oracle._prolong_add(3.0 * i - 2.0 * j + 1.0, fine)
     k, l = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    inside = (k <= 2 * (m - 1)) & (l <= 2 * (m - 1))  # within the last coarse lines
-    assert np.allclose(fine[inside], (1.5 * k - 1.0 * l + 1.0)[inside], rtol=0, atol=1e-12)
+    square = (k > 0) & (k < n - 1) & (l > 0) & (l < n - 1)
+    transfer = _transfer(square)
+    i, j = np.nonzero(transfer.coarse.mask)
+    fine = np.zeros(transfer.fine.size + 1)
+    transfer.prolong_add(np.append(3.0 * i - 2.0 * j + 1.0, 0.0), fine)
+    assert fine[-1] == 0.0
+    fine_k, fine_l = np.nonzero(square)
+    # within the coarse lines next to the border, which are off the coarse mask
+    inside = (fine_k >= 2) & (fine_k <= 2 * (m - 2)) & (fine_l >= 2) & (fine_l <= 2 * (m - 2))
+    want = 1.5 * fine_k - 1.0 * fine_l + 1.0
+    assert np.allclose(fine[:-1][inside], want[inside], rtol=0, atol=1e-12)
 
     rng = np.random.default_rng(n)
-    c, f = rng.standard_normal((m, m)), rng.standard_normal((n, n))
-    pc, rf = np.zeros((n, n)), np.empty((m, m))
-    oracle._prolong_add(c, pc)
-    oracle._restrict(f, rf)
-    assert np.vdot(pc, f) == pytest.approx(4.0 * np.vdot(c, rf), rel=1e-12)
+    disk = square & ((k - n / 2) ** 2 + (l - n / 2) ** 2 < (n / 2 - 2) ** 2)
+    for mask in (square, disk):
+        transfer = _transfer(mask)
+        c = np.append(rng.standard_normal(transfer.coarse.size), 0.0)
+        f = np.append(rng.standard_normal(transfer.fine.size), 0.0)
+        pc, rf = np.zeros_like(f), np.zeros_like(c)
+        transfer.prolong_add(c, pc)
+        transfer.restrict(f, rf)
+        assert rf[-1] == 0.0
+        assert np.vdot(pc, f) == pytest.approx(4.0 * np.vdot(c, rf), rel=1e-12)
 
 
-def _sparse_lowest_eigenvalue(mask, hx, hy):
-    sparse = pytest.importorskip("scipy.sparse")
-    linalg = pytest.importorskip("scipy.sparse.linalg")
-
-    def second_difference(m, h):
-        a = 0.5 / (h * h)
-        return sparse.diags([np.full(m - 1, -a), np.full(m, 2.0 * a), np.full(m - 1, -a)], [-1, 0, 1])
-
-    n0, n1 = mask.shape
-    h = sparse.kron(second_difference(n0, hx), sparse.identity(n1)) + sparse.kron(
-        sparse.identity(n0), second_difference(n1, hy)
-    )
-    nodes = np.flatnonzero(mask)
-    h = h.tocsr()[nodes][:, nodes]
-    return float(linalg.eigsh(h, k=1, sigma=0.0, which="LM", return_eigenvectors=False)[0])
-
-
-@pytest.mark.parametrize("name", ["billiard", "disk"])
+@pytest.mark.parametrize("name", ["billiard", "disk", "ellipse"])
 def test_every_level_matches_sparse_eigsh(name, monkeypatch):
     pytest.importorskip("scipy")
     domain = _domain(name)
@@ -284,11 +354,7 @@ def test_disconnected_mask_is_rejected():
         oracle._assert_connected(diagonal)
 
     # a one-node-wide serpentine corridor with many turns is one region
-    corridor = np.zeros((41, 41), dtype=bool)
-    corridor[1:-1:4, 1:-1] = True  # rows 1, 5, ..., 37
-    for k, row in enumerate(range(1, 37, 4)):
-        col = 1 if k % 2 else 39
-        corridor[row : row + 5, col] = True
+    corridor = _corridor()
     oracle._assert_connected(corridor)
     corridor[19, 39] = False  # cut one rung: now two regions
     with pytest.raises(ValueError):
