@@ -13,14 +13,12 @@ validation (:mod:`groundbound.oracle`), and a CLI (``groundbound``).
 from .core import (
     AsymptoticLimit,
     BoundsResult,
-    CrossCheckReport,
     Domain,
     Hamiltonian,
     LocalEnergyField,
     LogTrialFunction,
     SingularEvaluationError,
     SingularSet,
-    cross_check_field,
 )
 from .search import (
     ExtremumReport,
@@ -37,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticLimit",
     "BoundsResult",
-    "CrossCheckReport",
     "Domain",
     "ExtremumReport",
     "Hamiltonian",
@@ -48,7 +45,6 @@ __all__ = [
     "SingularSet",
     "TrialFamily",
     "bounds_of_field",
-    "cross_check_field",
     "global_max",
     "global_min",
     "optimize_parameters",

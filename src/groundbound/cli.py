@@ -123,14 +123,12 @@ def _billiard(p: dict) -> LocalEnergyField:
 
 
 def _magnetic_bounds(ps: list[dict], cfg: SearchConfig) -> list[BoundsResult]:
-    # every trivial sandwich of the list is one stacked search, and so are the single trials
-    trivial = iter(magnetic_trivial_bounds(
-        [MagneticHydrogen(p["B"]) for p in ps if p["variant"] == "trivial"], cfg
-    ))
-    single = iter(_stacked_bounds([
-        magnetic_hydrogen_field(MagneticHydrogen(p["B"]), p["variant"]) for p in ps if p["variant"] != "trivial"
-    ], cfg))
-    return [next(trivial if p["variant"] == "trivial" else single) for p in ps]
+    # only float parameters sweep, so every set of one call has the same variant
+    [variant] = {p["variant"] for p in ps}
+    mhs = [MagneticHydrogen(p["B"]) for p in ps]
+    if variant == "trivial":
+        return magnetic_trivial_bounds(mhs, cfg)
+    return _stacked_bounds([magnetic_hydrogen_field(mh, variant) for mh in mhs], cfg)
 
 
 def _magnetic_field(p: dict) -> tuple[dict, LocalEnergyField]:

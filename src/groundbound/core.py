@@ -33,18 +33,12 @@ __all__ = [
     "LogTrialFunction",
     "LocalEnergyField",
     "BoundsResult",
-    "CrossCheckReport",
     "SingularEvaluationError",
     "local_energy_log_batch",
-    "cross_check_field",
-    "derivative_consistency",
     "make_log_field",
 ]
 
 SAMPLE_ROUNDS = 200  # rejection-sampling draws before sample_interior gives up
-CROSS_CHECK_TOLERANCE = 1e-8  # relative, between analytically equal representations
-FD_STEP_GRAD = 1e-5  # central-difference steps of derivative_consistency
-FD_STEP_LAP = 1e-4
 
 
 class SingularEvaluationError(ValueError):
@@ -202,16 +196,16 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class LogTrialFunction:
-    """Trial state stored as ``S = ln phi`` with analytic derivatives.
+    """Trial state ``S = ln phi``, given by its analytic derivatives alone.
 
-    ``derivs(qs)`` returns ``(grad, second)`` for a batch of points: the
-    gradient of ``S``, shape ``(n, dim)``, and either its Laplacian, shape
-    ``(n,)``, or its full Hessian, shape ``(n, dim, dim)``.  The Hessian is
-    only needed when the Hamiltonian's inverse-mass form is not a multiple of
-    the identity.
+    The local energy needs only the gradient and the Laplacian of ``S``,
+    never ``S`` itself.  ``derivs(qs)`` returns ``(grad, second)`` for a
+    batch of points: the gradient of ``S``, shape ``(n, dim)``, and either
+    its Laplacian, shape ``(n,)``, or its full Hessian, shape
+    ``(n, dim, dim)``.  The Hessian is only needed when the Hamiltonian's
+    inverse-mass form is not a multiple of the identity.
     """
 
-    s: Callable[[np.ndarray], np.ndarray]
     derivs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     normalizable: bool = True
 
@@ -220,15 +214,13 @@ class LogTrialFunction:
 class LocalEnergyField:
     """Evaluable scalar field ``q -> E_loc(q)`` with its declared structure.
 
-    ``evaluate`` is the primary representation; ``alternates`` hold other
-    analytically equal representations (used by :func:`cross_check_field`).
-    The singular sets are the domain's ``excluded_singular_sets``; a field
-    declares only its asymptotic limits.
+    ``evaluate`` is the field's one evaluator.  The singular sets are the
+    domain's ``excluded_singular_sets``; a field declares only its
+    asymptotic limits.
     """
 
     domain: Domain
     evaluate: Callable[[np.ndarray], np.ndarray]
-    alternates: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
     asymptotic_limits: tuple[AsymptoticLimit, ...] = ()
 
     def singular_mask(self, qs: np.ndarray) -> np.ndarray:
@@ -300,20 +292,6 @@ class BoundsResult:
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Outcome of sampling two representations of the same field."""
-
-    n_requested: int
-    n_used: int
-    max_rel_discrepancy: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_discrepancy <= self.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -393,66 +371,3 @@ def sample_interior(
         "failed to sample interior points; domain and singularity declarations "
         "are likely inconsistent"
     )
-
-
-def cross_check_field(f: LocalEnergyField, n_samples: int, seed: int) -> CrossCheckReport:
-    """Sample interior points and compare all representations of the field.
-
-    The representations are analytically equal, so the maximum relative
-    discrepancy over the sample is itself the oracle: the check passes iff it
-    stays at rounding level (``CROSS_CHECK_TOLERANCE``).
-    """
-    if not f.alternates:
-        raise ValueError("field has a single representation; nothing to cross-check")
-    rng = np.random.default_rng(seed)
-    pts = sample_interior(f.domain, n_samples, rng)
-    reps = [np.asarray(f.evaluate(pts), dtype=float)]
-    reps += [np.asarray(alt(pts), dtype=float) for alt in f.alternates]
-    worst = 0.0
-    for other in reps[1:]:
-        scale = np.maximum(np.maximum(np.abs(reps[0]), np.abs(other)), 1e-300)
-        worst = max(worst, float(np.max(np.abs(reps[0] - other) / scale)))
-    return CrossCheckReport(
-        n_requested=n_samples,
-        n_used=pts.shape[0],
-        max_rel_discrepancy=worst,
-        tolerance=CROSS_CHECK_TOLERANCE,
-    )
-
-
-# ---------------------------------------------------------------------------
-# finite-difference consistency of supplied derivatives
-
-
-def derivative_consistency(trial: LogTrialFunction, qs: np.ndarray) -> tuple[float, float]:
-    """Max relative error of the gradient from ``derivs`` vs central
-    differences of ``s``, and of its Laplacian (a Hessian's trace) vs the
-    finite-difference divergence of the gradient.
-
-    The steps ``FD_STEP_GRAD`` and ``FD_STEP_LAP`` follow the usual
-    central-difference optimum; the returned pair is compared against
-    (1e-6, 1e-5) by the shipped-trial consistency tests.
-    """
-    qs = np.asarray(qs, dtype=float)
-    n, dim = qs.shape
-    g, second = trial.derivs(qs)
-    g = np.asarray(g, dtype=float)
-    lap = _laplacian(np.asarray(second, dtype=float))
-
-    g_fd = np.empty_like(g)
-    div_fd = np.zeros(n)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        g_fd[:, i] = (
-            trial.s(qs + FD_STEP_GRAD * e) - trial.s(qs - FD_STEP_GRAD * e)
-        ) / (2 * FD_STEP_GRAD)
-        gp = np.asarray(trial.derivs(qs + FD_STEP_LAP * e)[0], dtype=float)[:, i]
-        gm = np.asarray(trial.derivs(qs - FD_STEP_LAP * e)[0], dtype=float)[:, i]
-        div_fd += (gp - gm) / (2 * FD_STEP_LAP)
-
-    g_scale = np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1.0)
-    grad_err = float(np.max(np.abs(g - g_fd) / g_scale))
-    lap_scale = np.maximum(np.abs(lap), 1.0)
-    lap_err = float(np.max(np.abs(lap - div_fd) / lap_scale))
-    return grad_err, lap_err

@@ -64,7 +64,6 @@ __all__ = [
     "perturbed_field",
     "optimize_bump_amplitude",
     "censor_guard",
-    "refine_schedule",
     "default_centers",
     "DEFAULT_AMPLITUDE_RANGE",
 ]
@@ -119,11 +118,6 @@ def _bump_terms(q: np.ndarray, s, a, sigma) -> tuple[np.ndarray, np.ndarray]:
     return t, np.exp(-t * t) * s
 
 
-def _bump_value(q: np.ndarray, s, a, sigma) -> np.ndarray:
-    """``sum_k s_k exp(-(q-a_k)^2/sigma_k^2)`` at the points ``q``."""
-    return _bump_terms(q, s, a, sigma)[1].sum(axis=1)
-
-
 def _summed_derivs(t: np.ndarray, e: np.ndarray, sigma, sigma2) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivative of the bump sum from its terms ``t`` and
     ``e`` (see :func:`_bump_terms`), given each ``sigma`` and its square.
@@ -147,7 +141,7 @@ def _summed_derivs(t: np.ndarray, e: np.ndarray, sigma, sigma2) -> tuple[np.ndar
 
 
 def _bump_derivs(q: np.ndarray, s, a, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivative of :func:`_bump_value` at the points ``q``."""
+    """First and second derivative of the bump sum at the points ``q``."""
     return _summed_derivs(*_bump_terms(q, s, a, sigma), sigma, sigma**2)
 
 
@@ -224,7 +218,7 @@ class RefinementState:
 
 
 def perturbed_trial(state: RefinementState) -> LogTrialFunction:
-    """S = S_base + sum of bumps, with derivatives assembled analytically.
+    """The derivatives of S = S_base + sum of bumps, assembled analytically.
 
     The bump sum is evaluated as one broadcast over the stacked (s, a, sigma)
     arrays, so hundreds of bumps stay cheap.  Repeated centers are allowed and
@@ -239,9 +233,6 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
     sig_arr = np.array([b.sigma for b in bumps])
     sig2 = sig_arr**2
 
-    def s(qs):
-        return np.asarray(base.s(qs), dtype=float) + _bump_value(coordinate_1d(qs), s_arr, a_arr, sig_arr)
-
     def derivs(qs):
         g0, lap0 = base.derivs(qs)
         t, e = _bump_terms(coordinate_1d(qs), s_arr, a_arr, sig_arr)
@@ -249,11 +240,7 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
         grad = np.asarray(g0, dtype=float)[:, 0] + d1
         return grad[:, None], np.asarray(lap0, dtype=float) + d2
 
-    return LogTrialFunction(
-        s=s,
-        derivs=derivs,
-        normalizable=base.normalizable,
-    )
+    return LogTrialFunction(derivs=derivs, normalizable=base.normalizable)
 
 
 def perturbed_field(state: RefinementState) -> LocalEnergyField:
@@ -559,27 +546,6 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
             d = a + GOLDEN * (b - a)
             fd = f(d)
     return c if fc >= fd else d
-
-
-def refine_schedule(
-    h: Hamiltonian,
-    base: LogTrialFunction,
-    asymptotic_limits: Sequence[AsymptoticLimit],
-    centers: Sequence[float],
-    sigma: float = 1.0,
-    s_range: tuple[float, float] = DEFAULT_AMPLITUDE_RANGE,
-    cfg: SearchConfig | None = None,
-) -> RefinementState:
-    """Run the one-amplitude-at-a-time schedule over ``centers`` in order.
-
-    Exhausted centers simply stop improving; the returned state carries the
-    full bound history (non-decreasing by the commit rule).
-    """
-    cfg = cfg or SearchConfig()
-    state = new_refinement_state(h, base, asymptotic_limits, cfg=cfg)
-    for a in centers:
-        _, state = optimize_bump_amplitude(state, float(a), sigma, s_range, cfg)
-    return state
 
 
 def default_centers(sweeps: int = 12) -> list[float]:

@@ -12,12 +12,7 @@ from .coulomb import (
     helium_search_field,
     helium_system,
 )
-from .hydrogen import (
-    hydrogen_exponent_family,
-    hydrogen_hamiltonian_3d,
-    hydrogen_radial_field,
-    hydrogen_trial_3d,
-)
+from .hydrogen import hydrogen_exponent_family, hydrogen_radial_field
 from .magnetic import (
     VARIANTS,
     MagneticHydrogen,
@@ -25,7 +20,6 @@ from .magnetic import (
     improved_directional_limit,
     improved_parabolic_limit,
     magnetic_hydrogen_field,
-    magnetic_trial,
     magnetic_trivial_bounds,
 )
 from .quartic import QuarticOscillator, quartic_field, quartic_system
@@ -46,13 +40,10 @@ __all__ = [
     "helium_search_field",
     "helium_system",
     "hydrogen_exponent_family",
-    "hydrogen_hamiltonian_3d",
     "hydrogen_radial_field",
-    "hydrogen_trial_3d",
     "improved_directional_limit",
     "improved_parabolic_limit",
     "magnetic_hydrogen_field",
-    "magnetic_trial",
     "magnetic_trivial_bounds",
     "quartic_field",
     "quartic_system",

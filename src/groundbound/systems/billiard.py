@@ -74,28 +74,15 @@ class AnnularBilliard:
 
 
 def billiard_local_energy_field(ab: AnnularBilliard) -> LocalEnergyField:
-    """Closed-form field -Delta(b)/(2b), cross-checkable against the
-    polynomial-arithmetic ratio form of the same trial."""
+    """The closed-form field -Delta(b)/(2b) of the trial phi = -b."""
     r2, d = ab.r * ab.r, ab.delta
-    lap_b = ab.boundary_polynomial().laplacian()
 
     def closed_form(qs: np.ndarray) -> np.ndarray:
         x, y = qs[:, 0], qs[:, 1]
         ring = (x - d / 2.0) ** 2 + y * y - (1.0 + r2) / 4.0
         return -8.0 * ring / ab.b(qs)
 
-    def ratio_form(qs: np.ndarray) -> np.ndarray:
-        """``H phi / phi`` of ``phi = -b``: ``0.5 Delta(b) / (-b)``, with
-        ``Delta(b)`` from polynomial arithmetic; a zero ``b`` gives inf/nan."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (0.5 * lap_b(qs)) / (-ab.b(qs))
-
-    return LocalEnergyField(
-        domain=ab.domain(),
-        evaluate=closed_form,
-        alternates=(ratio_form,),
-        asymptotic_limits=(),
-    )
+    return LocalEnergyField(domain=ab.domain(), evaluate=closed_form)
 
 
 def unit_disk_field(
@@ -108,9 +95,6 @@ def unit_disk_field(
     closure; with the default ``f = 1`` there is no such ``g`` and the field is
     the unbounded ratio -Delta(b)/(2b) = -2/b.
     """
-    P = MultivariatePolynomial
-    b = P(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
-
     def b_eval(qs: np.ndarray) -> np.ndarray:
         return qs[:, 0] ** 2 + qs[:, 1] ** 2 - 1.0
 

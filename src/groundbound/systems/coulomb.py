@@ -31,7 +31,6 @@ from ..core import (
     LocalEnergyField,
     LogTrialFunction,
     SingularSet,
-    local_energy_log_batch,
 )
 from ..search import ExtremumReport
 
@@ -203,11 +202,6 @@ def coulomb_log_trial(cs: CoulombSystem, check_normalizable: bool = True) -> Log
     """
     lam = cs.cusp_coefficients
     n, d = cs.n_particles, cs.space_dim
-    iu = np.triu_indices(n, k=1)
-
-    def s(qs: np.ndarray) -> np.ndarray:
-        r = _batch_distances(_flat_to_positions(cs, qs))
-        return -np.sum(lam[iu] * r[:, iu[0], iu[1]], axis=1)
 
     def derivs(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pos = _flat_to_positions(cs, qs)
@@ -230,19 +224,21 @@ def coulomb_log_trial(cs: CoulombSystem, check_normalizable: bool = True) -> Log
                     h[:, k - 1, :, j - 1, :] += lam[k, j] * proj
         return g.reshape(m, cs.flat_dim), h.reshape(m, cs.flat_dim, cs.flat_dim)
 
-    normalizable = trial_is_normalizable(cs) if check_normalizable else True
+    normalizable = _checked_normalizable(cs) if check_normalizable else True
+    return LogTrialFunction(derivs=derivs, normalizable=normalizable)
+
+
+def _checked_normalizable(cs: CoulombSystem) -> bool:
+    """:func:`trial_is_normalizable`, with a warning when it is not."""
+    normalizable = trial_is_normalizable(cs)
     if not normalizable:
         warnings.warn(
             "pair-exponential trial is not square integrable for these "
             "masses/charges; treat its exponent as the first Taylor order "
             "near each coalescence and the bounds as formal",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return LogTrialFunction(
-        s=s,
-        derivs=derivs,
-        normalizable=normalizable,
-    )
+    return normalizable
 
 
 def _coincidence_tube(cs: CoulombSystem):
@@ -294,22 +290,15 @@ def coulomb_hamiltonian(cs: CoulombSystem) -> Hamiltonian:
 
 
 def coulomb_field(cs: CoulombSystem, check_normalizable: bool = True) -> LocalEnergyField:
-    """Closed-form field over flat coordinates, with the generic log-form
-    evaluation of the same trial as an alternate representation."""
-    h = coulomb_hamiltonian(cs)
-    trial = coulomb_log_trial(cs, check_normalizable=check_normalizable)
+    """Closed-form field of the pair-exponential trial over flat coordinates;
+    warns, unless told not to check, when the trial is not normalizable."""
+    if check_normalizable:
+        _checked_normalizable(cs)
 
     def closed(qs: np.ndarray) -> np.ndarray:
         return coulomb_local_energy_batch(cs, _flat_to_positions(cs, qs))
 
-    def logform(qs: np.ndarray) -> np.ndarray:
-        return local_energy_log_batch(h, trial, qs)
-
-    return LocalEnergyField(
-        domain=h.domain,
-        evaluate=closed,
-        alternates=(logform,),
-    )
+    return LocalEnergyField(domain=coulomb_hamiltonian(cs).domain, evaluate=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +348,16 @@ def helium_bounds(z: float) -> BoundsResult:
     )
 
 
+def _helium_positions(qs: np.ndarray) -> np.ndarray:
+    """The ``(m, 2, 3)`` electron positions of a batch of
+    :func:`helium_search_field` shape coordinates ``(r1, x2, y2)``."""
+    pos = np.zeros((qs.shape[0], 2, 3))
+    pos[:, 0, 0] = qs[:, 0]
+    pos[:, 1, 0] = qs[:, 1]
+    pos[:, 1, 1] = qs[:, 2]
+    return pos
+
+
 def helium_search_field(z: float) -> LocalEnergyField:
     """Two-electron field over a reduced 3-coordinate shape box.
 
@@ -370,37 +369,13 @@ def helium_search_field(z: float) -> LocalEnergyField:
     """
     cs = helium_system(z)
 
-    def to_positions(qs: np.ndarray) -> np.ndarray:
-        m = qs.shape[0]
-        pos = np.zeros((m, 2, 3))
-        pos[:, 0, 0] = qs[:, 0]
-        pos[:, 1, 0] = qs[:, 1]
-        pos[:, 1, 1] = qs[:, 2]
-        return pos
-
     def generic(qs: np.ndarray) -> np.ndarray:
-        return coulomb_local_energy_batch(cs, to_positions(qs))
-
-    def z_formula(qs: np.ndarray) -> np.ndarray:
-        pos = to_positions(qs)
-        x1, x2 = pos[:, 0], pos[:, 1]
-        r1 = np.linalg.norm(x1, axis=1)
-        r2 = np.linalg.norm(x2, axis=1)
-        r12 = np.linalg.norm(x1 - x2, axis=1)
-        cos1 = _cos_angle(r1, r12, r2)   # angle at electron 1
-        cos2 = _cos_angle(r2, r12, r1)   # angle at electron 2
-        return -z * z - 0.25 + z * (cos1 + cos2) / 2.0
-
-    h = coulomb_hamiltonian(cs)
-    trial = coulomb_log_trial(cs)
-
-    def logform(qs: np.ndarray) -> np.ndarray:
-        return local_energy_log_batch(h, trial, to_positions(qs).reshape(qs.shape[0], 6))
+        return coulomb_local_energy_batch(cs, _helium_positions(qs))
 
     coincide = _coincidence_tube(cs)
 
     def tube(qs: np.ndarray) -> np.ndarray:
-        return coincide(to_positions(qs).reshape(qs.shape[0], 6))
+        return coincide(_helium_positions(qs).reshape(qs.shape[0], 6))
 
     box = ((0.1, 2.0), (-2.0, 2.0), (0.0, 2.0))
 
@@ -421,8 +396,4 @@ def helium_search_field(z: float) -> LocalEnergyField:
         box=box,
         excluded_singular_sets=(SingularSet("coalescence", tube, limit=None),),
     )
-    return LocalEnergyField(
-        domain=dom,
-        evaluate=generic,
-        alternates=(z_formula, logform),
-    )
+    return LocalEnergyField(domain=dom, evaluate=generic)

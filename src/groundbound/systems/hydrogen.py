@@ -17,57 +17,13 @@ import math
 
 import numpy as np
 
-from ..core import (
-    AsymptoticLimit,
-    Domain,
-    Hamiltonian,
-    LocalEnergyField,
-    LogTrialFunction,
-    SingularSet,
-)
+from ..core import AsymptoticLimit, Domain, LocalEnergyField, SingularSet
 from ..search import TrialFamily
 
-__all__ = [
-    "hydrogen_trial_3d",
-    "hydrogen_hamiltonian_3d",
-    "hydrogen_radial_field",
-    "hydrogen_exponent_family",
-]
+__all__ = ["hydrogen_radial_field", "hydrogen_exponent_family"]
 
 ORIGIN_TUBE = 1e-6
 RADIAL_BOX = (0.0, 40.0)
-
-
-def hydrogen_trial_3d(lam: float = 1.0) -> LogTrialFunction:
-    """S = -lam |x| over R^3 with analytic gradient and Laplacian."""
-
-    def r_of(qs: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(qs, axis=1)
-
-    def derivs(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r = r_of(qs)
-        return -lam * qs / r[:, None], -2.0 * lam / r
-
-    return LogTrialFunction(
-        s=lambda qs: -lam * r_of(qs),
-        derivs=derivs,
-        normalizable=lam > 0,
-    )
-
-
-def hydrogen_hamiltonian_3d() -> Hamiltonian:
-    origin = SingularSet(
-        name="nucleus",
-        tube=lambda qs: np.linalg.norm(qs, axis=1) <= ORIGIN_TUBE,
-        limit=None,
-    )
-    dom = Domain(
-        dimension=3,
-        kind="unbounded",
-        box=((-20.0, 20.0),) * 3,
-        excluded_singular_sets=(origin,),
-    )
-    return Hamiltonian.isotropic(0.5, lambda qs: -1.0 / np.linalg.norm(qs, axis=1), dom)
 
 
 def hydrogen_radial_field(lam: float = 1.0) -> LocalEnergyField:

@@ -44,7 +44,6 @@ from ..core import (
     BoundsResult,
     Domain,
     LocalEnergyField,
-    LogTrialFunction,
     SingularSet,
 )
 from .. import search
@@ -54,7 +53,6 @@ __all__ = [
     "VARIANTS",
     "SYSTEM_VARIANTS",
     "magnetic_hydrogen_field",
-    "magnetic_trial",
     "magnetic_trivial_bounds",
     "cusp_defects",
     "improved_directional_limit",
@@ -102,18 +100,10 @@ def _trial_params(mh: MagneticHydrogen, variant: str) -> tuple[float, float | No
     return mh.B, 5.0 / math.sqrt(mh.B)
 
 
-def _u_value(beta, k, rho: np.ndarray, z: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The regular part U on z >= 0, given ``r = hypot(rho, z)``; ``beta``
-    is a float or one value per point, and ``k`` a float or ``None``."""
-    u = -beta * rho * rho / 4.0
-    if k is None:
-        return u
-    return u + rho * rho * (r - z) / (rho * rho + k * r)
-
-
 def _u_derivs(beta, k, rho: np.ndarray, z: np.ndarray, r: np.ndarray):
     """Derivatives of the regular part U on z >= 0, given ``r = hypot(rho, z)``,
-    without building U itself; ``beta`` and ``k`` as for :func:`_u_value`.
+    without building U itself; ``beta`` is a float or one value per point,
+    and ``k`` a float or ``None``.
 
     Returns (u_rho, u_z, u_rr, u_r_over_rho, u_zz), a float where a
     derivative is constant.
@@ -180,7 +170,7 @@ def _improved_derivs(k, rho: np.ndarray, z: np.ndarray, r: np.ndarray):
 def _cancelled_local_energy(b2, beta, k, qs: np.ndarray) -> np.ndarray:
     """The cancelled local energy from ``B^2`` and U's ``(beta, k)``; ``B^2``
     and ``beta`` are each a float or one value per point, ``k`` as for
-    :func:`_u_value`."""
+    :func:`_u_derivs`."""
     rho, z = qs[:, 0], qs[:, 1]
     r = np.hypot(rho, z)
     u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(beta, k, rho, z, r)
@@ -199,56 +189,6 @@ def _trivial_rows(members: Sequence[tuple[MagneticHydrogen, str]]):
     beta = np.array([_trial_params(mh, variant)[0] for mh, variant in members])
     b2 = np.array([mh.B**2 for mh, _ in members])  # squared as the field squares it
     return lambda stacked, qs: _cancelled_local_energy(b2[stacked], beta[stacked], None, qs)
-
-
-def _plain_local_energy(b2, beta, k, qs: np.ndarray) -> np.ndarray:
-    """Non-cancelled V - (lap S + |grad S|^2)/2; alternate representation."""
-    rho, z = qs[:, 0], qs[:, 1]
-    r = np.hypot(rho, z)
-    u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(beta, k, rho, z, r)
-    s_r = -rho / r + u_r
-    s_z = -z / r + u_z
-    lap_s = -2.0 / r + u_rr + u_ror + u_zz
-    v = b2 * rho * rho / 8.0 - 1.0 / r
-    return v - 0.5 * (lap_s + s_r * s_r + s_z * s_z)
-
-
-def magnetic_trial(mh: MagneticHydrogen, variant: str) -> LogTrialFunction:
-    """The trial as a genuine 3D log-trial (for derivative cross-checks).
-
-    The improved variant's even extension has a kink on the plane z = 0, so
-    finite-difference consistency checks should stay away from that plane.
-    """
-    beta, k = _trial_params(mh, variant)
-
-    def split(qs: np.ndarray):
-        x, y, z = qs[:, 0], qs[:, 1], qs[:, 2]
-        rho = np.hypot(x, y)
-        return x, y, z, rho, np.abs(z)
-
-    def s(qs: np.ndarray) -> np.ndarray:
-        x, y, z, rho, az = split(qs)
-        u = _u_value(beta, k, rho, az, np.hypot(rho, az))
-        return -np.sqrt(rho * rho + z * z) + u
-
-    def derivs(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x, y, z, rho, az = split(qs)
-        r = np.sqrt(rho * rho + z * z)
-        u_r, u_z, u_rr, u_ror, u_zz = _u_derivs(beta, k, rho, az, np.hypot(rho, az))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosphi = np.where(rho > 0, x / np.where(rho > 0, rho, 1.0), 0.0)
-            sinphi = np.where(rho > 0, y / np.where(rho > 0, rho, 1.0), 0.0)
-        g = np.empty((qs.shape[0], 3))
-        g[:, 0] = -x / r + cosphi * u_r
-        g[:, 1] = -y / r + sinphi * u_r
-        g[:, 2] = -z / r + np.sign(z) * u_z
-        return g, -2.0 / r + u_rr + u_ror + u_zz
-
-    return LogTrialFunction(
-        s=s,
-        derivs=derivs,
-        normalizable=True,
-    )
 
 
 def cusp_defects(mh: MagneticHydrogen, variant: str) -> tuple[float, float]:
@@ -362,7 +302,6 @@ def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyFi
     return LocalEnergyField(
         domain=_domain(mh, singular),
         evaluate=lambda qs: _cancelled_local_energy(b2, beta, k, qs),
-        alternates=(lambda qs: _plain_local_energy(b2, beta, k, qs),),
         asymptotic_limits=asym,
     )
 

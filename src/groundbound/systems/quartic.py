@@ -78,17 +78,6 @@ class QuarticOscillator:
     def hamiltonian(self) -> Hamiltonian:
         return Hamiltonian.isotropic(0.5, self.potential, self.domain())
 
-    def _s0(self, q: np.ndarray) -> np.ndarray:
-        r, d2, eta = self.r, self.delta2, self.eta
-        w = q * q + d2
-        sw = np.sqrt(w)
-        return (
-            -(r / 3.0) * w * sw
-            + (r * d2 * (1.0 - eta) / 2.0) * sw
-            - 0.5 * np.log(w)
-            - (r * d2 * d2 / 2.0) / sw
-        )
-
     def _s_derivs(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """S0' and S0'' at the points ``q``, without building S0 itself.
 
@@ -123,11 +112,7 @@ class QuarticOscillator:
             s1, s2 = self._s_derivs(coordinate_1d(qs))
             return s1[:, None], s2
 
-        return LogTrialFunction(
-            s=lambda qs: self._s0(coordinate_1d(qs)),
-            derivs=derivs,
-            normalizable=True,
-        )
+        return LogTrialFunction(derivs=derivs, normalizable=True)
 
 
 def quartic_system(qo: QuarticOscillator) -> tuple[Hamiltonian, LogTrialFunction]:

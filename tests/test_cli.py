@@ -215,7 +215,8 @@ def test_a_sweep_is_one_stacked_search(tmp_path, monkeypatch, argv, stacks):
 
 # name -> (system, swept parameter, values, fixed flags): every float parameter
 # of every system (the billiard's box moves with delta, so its delta sweep is
-# two stacks), B from 0 for the trivial sandwich, and the improved trial
+# two stacks), and B for every magnetic variant: from 0 for the trivial
+# sandwich and the lower and upper trials, from 1 for the improved trial
 SWEEPS = {
     f"{name}-{key}": (name, key, [0.9 * default, default], [])
     for name, system in cli.SYSTEMS.items() if system.bounds is not None
@@ -223,6 +224,8 @@ SWEEPS = {
 }
 SWEEPS["magnetic-hydrogen-B"] = ("magnetic-hydrogen", "B", [0.0, 0.5, 1.0, 2.0, 4.0], [])
 SWEEPS["magnetic-improved-B"] = ("magnetic-hydrogen", "B", [1.0, 4.0], ["--variant", "improved"])
+SWEEPS["magnetic-lower-B"] = ("magnetic-hydrogen", "B", [0.0, 1.0, 4.0], ["--variant", "lower"])
+SWEEPS["magnetic-upper-B"] = ("magnetic-hydrogen", "B", [0.0, 1.0, 4.0], ["--variant", "upper"])
 
 
 @pytest.mark.parametrize("case", SWEEPS)

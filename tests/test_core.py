@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import groundbound
+import reference
 from groundbound import core, search, systems
 from groundbound.core import (
     BoundsResult,
@@ -11,10 +12,7 @@ from groundbound.core import (
     Hamiltonian,
     LocalEnergyField,
     LogTrialFunction,
-    SingularEvaluationError,
     SingularSet,
-    cross_check_field,
-    derivative_consistency,
     evaluate_masked,
     local_energy_log_batch,
 )
@@ -24,9 +22,6 @@ from groundbound.systems import (
     QuarticOscillator,
     coulomb_log_trial,
     helium_system,
-    hydrogen_hamiltonian_3d,
-    hydrogen_trial_3d,
-    magnetic_trial,
     quartic_system,
     unit_disk_field,
 )
@@ -40,10 +35,11 @@ def harmonic_hamiltonian():
 
 
 def harmonic_trial():
-    return LogTrialFunction(
-        s=lambda qs: -0.5 * qs[:, 0] ** 2,
-        derivs=lambda qs: (-qs, np.full(qs.shape[0], -1.0)),
-    )
+    return LogTrialFunction(derivs=lambda qs: (-qs, np.full(qs.shape[0], -1.0)))
+
+
+def harmonic_s(qs):
+    return -0.5 * qs[:, 0] ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +90,8 @@ def test_bounds_result_ordering():
 
 
 def test_hydrogen_trial_is_flat():
-    h = hydrogen_hamiltonian_3d()
-    t = hydrogen_trial_3d(1.0)
+    h = reference.hydrogen_hamiltonian_3d()
+    t = reference.hydrogen_trial_3d(1.0)
     val = local_energy_log_batch(h, t, np.array([[0.3, -0.2, 0.9]]))
     assert val.shape == (1,)
     assert val[0] == pytest.approx(-0.5, abs=1e-12)
@@ -103,8 +99,8 @@ def test_hydrogen_trial_is_flat():
 
 def test_hydrogen_flatness_variance():
     # an exact eigenstate has exactly flat local energy
-    h = hydrogen_hamiltonian_3d()
-    t = hydrogen_trial_3d(1.0)
+    h = reference.hydrogen_hamiltonian_3d()
+    t = reference.hydrogen_trial_3d(1.0)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-3, 3, size=(1000, 3))
     pts = pts[np.linalg.norm(pts, axis=1) > 1e-3]
@@ -145,7 +141,7 @@ def test_quartic_local_energy_at_origin_matches_symbolic_oracle():
 
     # coarse finite-difference corroboration of the same value
     def s(x):
-        return float(trial.s(np.array([[x]]))[0])
+        return float(reference.quartic_s(qo, np.array([[x]]))[0])
 
     hh = 1e-3
     s1 = (-s(2 * hh) + 8 * s(hh) - 8 * s(-hh) + s(-2 * hh)) / (12 * hh)
@@ -157,10 +153,7 @@ def test_anisotropic_form_needs_hessian():
     dom = Domain(dimension=2, kind="unbounded", box=((-1, 1), (-1, 1)))
     a = np.array([[0.5, 0.1], [0.1, 0.5]])
     h = Hamiltonian(a, lambda qs: np.zeros(qs.shape[0]), dom)
-    t = LogTrialFunction(
-        s=lambda qs: -qs[:, 0] ** 2 - qs[:, 1] ** 2,
-        derivs=lambda qs: (-2 * qs, np.full(qs.shape[0], -4.0)),
-    )
+    t = LogTrialFunction(derivs=lambda qs: (-2 * qs, np.full(qs.shape[0], -4.0)))
     with pytest.raises(ValueError):
         local_energy_log_batch(h, t, np.array([[0.3, 0.4]]))
 
@@ -173,47 +166,6 @@ def test_disk_ratio_values():
     # phi = 1 - x^2 - y^2, H phi = -lap(phi)/2 = 2, so E_loc = 2/(1 - s)
     vals = unit_disk_field().evaluate(np.array([[0.0, 0.0], [0.5, 0.0]]))
     assert vals == pytest.approx([2.0, 8.0 / 3.0], abs=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# cross-checks between representations
-
-
-def test_cross_check_identity():
-    dom = Domain(1, "unbounded", box=((-1.0, 1.0),))
-    f = LocalEnergyField(
-        domain=dom,
-        evaluate=lambda qs: np.sin(qs[:, 0]),
-        alternates=(lambda qs: np.sin(qs[:, 0]),),
-    )
-    rep = cross_check_field(f, 100, seed=0)
-    assert rep.max_rel_discrepancy == 0.0
-    assert rep.passed
-
-
-def test_cross_check_needs_two_representations():
-    dom = Domain(1, "unbounded", box=((-1.0, 1.0),))
-    f = LocalEnergyField(domain=dom, evaluate=lambda qs: qs[:, 0])
-    with pytest.raises(ValueError):
-        cross_check_field(f, 10, seed=0)
-
-
-def test_cross_check_fails_when_everything_is_singular():
-    dom = Domain(
-        1,
-        "unbounded",
-        box=((-1.0, 1.0),),
-        excluded_singular_sets=(
-            SingularSet("everything", lambda qs: np.ones(qs.shape[0], dtype=bool)),
-        ),
-    )
-    f = LocalEnergyField(
-        domain=dom,
-        evaluate=lambda qs: qs[:, 0],
-        alternates=(lambda qs: qs[:, 0],),
-    )
-    with pytest.raises(SingularEvaluationError):
-        cross_check_field(f, 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +189,30 @@ def test_shipped_trial_derivatives_match_finite_differences(name):
     rng = np.random.default_rng(42)
     n = 200
     if name == "hydrogen":
-        trial = hydrogen_trial_3d(1.3)
+        trial, s = reference.hydrogen_trial_3d(1.3), lambda qs: reference.hydrogen_s(1.3, qs)
         pts = rng.uniform(0.3, 3.0, size=(n, 3)) * rng.choice([-1.0, 1.0], size=(n, 3))
     elif name == "harmonic":
-        trial = harmonic_trial()
+        trial, s = harmonic_trial(), harmonic_s
         pts = rng.uniform(-3, 3, size=(n, 1))
     elif name == "quartic":
-        trial = QuarticOscillator(r=1.0 / math.sqrt(2.0), eta=-1, delta2=8.0).log_trial()
+        qo = QuarticOscillator(r=1.0 / math.sqrt(2.0), eta=-1, delta2=8.0)
+        trial, s = qo.log_trial(), lambda qs: reference.quartic_s(qo, qs)
         pts = rng.uniform(-6, 6, size=(n, 1))
-    elif name == "coulomb-helium":
-        trial = coulomb_log_trial(helium_system(2.0))
-        pts = rng.uniform(0.4, 2.5, size=(n, 6)) * rng.choice([-1.0, 1.0], size=(n, 6))
-    elif name == "coulomb-finite-mass":
-        # finite nucleus mass: the log form contracts this Hessian against a
-        # non-isotropic inverse-mass form
-        cs = CoulombSystem(3, 3, np.array([4.0, 1.0, 1.0]), np.array([2.0, -1.0, -1.0]))
-        trial = coulomb_log_trial(cs)
+    elif name.startswith("coulomb"):
+        if name == "coulomb-helium":
+            cs = helium_system(2.0)
+        else:
+            # finite nucleus mass: the log form contracts this Hessian against a
+            # non-isotropic inverse-mass form
+            cs = CoulombSystem(3, 3, np.array([4.0, 1.0, 1.0]), np.array([2.0, -1.0, -1.0]))
+        trial, s = coulomb_log_trial(cs), lambda qs: reference.coulomb_s(cs, qs)
         pts = rng.uniform(0.4, 2.5, size=(n, 6)) * rng.choice([-1.0, 1.0], size=(n, 6))
     else:
         variant = name.split("-")[1]
-        trial = magnetic_trial(MagneticHydrogen(2.0), variant)
+        trial, s = reference.magnetic_trial(MagneticHydrogen(2.0), variant)
         pts = rng.uniform(0.3, 4.0, size=(n, 3))
         pts[:, 2] += 0.2  # stay clear of the z = 0 ridge of the even extension
-    grad_err, lap_err = derivative_consistency(trial, pts)
+    grad_err, lap_err = reference.derivative_consistency(trial.derivs, s, pts)
     assert grad_err <= 1e-6
     assert lap_err <= 1e-5
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from groundbound.core import cross_check_field
 from groundbound.systems import (
     CoulombSystem,
     coulomb_field,
@@ -14,6 +13,7 @@ from groundbound.systems import (
     helium_system,
 )
 from groundbound.systems.coulomb import trial_is_normalizable
+from reference import CROSS_CHECK_TOLERANCE, coulomb_logform, cross_check, helium_logform, helium_z_formula
 
 
 def random_system(rng, n_max=5):
@@ -93,13 +93,14 @@ def test_closed_form_equals_log_form_for_random_systems():
     rng = np.random.default_rng(5)
     for _ in range(10):
         cs = random_system(rng)
-        rep = cross_check_field(coulomb_field(cs, check_normalizable=False), 100, seed=int(rng.integers(1 << 16)))
-        assert rep.passed, (cs, rep)
+        field = coulomb_field(cs, check_normalizable=False)
+        worst = cross_check(field, [coulomb_logform(cs)], 100, seed=int(rng.integers(1 << 16)))
+        assert worst <= CROSS_CHECK_TOLERANCE, (cs, worst)
 
 
 def test_helium_three_representations_agree():
-    rep = cross_check_field(helium_search_field(2.0), 200, seed=6)
-    assert rep.passed
+    worst = cross_check(helium_search_field(2.0), [helium_z_formula(2.0), helium_logform(2.0)], 200, seed=6)
+    assert worst <= CROSS_CHECK_TOLERANCE, worst
 
 
 def test_helium_bounds_analytic():
@@ -154,5 +155,5 @@ def test_log_trial_hessian_contracts_against_anisotropic_form():
     # finite nucleus mass turns on the off-diagonal momentum coupling; the
     # closed form absorbs it through the vertex-mass angle terms
     cs = CoulombSystem(3, 3, np.array([10.0, 1.0, 1.2]), np.array([2.0, -1.0, -1.0]))
-    rep = cross_check_field(coulomb_field(cs, check_normalizable=False), 200, seed=8)
-    assert rep.passed
+    worst = cross_check(coulomb_field(cs, check_normalizable=False), [coulomb_logform(cs)], 200, seed=8)
+    assert worst <= CROSS_CHECK_TOLERANCE, worst

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundbound.core import cross_check_field
 from groundbound.search import SearchConfig, global_max, global_min
 from groundbound.systems import magnetic
 from groundbound.systems import (
@@ -18,6 +17,13 @@ from groundbound.systems import (
     improved_parabolic_limit,
     magnetic_hydrogen_field,
     magnetic_trivial_bounds,
+)
+from reference import (
+    CROSS_CHECK_TOLERANCE,
+    cross_check,
+    magnetic_cancelled_local_energy,
+    magnetic_plain_local_energy,
+    magnetic_u_parts,
 )
 
 CUSP_TOL = 1e-10
@@ -135,9 +141,10 @@ def test_improved_variant_lifts_the_lower_bound_at_b4():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_cancelled_and_plain_representations_agree(variant):
-    f = magnetic_hydrogen_field(MagneticHydrogen(2.0), variant)
-    rep = cross_check_field(f, 300, seed=9)
-    assert rep.passed, rep
+    mh = MagneticHydrogen(2.0)
+    plain = lambda qs: magnetic_plain_local_energy(mh, variant, qs)
+    worst = cross_check(magnetic_hydrogen_field(mh, variant), [plain], 300, seed=9)
+    assert worst <= CROSS_CHECK_TOLERANCE, worst
 
 
 def test_improved_fixed_angle_limit_formula():
@@ -215,72 +222,7 @@ def test_on_axis_values():
 
 
 # ---------------------------------------------------------------------------
-# the regular part U, split into value and derivatives
-
-
-def reference_u_parts(mh, variant, rho, z):
-    """U and its derivatives as one function that builds both (the form the
-    split replaced): (u, u_rho, u_z, u_rr, u_r_over_rho, u_zz)."""
-    b = mh.B
-    zeros = np.zeros_like(rho)
-    if variant == "lower":
-        return (zeros,) * 6
-    if variant == "upper":
-        return (-b * rho * rho / 4.0, -b * rho / 2.0, zeros,
-                np.full_like(rho, -b / 2.0), np.full_like(rho, -b / 2.0), zeros)
-    k = 5.0 / math.sqrt(b)
-    r = np.hypot(rho, z)
-    m = r - z
-    n = rho * rho * m
-    d = rho * rho + k * r
-    n_r = 2.0 * rho * m + rho**3 / r
-    n_z = rho * rho * (z / r - 1.0)
-    n_rr = 2.0 * m + 5.0 * rho * rho / r - rho**4 / r**3
-    n_zz = rho**4 / r**3
-    d_r = rho * (2.0 + k / r)
-    d_z = k * z / r
-    d_rr = 2.0 + k * z * z / r**3
-    d_zz = k * rho * rho / r**3
-    t_r = n_r / d - n * d_r / d**2
-    t_z = n_z / d - n * d_z / d**2
-    t_rr = n_rr / d - 2.0 * n_r * d_r / d**2 - n * d_rr / d**2 + 2.0 * n * d_r**2 / d**3
-    t_zz = n_zz / d - 2.0 * n_z * d_z / d**2 - n * d_zz / d**2 + 2.0 * n * d_z**2 / d**3
-    t_r_over_rho = (2.0 * m + rho * rho / r) / d - rho * rho * m * (2.0 + k / r) / d**2
-    return (-b * rho * rho / 4.0 + n / d, -b * rho / 2.0 + t_r, t_z,
-            -b / 2.0 + t_rr, -b / 2.0 + t_r_over_rho, t_zz)
-
-
-def reference_cancelled_local_energy(mh, variant, qs):
-    rho, z = qs[:, 0], qs[:, 1]
-    r = np.hypot(rho, z)
-    _, u_r, u_z, u_rr, u_ror, u_zz = reference_u_parts(mh, variant, rho, z)
-    lap_u = u_rr + u_ror + u_zz
-    grad2 = u_r * u_r + u_z * u_z
-    radial = (rho * u_r + z * u_z) / r
-    return mh.B**2 * rho * rho / 8.0 - 0.5 * (1.0 + lap_u + grad2) + radial
-
-
-def reference_plain_local_energy(mh, variant, qs):
-    rho, z = qs[:, 0], qs[:, 1]
-    r = np.hypot(rho, z)
-    _, u_r, u_z, u_rr, u_ror, u_zz = reference_u_parts(mh, variant, rho, z)
-    s_r = -rho / r + u_r
-    s_z = -z / r + u_z
-    lap_s = -2.0 / r + u_rr + u_ror + u_zz
-    v = mh.B**2 * rho * rho / 8.0 - 1.0 / r
-    return v - 0.5 * (lap_s + s_r * s_r + s_z * s_z)
-
-
-def reference_trial(mh, variant, qs):
-    """S, its gradient and its Laplacian over 3D points."""
-    x, y, z = qs[:, 0], qs[:, 1], qs[:, 2]
-    rho = np.hypot(x, y)
-    r = np.sqrt(rho * rho + z * z)
-    u, u_r, u_z, u_rr, u_ror, u_zz = reference_u_parts(mh, variant, rho, np.abs(z))
-    cosphi = np.where(rho > 0, x / np.where(rho > 0, rho, 1.0), 0.0)
-    sinphi = np.where(rho > 0, y / np.where(rho > 0, rho, 1.0), 0.0)
-    g = np.stack([-x / r + cosphi * u_r, -y / r + sinphi * u_r, -z / r + np.sign(z) * u_z], axis=1)
-    return -r + u, g, -2.0 / r + u_rr + u_ror + u_zz
+# the regular part U, by its derivatives alone
 
 
 def assert_same_bits(got, want):
@@ -301,11 +243,6 @@ def assert_same_values(got, want):
 # a tensor grid with the axis, the plane z = 0, the origin and tiny radii
 _AXIS = np.concatenate([[0.0, 1e-12, 1e-6], np.linspace(0.01, 10.0, 37)])
 _GRID = np.stack([g.ravel() for g in np.meshgrid(_AXIS, _AXIS)], axis=1)
-# the grid turned about the field axis and mirrored below z = 0
-_GRID_3D = np.concatenate([
-    np.stack([_GRID[:, 0] * c, _GRID[:, 0] * s, sign * _GRID[:, 1]], axis=1)
-    for c, s, sign in [(1.0, 0.0, 1.0), (0.0, 1.0, -1.0), (0.6, -0.8, 1.0), (-0.28, 0.96, -1.0)]
-])
 # B = 3 is the one whose B^2 is not a power of two, so that a reordered
 # product shows in the last bit
 _BS = (0.0, 0.5, 2.0, 3.0, 4.0)
@@ -314,7 +251,7 @@ _B_VARIANTS = [pytest.param(B, variant, id=f"{variant}-{B}")
 
 
 @pytest.mark.parametrize("B, variant", _B_VARIANTS)
-def test_u_value_and_derivs_match_the_joint_formula_bit_for_bit(B, variant):
+def test_u_derivs_match_the_joint_formula_bit_for_bit(B, variant):
     # one formula in (beta, k) for every variant: its lower intermediates are
     # -0.0 where the joint formula had +0.0, and its constant upper second
     # derivatives are floats, so those compare by value with +-0 equal; every
@@ -325,30 +262,19 @@ def test_u_value_and_derivs_match_the_joint_formula_bit_for_bit(B, variant):
     r = np.hypot(rho, z)
     same = assert_same_bits if variant == "improved" else assert_same_values
     with np.errstate(divide="ignore", invalid="ignore"):
-        want = reference_u_parts(mh, variant, rho, z)
-        same(magnetic._u_value(*params, rho, z, r), want[0])
+        want = magnetic_u_parts(mh, variant, rho, z)
         for got, ref in zip(magnetic._u_derivs(*params, rho, z, r), want[1:], strict=True):
             same(got, ref)
         assert_same_bits(magnetic._cancelled_local_energy(mh.B**2, *params, _GRID),
-                         reference_cancelled_local_energy(mh, variant, _GRID))
+                         magnetic_cancelled_local_energy(mh, variant, _GRID))
 
 
 @pytest.mark.parametrize("B, variant", _B_VARIANTS)
-def test_field_and_trial_match_the_joint_formula_bit_for_bit(B, variant):
+def test_field_matches_the_joint_formula_bit_for_bit(B, variant):
     mh = MagneticHydrogen(B)
     field = magnetic_hydrogen_field(mh, variant)
-    trial = magnetic.magnetic_trial(mh, variant)
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert_same_bits(field.evaluate(_GRID), reference_cancelled_local_energy(mh, variant, _GRID))
-        assert_same_bits(field.alternates[0](_GRID), reference_plain_local_energy(mh, variant, _GRID))
-        want_s, want_g, want_lap = reference_trial(mh, variant, _GRID_3D)
-        got_g, got_lap = trial.derivs(_GRID_3D)
-        # the lower trial's zero dU/drho is -0.0, which flips the sign of S at
-        # the origin and of gradient components that are zero
-        same = assert_same_values if variant == "lower" else assert_same_bits
-        same(trial.s(_GRID_3D), want_s)
-        same(got_g, want_g)
-        assert_same_bits(got_lap, want_lap)
+        assert_same_bits(field.evaluate(_GRID), magnetic_cancelled_local_energy(mh, variant, _GRID))
 
 
 def test_trivial_rows_match_the_joint_formula_bit_for_bit():
@@ -358,7 +284,7 @@ def test_trivial_rows_match_the_joint_formula_bit_for_bit():
     stacked, qs = stacked[order], _GRID[order]
     with np.errstate(divide="ignore", invalid="ignore"):
         got = magnetic._trivial_rows(members)(stacked, qs)
-        want = np.concatenate([reference_cancelled_local_energy(*members[m], qs[j:j + 1])
+        want = np.concatenate([magnetic_cancelled_local_energy(*members[m], qs[j:j + 1])
                                for j, m in enumerate(stacked)])
     assert_same_bits(got, want)
 
@@ -385,8 +311,9 @@ def test_improved_field_at_a_tiny_field_strength(B):
     qs = _GRID[np.hypot(_GRID[:, 0], _GRID[:, 1]) >= _TUBE]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        field = magnetic_hydrogen_field(MagneticHydrogen(B), "improved")  # checks the cusps
+        mh = MagneticHydrogen(B)
+        field = magnetic_hydrogen_field(mh, "improved")  # checks the cusps
         vals = field.evaluate(qs)
-        alternate = field.alternates[0](qs)
+        alternate = magnetic_plain_local_energy(mh, "improved", qs)
     np.testing.assert_allclose(vals, -0.5, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(alternate, -0.5, rtol=0.0, atol=1e-9)

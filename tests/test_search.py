@@ -134,7 +134,7 @@ def test_hydrogen_flat_bounds():
 
 def test_bounds_builds_field_from_trial():
     from groundbound.core import make_log_field
-    from groundbound.systems import hydrogen_hamiltonian_3d, hydrogen_trial_3d
+    from reference import hydrogen_hamiltonian_3d, hydrogen_trial_3d
 
     h = hydrogen_hamiltonian_3d()
     t = hydrogen_trial_3d(1.0)
