@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -45,12 +46,11 @@ from .systems import (
     helium_bounds,
     hydrogen_radial_field,
     magnetic_hydrogen_field,
-    magnetic_trivial_bounds,
     quartic_field,
     quartic_system,
     unit_disk_field,
 )
-from .systems.magnetic import SYSTEM_VARIANTS
+from .systems.magnetic import TRIALS, _trivial_rows
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -85,16 +85,19 @@ class System:
     """Everything the commands know about one system.
 
     ``params`` maps each parameter to ``(default, help)``; the default's type
-    parses the flag and config values.  ``check`` raises ``ValueError`` for a
-    bad parameter set (non-finite floats are refused for every system) and
-    calls the system's own code, so each rule is stated once.  A command
-    whose builder is ``None`` does not support the system:
+    parses the flag and config values.  A command whose builders are all
+    ``None`` does not support the system:
 
-    - ``bounds(param_sets, cfg)`` returns one :class:`BoundsResult` per
-      parameter set: ``bounds`` passes one set, and ``sweep`` one per value
-      of a float parameter, so a system searches them together;
-    - ``field(params)`` returns the parameters it used and the field, dumped
-      under ``columns``;
+    - ``field(params)`` builds one parameter set's field, and building a
+      set's fields is its check (non-finite floats are refused for every
+      system).  ``trials`` maps each ``variant`` to the ``(lower, upper)``
+      variants its two bounds come from; without it a system has one trial
+      of one field.  ``bounds`` and ``sweep`` search every set's fields as
+      one stack, which ``rows(param_sets)`` may evaluate row by row (see
+      ``search._stacked_bounds``); ``field`` dumps the lower field under
+      ``columns``;
+    - ``bounds(param_sets, cfg)`` is the closed form of a system with no
+      searched field, one :class:`BoundsResult` per parameter set;
     - ``oracle(params, cfg)`` returns an :class:`OracleResult` on a grid of
       ``cfg.grid_points_per_axis`` points per axis over ``cfg.box_for`` the
       system's domain;
@@ -104,11 +107,12 @@ class System:
 
     dim: int
     params: dict[str, tuple[Any, str]]
-    check: Callable[[dict], object] = lambda p: None
     grid_n: int | None = None
     oracle_grid_n: int | None = None  # reference solves want finer grids
+    field: Callable[[dict], LocalEnergyField] | None = None
+    trials: dict[str, tuple[str, str]] | None = None
+    rows: Callable[[list[dict]], Callable | None] = lambda param_sets: None
     bounds: Callable[[list[dict], SearchConfig], list[BoundsResult]] | None = None
-    field: Callable[[dict], tuple[dict, LocalEnergyField]] | None = None
     columns: tuple[str, ...] = ()
     oracle: Callable[[dict, SearchConfig], OracleResult] | None = None
     refine: Callable[[dict], tuple] | None = None
@@ -120,23 +124,6 @@ class System:
 
 def _billiard(p: dict) -> LocalEnergyField:
     return billiard_local_energy_field(AnnularBilliard(p["r"], p["delta"]))
-
-
-def _magnetic_bounds(ps: list[dict], cfg: SearchConfig) -> list[BoundsResult]:
-    # only float parameters sweep, so every set of one call has the same variant
-    [variant] = {p["variant"] for p in ps}
-    mhs = [MagneticHydrogen(p["B"]) for p in ps]
-    if variant == "trivial":
-        return magnetic_trivial_bounds(mhs, cfg)
-    return _stacked_bounds([magnetic_hydrogen_field(mh, variant) for mh in mhs], cfg)
-
-
-def _magnetic_field(p: dict) -> tuple[dict, LocalEnergyField]:
-    if p["variant"] not in SYSTEM_VARIANTS:
-        raise ValueError(f"unknown variant {p['variant']!r}; pick one of {SYSTEM_VARIANTS}")
-    # the trivial sandwich is two fields; its lower one is dumped
-    p = {**p, "variant": "lower" if p["variant"] == "trivial" else p["variant"]}
-    return p, magnetic_hydrogen_field(MagneticHydrogen(p["B"]), p["variant"])
 
 
 def _quartic(p: dict) -> QuarticOscillator:
@@ -188,8 +175,7 @@ _HYDROGEN = System(
     params={},
     grid_n=401,
     oracle_grid_n=4000,
-    bounds=lambda ps, cfg: _stacked_bounds([hydrogen_radial_field(1.0) for _ in ps], cfg),
-    field=lambda p: (p, hydrogen_radial_field(1.0)),
+    field=lambda p: hydrogen_radial_field(1.0),
     columns=("r", "e_loc"),
     oracle=lambda p, cfg: solve_1d_ground_state(
         lambda r: -1.0 / r, _line(hydrogen_radial_field(1.0).domain, cfg), dirichlet_edges=(True, False)
@@ -200,18 +186,15 @@ SYSTEMS: dict[str, System] = {
     "annular-billiard": System(
         dim=2,
         params={"r": (0.75, "billiard inner radius"), "delta": (0.1, "billiard center offset")},
-        check=lambda p: AnnularBilliard(p["r"], p["delta"]),
         grid_n=101,
         oracle_grid_n=400,
-        bounds=lambda ps, cfg: _stacked_bounds([_whole(_billiard(p), cfg) for p in ps], cfg),
-        field=lambda p: (p, _billiard(p)),
+        field=_billiard,
         columns=("x", "y", "e_loc"),
         oracle=lambda p, cfg: _dirichlet_2d(_billiard(p), cfg),
     ),
     "helium": System(
         dim=3,
         params={"Z": (2.0, "helium-like nuclear charge")},
-        check=lambda p: helium_bounds(p["Z"]),
         grid_n=61,
         bounds=lambda ps, cfg: [helium_bounds(p["Z"]) for p in ps],
     ),
@@ -219,12 +202,12 @@ SYSTEMS: dict[str, System] = {
         dim=2,
         params={
             "B": (1.0, "magnetic field strength"),
-            "variant": ("trivial", f"magnetic trial: {', '.join(SYSTEM_VARIANTS)}"),
+            "variant": ("trivial", f"magnetic trial: {', '.join(TRIALS)}"),
         },
-        check=_magnetic_field,  # the field's builder checks B and the variant
         grid_n=161,
-        bounds=_magnetic_bounds,
-        field=_magnetic_field,
+        field=lambda p: magnetic_hydrogen_field(MagneticHydrogen(p["B"]), p["variant"]),
+        trials=TRIALS,
+        rows=lambda ps: _trivial_rows([(MagneticHydrogen(p["B"]), p["variant"]) for p in ps]),
         columns=("rho", "z", "e_loc"),
     ),
     "quartic": System(
@@ -234,11 +217,9 @@ SYSTEMS: dict[str, System] = {
             "eta": (-1, "quartic potential sign (+1 or -1)"),
             "delta2": (8.0, "quartic well offset (delta^2)"),
         },
-        check=_quartic,
         grid_n=401,
         oracle_grid_n=2000,
-        bounds=lambda ps, cfg: _stacked_bounds([quartic_field(_quartic(p)) for p in ps], cfg),
-        field=lambda p: (p, quartic_field(_quartic(p))),
+        field=lambda p: quartic_field(_quartic(p)),
         columns=("q", "e_loc"),
         oracle=_quartic_oracle,
         refine=_quartic_refine,
@@ -260,13 +241,40 @@ SYSTEMS: dict[str, System] = {
 }
 
 
+def _trial(system: System, params: dict) -> list[dict]:
+    """The parameter sets of the fields of ``params``' trial: its lower
+    field's, then its upper field's where that is another field."""
+    if system.trials is None:
+        return [params]
+    if params["variant"] not in system.trials:
+        raise SpecError(f"unknown variant {params['variant']!r}; pick one of {tuple(system.trials)}")
+    return [{**params, "variant": v} for v in dict.fromkeys(system.trials[params["variant"]])]
+
+
+def _bounds(system: System, param_sets: list[dict], cfg: SearchConfig) -> list[BoundsResult]:
+    """One :class:`BoundsResult` per parameter set, from one stacked search
+    of every set's trial fields."""
+    if system.field is None:
+        return system.bounds(param_sets, cfg)
+    members, pairs = [], []
+    for params in param_sets:
+        sets = _trial(system, params)
+        pairs.append((len(members), len(members) + len(sets) - 1))
+        members += sets
+    fields = [_whole(system.field(p), cfg) for p in members]
+    return _stacked_bounds(fields, cfg, system.rows(members), pairs)
+
+
 def _checked(system: System, params: dict) -> dict:
     """``params`` if they are valid for ``system``, else a :class:`SpecError`."""
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise SpecError(f"parameter {key} must be finite, got {value!r}")
     try:
-        system.check(params)
+        for p in _trial(system, params) if system.field else ():
+            system.field(p)
+        if system.bounds:  # a closed form checks its own parameters
+            system.bounds([params], SearchConfig())
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
     return params
@@ -387,8 +395,8 @@ class Command:
     ``field`` dump keeps its table in.  ``unbounded(result)`` selects
     exit 3.  Only :func:`_run` reads the clock, renders and writes.
 
-    ``builder`` names the :class:`System` builder the command needs and
-    ``grid`` the :class:`System` field holding its default ``--grid-n``.
+    ``builders`` names the :class:`System` builders that serve the command
+    (any one will do) and ``grid`` the field holding its default ``--grid-n``.
     ``flags`` lists the command's own ``(flag, add_argument keywords)``, and
     ``extras(m, system, params)`` reads them into ``RunSpec.extras``.
     """
@@ -396,7 +404,7 @@ class Command:
     help: str
     run: Callable[[RunSpec], tuple[dict, dict]]
     csv: Callable[[dict], tuple[list[str], list[list] | np.ndarray]]
-    builder: str
+    builders: tuple[str, ...]
     format: str = "csv"
     grid: str = "grid_n"
     levels: int = 3
@@ -412,7 +420,7 @@ def _finite(bounds: dict) -> bool:
 
 def cmd_bounds(spec: RunSpec) -> tuple[dict, dict]:
     # the bounds, both witness reports and the caveat, field by field
-    [bounds] = SYSTEMS[spec.system].bounds([spec.params], spec.search)
+    [bounds] = _bounds(SYSTEMS[spec.system], [spec.params], spec.search)
     return {}, asdict(bounds)
 
 
@@ -454,7 +462,7 @@ def cmd_refine(spec: RunSpec) -> tuple[dict, dict]:
 
 def cmd_sweep(spec: RunSpec) -> tuple[dict, dict]:
     param, values = spec.extras["param"], spec.extras["values"]
-    results = SYSTEMS[spec.system].bounds([{**spec.params, param: v} for v in values], spec.search)
+    results = _bounds(SYSTEMS[spec.system], [{**spec.params, param: v} for v in values], spec.search)
     rows = [{"param": param, "value": v, "lower": b.lower, "upper": b.upper}
             for v, b in zip(values, results)]
     return {"swept": param}, {"rows": rows}
@@ -462,7 +470,8 @@ def cmd_sweep(spec: RunSpec) -> tuple[dict, dict]:
 
 def cmd_field(spec: RunSpec) -> tuple[dict, dict]:
     system = SYSTEMS[spec.system]
-    params, field = system.field(spec.params)
+    params = _trial(system, spec.params)[0]  # the lower field, under its own variant
+    field = system.field(params)
     qs = grid_points(spec.search.box_for(field.domain), spec.search.grid_points_per_axis)
     qs = qs[field.domain.interior_mask(qs)]
     vals = field.evaluate_with_limits(qs, singular_as_nan=spec.extras["singular"] == "nan")
@@ -503,7 +512,10 @@ def _run(spec: RunSpec) -> int:
     else:
         text = render_csv(*command.csv(result))
     if spec.out:
-        write_text_atomic(spec.out, text)
+        try:
+            write_text_atomic(spec.out, text)
+        except OSError as exc:
+            raise SpecError(f"cannot write --out {spec.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     print(f"wall_time_s={wall:.3f}", file=sys.stderr)
@@ -545,7 +557,7 @@ _COMMANDS: dict[str, Command] = {
         help="two-sided energy bounds for a shipped system",
         run=cmd_bounds,
         csv=_bounds_csv,
-        builder="bounds",
+        builders=("field", "bounds"),
         format="json",
         unbounded=lambda result: not _finite(result),
     ),
@@ -553,7 +565,7 @@ _COMMANDS: dict[str, Command] = {
         help="iterative Gaussian-bump refinement of the lower bound",
         run=cmd_refine,
         csv=_table("history", ["step", "center", "s_star", "lower_bound"]),
-        builder="refine",
+        builders=("refine",),
         levels=2,
         multistarts=1,
         flags=(
@@ -567,7 +579,7 @@ _COMMANDS: dict[str, Command] = {
         help="bounds over a range of one system parameter",
         run=cmd_sweep,
         csv=_table("rows", ["param", "value", "lower", "upper"]),
-        builder="bounds",
+        builders=("field", "bounds"),
         flags=(
             ("--param", {"required": True, "help": "parameter to sweep"}),
             ("--values", {"help": "comma list of values"}),
@@ -579,7 +591,7 @@ _COMMANDS: dict[str, Command] = {
         help="dump the local-energy field on a grid",
         run=cmd_field,
         csv=lambda result: (result["columns"], result["rows"]),
-        builder="field",
+        builders=("field",),
         flags=(("--singular", {"choices": ["limit", "nan"],
                                "help": "emit declared limits or nan inside singular tubes"}),),
         extras=lambda m, system, params: {"singular": m.get("singular", "limit", _one_of("limit", "nan"))},
@@ -588,7 +600,7 @@ _COMMANDS: dict[str, Command] = {
         help="independent finite-difference reference energy",
         run=cmd_oracle,
         csv=lambda result: (["key", "value"], [[k, v] for k, v in result.items()]),
-        builder="oracle",
+        builders=("oracle",),
         format="json",
         grid="oracle_grid_n",
     ),
@@ -631,13 +643,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _writable(path: str | None) -> str | None:
+    """``path``, if a file can go there: checked before the run."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+        raise SpecError(f"cannot write --out {path}: not a file in an existing directory")
+    return path
+
+
 def _build_spec(args: argparse.Namespace) -> RunSpec:
     m = _Merger(args)
     command = _COMMANDS[args.command]
     system = SYSTEMS.get(args.system)
     if system is None:
         raise SpecError(f"unknown system {args.system!r}")
-    if getattr(system, command.builder) is None:
+    if all(getattr(system, builder) is None for builder in command.builders):
         raise SpecError(f"{args.command} does not support system {args.system!r}")
     foreign = {key for other in SYSTEMS.values() for key in other.params} - set(system.params)
     given = sorted(key for key in foreign if m.args[key] is not None)
@@ -653,7 +672,7 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
         search=_search_config(m, system, command),
         extras=command.extras(m, system, params),
         format=m.get("format", command.format, _one_of("json", "csv")),
-        out=m.get("out", None),
+        out=_writable(m.get("out", None)),
         timing=bool(args.timing),
     )
     if spec.timing and spec.format == "csv":

@@ -21,8 +21,9 @@ field for that kind alone would give, bit for bit.  ``global_min`` and
 ``global_max`` search a stack of one field.  ``_stacked_bounds`` turns any
 list of fields into bounds, one per ``(lower, upper)`` pair of field indices
 (each field with itself by default: both kinds from about 40% fewer field
-calls than two searches); ``bounds_of_field``, the CLI's ``bounds`` and
-``sweep``, the magnetic trivial sandwich and the optimizer all go through it.
+calls than two searches); ``bounds_of_field``, the optimizer and the
+CLI's one path for ``bounds`` and ``sweep``, which serves every searched
+system and trial (the magnetic trivial sandwich among them), go through it.
 ``optimize_parameters`` runs the outer sup/inf over a trial family's control
 vector with a full inner extremum search per probe: the initial probes form
 one stack, and so does each call of the same lockstep polish on the outer

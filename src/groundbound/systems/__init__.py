@@ -20,7 +20,6 @@ from .magnetic import (
     improved_directional_limit,
     improved_parabolic_limit,
     magnetic_hydrogen_field,
-    magnetic_trivial_bounds,
 )
 from .quartic import QuarticOscillator, quartic_field, quartic_system
 
@@ -44,7 +43,6 @@ __all__ = [
     "improved_directional_limit",
     "improved_parabolic_limit",
     "magnetic_hydrogen_field",
-    "magnetic_trivial_bounds",
     "quartic_field",
     "quartic_system",
     "unit_disk_field",

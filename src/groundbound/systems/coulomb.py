@@ -251,6 +251,15 @@ def _coincidence_tube(cs: CoulombSystem):
     return tube
 
 
+def _coulomb_domain(cs: CoulombSystem) -> Domain:
+    """The flat relative coordinates in a box of half-width
+    ``BOX_HALF_WIDTH``, less a tube around every pair coalescence."""
+    # bounded but direction-dependent there, so the tube contributes no candidate
+    coincide = SingularSet("coalescence", _coincidence_tube(cs), limit=None)
+    box = tuple((-BOX_HALF_WIDTH, BOX_HALF_WIDTH) for _ in range(cs.flat_dim))
+    return Domain(dimension=cs.flat_dim, kind="unbounded", box=box, excluded_singular_sets=(coincide,))
+
+
 def coulomb_hamiltonian(cs: CoulombSystem) -> Hamiltonian:
     """Eq-form Hamiltonian on flat relative coordinates.
 
@@ -275,18 +284,7 @@ def coulomb_hamiltonian(cs: CoulombSystem) -> Hamiltonian:
         r = _batch_distances(_flat_to_positions(cs, qs))
         return np.sum(pair_charge / r[:, iu[0], iu[1]], axis=1)
 
-    coincide = SingularSet(
-        name="coalescence",
-        tube=_coincidence_tube(cs),
-        limit=None,  # bounded but direction-dependent; contributes no candidate
-    )
-    dom = Domain(
-        dimension=cs.flat_dim,
-        kind="unbounded",
-        box=tuple((-BOX_HALF_WIDTH, BOX_HALF_WIDTH) for _ in range(cs.flat_dim)),
-        excluded_singular_sets=(coincide,),
-    )
-    return Hamiltonian(a, potential, dom)
+    return Hamiltonian(a, potential, _coulomb_domain(cs))
 
 
 def coulomb_field(cs: CoulombSystem, check_normalizable: bool = True) -> LocalEnergyField:
@@ -298,7 +296,7 @@ def coulomb_field(cs: CoulombSystem, check_normalizable: bool = True) -> LocalEn
     def closed(qs: np.ndarray) -> np.ndarray:
         return coulomb_local_energy_batch(cs, _flat_to_positions(cs, qs))
 
-    return LocalEnergyField(domain=coulomb_hamiltonian(cs).domain, evaluate=closed)
+    return LocalEnergyField(domain=_coulomb_domain(cs), evaluate=closed)
 
 
 # ---------------------------------------------------------------------------

@@ -39,29 +39,21 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import (
-    AsymptoticLimit,
-    BoundsResult,
-    Domain,
-    LocalEnergyField,
-    SingularSet,
-)
-from .. import search
+from ..core import AsymptoticLimit, Domain, LocalEnergyField, SingularSet
 
 __all__ = [
     "MagneticHydrogen",
     "VARIANTS",
-    "SYSTEM_VARIANTS",
+    "TRIALS",
     "magnetic_hydrogen_field",
-    "magnetic_trivial_bounds",
     "cusp_defects",
     "improved_directional_limit",
 ]
 
 VARIANTS = ("lower", "upper", "improved")
-# what the magnetic-hydrogen system bounds with: one trial variant, or the
-# trivial sandwich of the lower and upper trials (magnetic_trivial_bounds)
-SYSTEM_VARIANTS = (*VARIANTS, "trivial")
+# the (lower, upper) variants each trial of the system takes its bounds from:
+# one variant for both, or the trivial sandwich of the lower and upper trials
+TRIALS = {**{variant: (variant, variant) for variant in VARIANTS}, "trivial": ("lower", "upper")}
 ORIGIN_TUBE = 1e-6
 CUSP_TOL = 1e-10
 BOX_HALF_WIDTH = 10.0  # the (rho, z) search box is [0, BOX_HALF_WIDTH]^2
@@ -181,11 +173,14 @@ def _cancelled_local_energy(b2, beta, k, qs: np.ndarray) -> np.ndarray:
 
 
 def _trivial_rows(members: Sequence[tuple[MagneticHydrogen, str]]):
-    """Row evaluator of a stack of trivial fields: member ``m`` is the
-    ``members[m][1]`` trial (``"lower"`` or ``"upper"``) at ``members[m][0]``.
-    Each row passes its member's ``B^2`` and ``beta`` to the field's
-    ``_cancelled_local_energy``, so its value equals that field's
-    ``evaluate`` bit for bit."""
+    """Row evaluator of a stack of lower and upper fields: member ``m`` is
+    the ``members[m][1]`` trial at ``members[m][0]``.  Each row passes its
+    member's ``B^2`` and ``beta`` to the field's ``_cancelled_local_energy``,
+    so its value equals that field's ``evaluate`` bit for bit.  ``None`` for
+    a stack with an improved member, whose term in ``k`` has no row form:
+    such a stack evaluates member by member."""
+    if any(variant == "improved" for _, variant in members):
+        return None
     beta = np.array([_trial_params(mh, variant)[0] for mh, variant in members])
     b2 = np.array([mh.B**2 for mh, _ in members])  # squared as the field squares it
     return lambda stacked, qs: _cancelled_local_energy(b2[stacked], beta[stacked], None, qs)
@@ -304,16 +299,3 @@ def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyFi
         evaluate=lambda qs: _cancelled_local_energy(b2, beta, k, qs),
         asymptotic_limits=asym,
     )
-
-
-def magnetic_trivial_bounds(mhs: Sequence[MagneticHydrogen], cfg=None) -> list[BoundsResult]:
-    """Sandwich of each entry from the two trivial trials: lower from
-    ``beta = 0``, upper from ``beta = B`` (each certifies only its own side).
-
-    Every entry's lower field (searched for its minimum only) and upper
-    field (for its maximum only) form one stack, searched once with a row
-    evaluator."""
-    members = [(mh, variant) for mh in mhs for variant in ("lower", "upper")]
-    fields = [magnetic_hydrogen_field(mh, variant) for mh, variant in members]
-    pairs = [(2 * i, 2 * i + 1) for i in range(len(mhs))]
-    return search._stacked_bounds(fields, cfg or search.SearchConfig(), _trivial_rows(members), pairs)

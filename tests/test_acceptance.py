@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from groundbound import cli
 from groundbound.cli import main
 from groundbound.core import local_energy_log_batch
 from groundbound.oracle import Grid1D, Grid2D, solve_1d_ground_state, solve_2d_dirichlet_ground_state
@@ -30,7 +31,6 @@ from groundbound.systems import (
     helium_bounds,
     helium_search_field,
     magnetic_hydrogen_field,
-    magnetic_trivial_bounds,
     quartic_field,
     quartic_system,
 )
@@ -120,7 +120,8 @@ def test_criterion_05_two_body_flatness():
 def test_criterion_06_magnetic_trivial_and_improved():
     with criterion(6, "magnetic hydrogen: (-0.5, -0.5+B/2) to 1e-6; improved B=4 beats -0.5", 60.0):
         bs = (0.5, 1.0, 2.0)
-        for b, res in zip(bs, magnetic_trivial_bounds([MagneticHydrogen(b) for b in bs])):
+        trivial = [{"B": b, "variant": "trivial"} for b in bs]
+        for b, res in zip(bs, cli._bounds(cli.SYSTEMS["magnetic-hydrogen"], trivial, SearchConfig())):
             assert abs(res.lower - (-0.5)) <= 1e-6
             assert abs(res.upper - (-0.5 + b / 2.0)) <= 1e-6
         improved = global_min(

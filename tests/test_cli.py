@@ -12,6 +12,8 @@ import pytest
 from groundbound import cli, search
 from groundbound.cli import main
 from groundbound.output import from_jsonable
+from groundbound.search import SearchConfig, global_max, global_min
+from groundbound.systems import MagneticHydrogen, magnetic_hydrogen_field
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +221,7 @@ def test_a_sweep_is_one_stacked_search(tmp_path, monkeypatch, argv, stacks):
 # sandwich and the lower and upper trials, from 1 for the improved trial
 SWEEPS = {
     f"{name}-{key}": (name, key, [0.9 * default, default], [])
-    for name, system in cli.SYSTEMS.items() if system.bounds is not None
+    for name, system in cli.SYSTEMS.items() if system.field or system.bounds
     for key, (default, _) in system.params.items() if isinstance(default, float)
 }
 SWEEPS["magnetic-hydrogen-B"] = ("magnetic-hydrogen", "B", [0.0, 0.5, 1.0, 2.0, 4.0], [])
@@ -305,7 +307,115 @@ def test_field_singular_nan_flag(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the trial axis: each --variant names the fields its two bounds come from
+
+TINY = ["--grid-n", "11", "--levels", "1", "--multistarts", "1", "--format", "json"]
+TRIALS = [
+    (name, variant) for name, system in cli.SYSTEMS.items() if system.field
+    for variant in (system.trials or [None])
+]
+
+
+@pytest.mark.parametrize("command", ["bounds", "field"])
+@pytest.mark.parametrize("name, variant", TRIALS, ids=[f"{n}-{v}" if v else n for n, v in TRIALS])
+def test_every_declared_trial_runs(tmp_path, command, name, variant):
+    trial = [] if variant is None else ["--variant", variant]
+    code, text = run(tmp_path, command, "--system", name, *trial, *TINY)
+    assert code in (0, 3)  # 3: a trial whose supremum diverges
+    system = json.loads(text)["system"]
+    if variant is not None and command == "field":
+        # the trial's lower field is dumped, under its own variant
+        assert system["variant"] == cli.SYSTEMS[name].trials[variant][0]
+
+
+@pytest.mark.parametrize("Bs", [[2.0], [0.0, 0.5, 4.0]])
+def test_the_trivial_trial_takes_each_bound_from_its_own_field(Bs):
+    cfg = SearchConfig(grid_points_per_axis=41)
+    system = cli.SYSTEMS["magnetic-hydrogen"]
+    results = cli._bounds(system, [{"B": B, "variant": "trivial"} for B in Bs], cfg)
+    for B, b in zip(Bs, results):
+        lower = global_min(magnetic_hydrogen_field(MagneticHydrogen(B), "lower"), cfg)
+        upper = global_max(magnetic_hydrogen_field(MagneticHydrogen(B), "upper"), cfg)
+        assert (b.lower, b.upper) == (lower.value, upper.value)
+        assert b.lower_witness.location.tobytes() == lower.location.tobytes()
+        assert b.upper_witness.location.tobytes() == upper.location.tobytes()
+
+
+def test_a_declared_trial_needs_no_other_change(tmp_path, monkeypatch, capsys):
+    # the improved trial's lower bound with the upper trial's upper bound
+    system = cli.SYSTEMS["magnetic-hydrogen"]
+    trials = {**system.trials, "sandwich": ("improved", "upper")}
+    monkeypatch.setitem(cli.SYSTEMS, "magnetic-hydrogen", dataclasses.replace(system, trials=trials))
+    common = ["--system", "magnetic-hydrogen", "--grid-n", "41", "--levels", "2", "--multistarts", "2",
+              "--format", "json"]
+
+    def result(*argv, name):
+        code, text = run(tmp_path, *argv, *common, name=name)
+        return code, json.loads(text)
+
+    code, doc = result("bounds", "--variant", "sandwich", "--B", "2", name="sandwich")
+    assert code == 0
+    _, improved = result("bounds", "--variant", "improved", "--B", "2", name="improved")
+    _, upper = result("bounds", "--variant", "upper", "--B", "2", name="upper")
+    assert doc["result"]["lower"] == improved["result"]["lower"]
+    assert doc["result"]["upper"] == upper["result"]["upper"]
+
+    conf = tmp_path / "run.conf"
+    conf.write_text("variant = sandwich\nB = 2\n")
+    assert result("bounds", "--config", str(conf), name="config") == (code, doc)
+
+    _, sweep = result("sweep", "--variant", "sandwich", "--param", "B", "--values", "1,2", name="sweep")
+    rows = sweep["result"]["rows"]
+    _, one = result("bounds", "--variant", "sandwich", "--B", "1", name="one")
+    assert [(row["lower"], row["upper"]) for row in rows] == [
+        (one["result"]["lower"], one["result"]["upper"]), (doc["result"]["lower"], doc["result"]["upper"])
+    ]
+
+    _, field = result("field", "--variant", "sandwich", "--B", "2", name="field")
+    _, improved_field = result("field", "--variant", "improved", "--B", "2", name="improved-field")
+    assert field == improved_field
+
+    capsys.readouterr()
+    assert run(tmp_path, "bounds", "--variant", "landau", *common) == (2, None)
+    assert "'sandwich'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # exit codes, determinism, configuration
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_an_unwritable_out_path_exits_2_before_the_run(tmp_path, monkeypatch, capsys, how, where):
+    out = tmp_path / "no" / "such" / "x.json" if where == "missing-directory" else tmp_path / "dir"
+    if where == "a-directory":
+        out.mkdir()
+    ran = []
+    command = cli._COMMANDS["bounds"]
+    monkeypatch.setitem(cli._COMMANDS, "bounds", dataclasses.replace(
+        command, run=lambda spec: ran.append(spec) or command.run(spec)))
+    argv = ["bounds", "--system", "hydrogen", "--grid-n", "11", "--levels", "1"]
+    if how == "flag":
+        argv += ["--out", str(out)]
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"out = {out}\n")
+        argv += ["--config", str(conf)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}")
+    assert ran == []
+    assert list(tmp_path.rglob(".groundbound-*.tmp")) == []
+
+
+def test_a_failed_write_exits_2(tmp_path, monkeypatch, capsys):
+    def refuse(path, text):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "write_text_atomic", refuse)
+    out = tmp_path / "x.json"
+    assert main(["bounds", "--system", "helium", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}: ")
+    assert not out.exists()
 
 
 def test_exit_codes_for_bad_specs(tmp_path):

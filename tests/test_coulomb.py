@@ -6,6 +6,7 @@ import pytest
 from groundbound.systems import (
     CoulombSystem,
     coulomb_field,
+    coulomb_hamiltonian,
     coulomb_local_energy_batch,
     coulomb_log_trial,
     helium_bounds,
@@ -33,6 +34,27 @@ def test_validation():
         CoulombSystem(3, 3, np.array([math.inf, math.inf, 1.0]), np.ones(3))
     with pytest.raises(ValueError):
         CoulombSystem(3, 3, np.array([1.0, -1.0, 1.0]), np.ones(3))
+
+
+def test_field_and_hamiltonian_share_one_domain():
+    # the field builds its domain without the Hamiltonian; a third of the
+    # points put a particle within 1e-7 of the nucleus or of another particle
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        cs = random_system(rng)
+        pos = rng.uniform(-2.0, 2.0, size=(300, cs.n_particles - 1, cs.space_dim))
+        for j in range(100):
+            k = int(rng.integers(cs.n_particles - 1))
+            l = int(rng.integers(-1, cs.n_particles - 1))  # -1: the particle at the origin
+            near = np.zeros(cs.space_dim) if l in (-1, k) else pos[j, l]
+            pos[j, k] = near + rng.uniform(-1e-7, 1e-7, size=cs.space_dim) / math.sqrt(cs.space_dim)
+        qs = pos.reshape(300, cs.flat_dim)
+        got = coulomb_field(cs, check_normalizable=False).domain
+        want = coulomb_hamiltonian(cs).domain
+        assert (got.box, got.kind) == (want.box, want.kind)
+        mask = got.valid_mask(qs)
+        assert np.array_equal(mask, want.valid_mask(qs))
+        assert not mask[:100].any() and mask[100:].all()
 
 
 def test_cusp_coefficients_symmetric():

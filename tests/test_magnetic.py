@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groundbound import cli
 from groundbound.search import SearchConfig, global_max, global_min
 from groundbound.systems import magnetic
 from groundbound.systems import (
@@ -16,7 +17,6 @@ from groundbound.systems import (
     improved_directional_limit,
     improved_parabolic_limit,
     magnetic_hydrogen_field,
-    magnetic_trivial_bounds,
 )
 from reference import (
     CROSS_CHECK_TOLERANCE,
@@ -63,9 +63,14 @@ def test_every_variant_builds_its_field_at_any_field_strength(B):
         assert max(cusp_defects(mh, variant)) <= CUSP_TOL
 
 
+def _trivial_bounds(Bs):
+    system = cli.SYSTEMS["magnetic-hydrogen"]
+    return cli._bounds(system, [{"B": B, "variant": "trivial"} for B in Bs], SearchConfig())
+
+
 def test_trivial_bounds():
     Bs = [0.5, 1.0, 2.0]
-    results = magnetic_trivial_bounds([MagneticHydrogen(B) for B in Bs])
+    results = _trivial_bounds(Bs)
     assert len(results) == len(Bs)
     for B, res in zip(Bs, results):
         assert res.lower == pytest.approx(-0.5, abs=1e-6)
@@ -73,7 +78,7 @@ def test_trivial_bounds():
 
 
 def test_trivial_bounds_of_no_entries():
-    assert magnetic_trivial_bounds([]) == []
+    assert _trivial_bounds([]) == []
 
 
 _TUBE = magnetic.ORIGIN_TUBE

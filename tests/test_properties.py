@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundbound.cli import SYSTEMS, main
+from groundbound.cli import _COMMANDS, SYSTEMS, main
 from groundbound.oracle import Grid1D, solve_1d_ground_state
 from groundbound.search import SearchConfig, bounds_of_field
 from groundbound.systems import QuarticOscillator, quartic_field
-from groundbound.systems.magnetic import SYSTEM_VARIANTS
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)
@@ -33,13 +32,15 @@ def _float_keys(system):
     return [key for key, (default, _) in system.params.items() if isinstance(default, float)]
 
 
+def _supports(system, command):
+    return any(getattr(system, builder) is not None for builder in _COMMANDS[command].builders)
+
+
 def _float_param_cases():
     """(command, system, parameter) for every float parameter a command accepts."""
-    commands = {"bounds": "bounds", "sweep": "bounds", "field": "field",
-                "oracle": "oracle", "refine": "refine"}
     for name, system in SYSTEMS.items():
-        for command, builder in commands.items():
-            if getattr(system, builder) is None:
+        for command in ("bounds", "sweep", "field", "oracle", "refine"):
+            if not _supports(system, command):
                 continue
             for key in _float_keys(system):
                 yield command, name, key
@@ -86,7 +87,7 @@ _wide_floats = st.one_of(
 
 @pytest.mark.parametrize("command, name", [
     (command, name) for name, system in SYSTEMS.items() for command in ("bounds", "field")
-    if getattr(system, command) is not None and _float_keys(system)
+    if _supports(system, command) and _float_keys(system)
 ])
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(data=st.data())
@@ -95,7 +96,7 @@ def test_no_cli_run_ends_in_a_traceback(command, name, data):
     argv = [command, "--system", name, "--grid-n", "16", "--levels", "1", "--multistarts", "1"]
     argv += [f"--{key}={data.draw(_wide_floats, label=key)!r}" for key in _float_keys(system)]
     argv += [f"--seed={data.draw(st.integers(-2**70, 2**70), label='seed')}"]
-    if "variant" in system.params:
-        argv += ["--variant", data.draw(st.sampled_from(SYSTEM_VARIANTS), label="variant")]
+    if system.trials:
+        argv += ["--variant", data.draw(st.sampled_from(list(system.trials)), label="variant")]
     with tempfile.TemporaryDirectory() as tmp:
         assert main([*argv, "--out", str(Path(tmp, "out"))]) in (0, 2, 3, 4)
