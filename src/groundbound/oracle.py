@@ -11,6 +11,16 @@ over a grid pair (the 1D scheme is second order; the masked 2D boundary is
 staircase-limited, so its pair difference is treated as first order).  The
 results are what the bound inequalities are validated against.
 
+A bisection step asks only whether one eigenvalue lies below its midpoint,
+so its Sturm count stops at the first negative pivot, or where every later
+row is strictly diagonally dominant and no later pivot can turn negative
+(see :func:`sturm_count_below`).  Either stop returns the count the whole
+recurrence gives, capped at one, so the bisection takes the steps it would
+take on full counts and ends on the same float.  The ground vector of the
+edge-decay test comes from two inverse-iteration solves at a shift within
+``1e-10 max(1, |e0|)`` of the eigenvalue: each damps every other component
+by the spectral gap over that distance, a factor of at least about 1e6.
+
 Node layout of the 2D path: a vector on a grid holds the mask's interior
 nodes only, in row-major order of the box array, plus one trailing zero
 slot that stands in for every neighbour off the mask.  The neighbours along
@@ -42,6 +52,10 @@ __all__ = [
 
 EDGE_DECAY_FRACTION = 1e-8
 BOX_RETRIES = 3
+
+# 1D eigensolver: Sturm-count bisection
+TAIL_MARGIN = 16.0 * np.finfo(float).eps  # of max|d| + |x| + 1, for the dominant-tail stop
+INVERSE_ITERATIONS = 2  # solves behind the ground vector of the edge-decay test
 
 # 2D eigensolver: LOBPCG with a geometric-multigrid V-cycle preconditioner
 LOBPCG_RTOL = 1e-9
@@ -119,29 +133,73 @@ class OracleResult:
 # 1D: Sturm-sequence bisection on the tridiagonal discretization
 
 
-def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal matrix below x.
+def sturm_count_below(diag: np.ndarray, off: np.ndarray, x: float, limit: int | None = None) -> int:
+    """Number of eigenvalues of the symmetric tridiagonal matrix below x,
+    or ``limit`` (at least 1) if there are at least that many.
 
-    Standard negative-count recurrence q_i = d_i - x - e_{i-1}^2 / q_{i-1}
-    with a tiny floor guarding exact zeros.  The loop runs on Python floats,
-    which do the same IEEE operations as numpy scalars at a fraction of the
-    cost.
+    The count is the number of negative pivots of the recurrence
+    q_i = (d_i - x) - e_{i-1}^2 / q_{i-1}, with a tiny floor guarding exact
+    zeros.  The loop runs on Python floats, which do the same IEEE
+    operations as numpy scalars at a fraction of the cost; it iterates
+    memoryviews, so a row becomes a float only when the loop reaches it.
+    It stops as soon as the count is decided:
+
+    - at the ``limit``-th negative pivot, since no later row can take a
+      negative pivot back;
+    - at row i once every later row is strictly diagonally dominant at x,
+      its Gershgorin lower edge ``d_j - |e_{j-1}| - |e_j|`` above x by
+      ``TAIL_MARGIN * (max|d| + |x| + 1)``, and ``q_i >= |e_i|``.  Then
+      ``e_i^2 / q_i <= |e_i|``, so ``q_{i+1} >= d_{i+1} - x - |e_i|``, which
+      exceeds ``|e_{i+1}|``: by induction no later pivot is negative or
+      zero.  The margin is several times the rounding of one recurrence
+      step and of the dominance test, a few ulps of ``max|d| + |x|`` (a
+      dominant row's off-diagonals are below ``d_j - x``), so the computed
+      pivots keep the exact ones' inequalities while the squares
+      ``e_j^2`` stay finite.
+
+    The rows the loop visits see the full recurrence's operations, so the
+    count it returns is the full count, capped at ``limit``, exactly.
     """
     tiny = 1e-300
     x = float(x)
-    d = diag.tolist()
-    count = 0
-    q = d[0] - x
-    if q == 0.0:
-        q = tiny
-    if q < 0.0:
-        count += 1
-    for di, e2 in zip(d[1:], (off * off).tolist()):
-        q = di - x - e2 / q
-        if q == 0.0:
-            q = tiny
-        if q < 0.0:
-            count += 1
+    n = diag.shape[0]
+    stop = n + 1 if limit is None else limit
+    if stop < 1:
+        raise ValueError("limit must be at least 1")
+    d = np.asarray(diag, dtype=float)
+    # the last row that is not strictly dominant at x (0 if none is)
+    absoff = np.abs(off)
+    lower = d.copy()
+    lower[:-1] -= absoff
+    lower[1:] -= absoff
+    margin = TAIL_MARGIN * (float(np.max(np.abs(d))) + abs(x) + 1.0)
+    loose = np.flatnonzero(lower <= x + margin)
+    last = int(loose[-1]) if loose.size else 0
+    # rows become Python floats only as the loop reaches them; row 0 reads
+    # e2 = 0 over q = 1, which leaves its pivot d_0 - x as it is
+    a, e2 = memoryview(d - x), memoryview(np.concatenate(([0.0], off * off)))
+    count, q = 0, 1.0
+    for ai, ei in zip(a[: last + 1], e2):  # rows 0 .. last: the full recurrence
+        q = ai - ei / q
+        if q <= 0.0:
+            if q == 0.0:
+                q = tiny
+            else:
+                count += 1
+                if count == stop:
+                    return count
+    # each row after last: stop once the pivot reaches its off-diagonal
+    for abs_e, ai, ei in zip(memoryview(absoff)[last:], a[last + 1 :], e2[last + 1 :]):
+        if q >= abs_e:
+            return count
+        q = ai - ei / q
+        if q <= 0.0:
+            if q == 0.0:
+                q = tiny
+            else:
+                count += 1
+                if count == stop:
+                    return count
     return count
 
 
@@ -152,10 +210,11 @@ def _lowest_eigenvalue_tridiag(diag: np.ndarray, off: np.ndarray) -> float:
     radius[1:] += absoff
     lo = float(np.min(diag - radius))
     hi = float(np.max(diag + radius))
-    # bisection on the Sturm count: lowest eigenvalue = inf{x : count(x) >= 1}
+    # bisection on the Sturm count: lowest eigenvalue = inf{x : count(x) >= 1},
+    # each step asking only whether there is one eigenvalue below mid
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if sturm_count_below(diag, off, mid) >= 1:
+        if sturm_count_below(diag, off, mid, limit=1) >= 1:
             hi = mid
         else:
             lo = mid
@@ -167,19 +226,21 @@ def _lowest_eigenvalue_tridiag(diag: np.ndarray, off: np.ndarray) -> float:
 def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Thomas algorithm, looping on Python floats like ``sturm_count_below``."""
     dg, e, r = diag.tolist(), off.tolist(), rhs.tolist()
-    n = len(dg)
-    c = [0.0] * (n - 1)
-    d = [0.0] * n
-    c[0] = e[0] / dg[0]
-    d[0] = r[0] / dg[0]
-    for i in range(1, n):
-        denom = dg[i] - e[i - 1] * c[i - 1]
-        if i < n - 1:
-            c[i] = e[i] / denom
-        d[i] = (r[i] - e[i - 1] * d[i - 1]) / denom
-    for i in range(n - 2, -1, -1):
-        d[i] -= c[i] * d[i + 1]
-    return np.array(d)
+    c, d = e[0] / dg[0], r[0] / dg[0]
+    cs, ds = [c], [d]
+    # the last row's c (over a zero off-diagonal) is never used
+    for dgi, e_in, e_out, ri in zip(dg[1:], e, e[1:] + [0.0], r[1:]):
+        denom = dgi - e_in * c
+        c = e_out / denom
+        d = (ri - e_in * d) / denom
+        cs.append(c)
+        ds.append(d)
+    out = [d]
+    for c, di in zip(reversed(cs[:-1]), reversed(ds[:-1])):
+        d = di - c * d
+        out.append(d)
+    out.reverse()
+    return np.array(out)
 
 
 def _ground_vector(diag: np.ndarray, off: np.ndarray, e0: float) -> np.ndarray:
@@ -187,7 +248,7 @@ def _ground_vector(diag: np.ndarray, off: np.ndarray, e0: float) -> np.ndarray:
     v = rng.standard_normal(diag.shape[0])
     v /= np.linalg.norm(v)
     shift = e0 - 1e-10 * max(1.0, abs(e0))
-    for _ in range(4):
+    for _ in range(INVERSE_ITERATIONS):
         v = _tridiag_solve(diag - shift, off, v)
         v /= np.linalg.norm(v)
     return v

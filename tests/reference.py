@@ -8,7 +8,9 @@ nothing more.  The tests check those against what is kept here:
   compares with their ``evaluate``;
 - the 3D hydrogen trial and Hamiltonian, the magnetic trial in 3D, and the
   magnetic regular part written as one joint formula;
-- the refinement schedule as one loop over its centers.
+- the refinement schedule as one loop over its centers;
+- the 1D oracle's bisection on the full Sturm count of every step, and its
+  ground vector from four inverse-iteration solves.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from groundbound.core import (
     local_energy_log_batch,
     sample_interior,
 )
+from groundbound.oracle import _tridiag_solve
 from groundbound.refine import DEFAULT_AMPLITUDE_RANGE, new_refinement_state, optimize_bump_amplitude
 from groundbound.search import SearchConfig
 from groundbound.systems import coulomb, magnetic
@@ -316,3 +319,61 @@ def refine_schedule(h, base, asymptotic_limits, centers, sigma=1.0,
     for a in centers:
         _, state = optimize_bump_amplitude(state, float(a), sigma, s_range, cfg)
     return state
+
+
+# ---------------------------------------------------------------------------
+# the 1D oracle
+
+
+def sturm_count_below(diag, off, x) -> int:
+    """Number of eigenvalues of the symmetric tridiagonal matrix below x:
+    the negative-count recurrence over every row, on Python floats."""
+    tiny = 1e-300
+    x = float(x)
+    d = diag.tolist()
+    count = 0
+    q = d[0] - x
+    if q == 0.0:
+        q = tiny
+    if q < 0.0:
+        count += 1
+    for di, e2 in zip(d[1:], (off * off).tolist()):
+        q = di - x - e2 / q
+        if q == 0.0:
+            q = tiny
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def lowest_eigenvalue_tridiag(diag, off) -> float:
+    """Bisection on the full count of :func:`sturm_count_below`, one call a
+    step, from the Gershgorin interval to a relative width of 1e-14."""
+    absoff = np.abs(off)
+    radius = np.zeros_like(diag)
+    radius[:-1] += absoff
+    radius[1:] += absoff
+    lo = float(np.min(diag - radius))
+    hi = float(np.max(diag + radius))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sturm_count_below(diag, off, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def ground_vector(diag, off, e0) -> np.ndarray:
+    """Four inverse-iteration solves at a shift 1e-10 below ``e0``, from the
+    same seeded start as the oracle's."""
+    rng = np.random.default_rng(12345)
+    v = rng.standard_normal(diag.shape[0])
+    v /= np.linalg.norm(v)
+    shift = e0 - 1e-10 * max(1.0, abs(e0))
+    for _ in range(4):
+        v = _tridiag_solve(diag - shift, off, v)
+        v /= np.linalg.norm(v)
+    return v

@@ -17,7 +17,7 @@ from groundbound.cli import main
 from groundbound.core import local_energy_log_batch
 from groundbound.oracle import Grid1D, Grid2D, solve_1d_ground_state, solve_2d_dirichlet_ground_state
 from groundbound.refine import GaussianBump, default_centers, new_refinement_state, perturbed_field
-from groundbound.search import SearchConfig, global_max, global_min
+from groundbound.search import SearchConfig, bounds_of_field, global_max, global_min
 from groundbound.systems import (
     AnnularBilliard,
     CoulombSystem,
@@ -77,11 +77,11 @@ def test_criterion_03_helium_bounds_and_search():
         analytic = helium_bounds(2.0)
         assert (analytic.lower, analytic.upper) == (-4.25, -2.25)
         f = helium_search_field(2.0)
-        cfg = SearchConfig()
-        lo = global_min(f, cfg=cfg)
-        hi = global_max(f, cfg=cfg)
-        assert abs(lo.value - (-4.25)) <= 1e-3
-        assert abs(hi.value - (-2.25)) <= 1e-3
+        # both ends from one lockstep search, the same floats as global_min
+        # and global_max under the same config
+        found = bounds_of_field(f, SearchConfig())
+        assert abs(found.lower - (-4.25)) <= 1e-3
+        assert abs(found.upper - (-2.25)) <= 1e-3
 
 
 def test_criterion_04_coulomb_closed_form_equivalence():

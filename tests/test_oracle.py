@@ -1,8 +1,14 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
+from groundbound import cli
 from groundbound.core import Domain
 from groundbound.oracle import (
     BoxTooSmallError,
@@ -52,13 +58,17 @@ def test_radial_hydrogen_with_a_wall_at_the_origin():
     assert res.energy == pytest.approx(-0.5, abs=1e-4)
 
 
+def _tridiagonal(potential, grid):
+    """The matrix the 1D oracle bisects on ``grid``."""
+    x = grid.points()[1:-1]
+    h = grid.spacing
+    return 1.0 / (h * h) + potential(x), np.full(x.shape[0] - 1, -0.5 / (h * h))
+
+
 def test_no_eigenvalue_below_the_returned_one():
     g = Grid1D(-10.0, 10.0, 2000)
     e0, _ = _solve_1d_once(harmonic, g, (False, False))
-    x = g.points()[1:-1]
-    h = g.spacing
-    diag = 1.0 / (h * h) + harmonic(x)
-    off = np.full(x.shape[0] - 1, -0.5 / (h * h))
+    diag, off = _tridiagonal(harmonic, g)
     assert sturm_count_below(diag, off, e0 - 1e-9) == 0
     assert sturm_count_below(diag, off, e0 + 1e-9) == 1
 
@@ -118,6 +128,187 @@ def test_sturm_count_and_solve_match_the_numpy_scalar_loops():
     rhs = rng.standard_normal(n)
     got = oracle._tridiag_solve(dominant, off, rhs)
     assert np.array_equal(got, _tridiag_solve_numpy(dominant, off, rhs))
+
+
+def _gershgorin(diag, off):
+    radius = np.zeros_like(diag)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    zeros=st.floats(0.0, 1.0),
+    tail=st.sampled_from([0, 0, 30, 300]),
+    shift=st.sampled_from(["diagonal", "edge", "eigenvalue", "uniform"]),
+    ulps=st.integers(-4, 4),
+    limit=st.integers(1, 6),
+)
+def test_a_capped_count_is_the_full_count_capped(seed, n, zeros, tail, shift, ulps, limit):
+    # half-integer entries and zero off-diagonals put exact zero pivots in
+    # reach; a strictly dominant tail after the drawn block lets the count
+    # stop early, below the tail's Gershgorin lower edges (at least 4)
+    rng = np.random.default_rng(seed)
+    diag = rng.integers(-8, 9, n) / 2.0
+    off = rng.integers(-4, 5, n - 1) / 2.0
+    off[rng.random(n - 1) < zeros] = 0.0
+    if tail:
+        diag = np.concatenate([diag, rng.uniform(8.0, 20.0, tail)])
+        off = np.concatenate([off, rng.uniform(-2.0, 2.0, tail)])
+    lo, hi = _gershgorin(diag, off)
+    if shift == "diagonal":
+        x = float(diag[rng.integers(diag.size)])
+    elif shift == "edge":
+        x = (lo, hi)[rng.integers(2)]
+    elif shift == "eigenvalue":
+        matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        x = float(np.linalg.eigvalsh(matrix)[rng.integers(diag.size)])
+        for _ in range(abs(ulps)):
+            x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    else:
+        x = float(rng.uniform(lo - 1.0, hi + 1.0))
+    full = _sturm_count_numpy(diag, off, x)
+    assert sturm_count_below(diag, off, x) == full
+    assert sturm_count_below(diag, off, x, limit=limit) == min(full, limit)
+
+
+def test_the_count_stops_in_a_dominant_tail(monkeypatch):
+    handed_out = []
+
+    class Counted:
+        """A memoryview that counts the rows its iterators hand out."""
+
+        def __init__(self, view):
+            self.view = view
+
+        def __getitem__(self, key):
+            return Counted(self.view[key]) if isinstance(key, slice) else self.view[key]
+
+        def __iter__(self):
+            for value in self.view:
+                handed_out.append(value)
+                yield value
+
+    monkeypatch.setattr(oracle, "memoryview", lambda array: Counted(memoryview(array)), raising=False)
+    rng = np.random.default_rng(11)
+    diag = np.concatenate([rng.uniform(-1.0, 1.0, 20), np.full(5000, 10.0)])
+    off = np.full(diag.size - 1, -1.0)
+    lowest = float(np.linalg.eigvalsh(np.diag(diag[:60]) + np.diag(off[:59], 1) + np.diag(off[:59], -1))[0])
+    # below the tail's lower edges (8) the tail stop ends each count; above
+    # them only the limit can, at the third negative pivot, in the block
+    counts = []
+    for x, limit in ((lowest - 1e-6, None), (lowest + 1e-6, None), (9.0, 3)):
+        handed_out.clear()
+        counts.append(sturm_count_below(diag, off, x, limit=limit))
+        assert counts[-1] == min(_sturm_count_numpy(diag, off, x), limit or diag.size)
+        assert 0 < len(handed_out) <= 3 * 30  # three streams of the block's rows, not the tail's
+    assert counts == [0, 1, 3]
+
+
+def test_a_limit_below_one_is_refused():
+    with pytest.raises(ValueError):
+        sturm_count_below(np.ones(3), np.zeros(2), 0.5, limit=0)
+
+
+def _main(argv):
+    """Exit code, stdout, stderr less its timing line and every
+    ``BoxTooSmallError`` message of the 1D solves of ``groundbound argv``,
+    run in process."""
+    messages, once = [], oracle._solve_1d_once
+
+    def recording(*args):
+        try:
+            return once(*args)
+        except BoxTooSmallError as exc:
+            messages.append(str(exc))
+            raise
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        patch.setattr(oracle, "_solve_1d_once", recording)
+        code = cli.main(argv)
+    diagnostics = [line for line in err.getvalue().splitlines() if not line.startswith("wall_time_s=")]
+    return code, out.getvalue(), diagnostics, messages
+
+
+@contextlib.contextmanager
+def _reference_1d():
+    """The 1D oracle with the full-count bisection and the four-solve ground
+    vector of ``reference``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_lowest_eigenvalue_tridiag", reference.lowest_eigenvalue_tridiag)
+        patch.setattr(oracle, "_ground_vector", reference.ground_vector)
+        yield
+
+
+ONE_D_ORACLES = ("quartic", "hydrogen-radial", "harmonic")
+
+
+@pytest.mark.parametrize("system", ONE_D_ORACLES)
+def test_the_cli_oracles_bisect_to_the_reference_floats(system, monkeypatch):
+    # compared in process: the potentials' last bits may differ between machines
+    matrices, lowest = [], oracle._lowest_eigenvalue_tridiag
+
+    def recording(diag, off):
+        matrices.append((diag, off, lowest(diag, off)))
+        return matrices[-1][2]
+
+    monkeypatch.setattr(oracle, "_lowest_eigenvalue_tridiag", recording)
+    assert _main(["oracle", "--system", system])[0] == 0
+    assert len(matrices) == 2  # the coarse and the fine grid
+    for diag, off, value in matrices:
+        assert value == reference.lowest_eigenvalue_tridiag(diag, off)
+
+
+@pytest.mark.parametrize("system, box", [(s, None) for s in ONE_D_ORACLES] + [
+    ("quartic", "-1:1"), ("hydrogen-radial", "0:2"), ("harmonic", "-3:3"),
+])
+def test_the_cli_oracles_and_their_box_retries_match_the_references(system, box):
+    argv = ["oracle", "--system", system] + ([] if box is None else [f"--box={box}"])
+    got = _main(argv)
+    with _reference_1d():
+        want = _main(argv)
+    assert got == want
+    assert bool(got[3]) == (box is not None)  # a small box has to grow
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(
+    kind=st.sampled_from(["polynomial", "coulomb"]),
+    a=st.floats(-3.0, 3.0),
+    b=st.floats(-1.0, 1.0),
+    c=st.floats(0.02, 1.0),
+    half=st.floats(1.5, 8.0),
+    n=st.integers(100, 400),
+    edges=st.tuples(st.booleans(), st.booleans()),
+)
+def test_solves_match_the_reference_solves(kind, a, b, c, half, n, edges):
+    if kind == "polynomial":  # single and double wells, tilted
+        grid = Grid1D(-half, half, n)
+
+        def potential(x):
+            return c * x**4 + 0.5 * a * x * x + b * x
+    else:  # a radial Coulomb well with a centrifugal term, walled at r = 0
+        grid, edges = Grid1D(0.0, 4.0 * half, n), (True, edges[1])
+
+        def potential(r):
+            return -(1.0 + c) / r + 0.5 * abs(a) / (r * r)
+
+    diag, off = _tridiagonal(potential, grid)
+    assert oracle._lowest_eigenvalue_tridiag(diag, off) == reference.lowest_eigenvalue_tridiag(diag, off)
+
+    def outcome():
+        try:
+            return solve_1d_ground_state(potential, grid, edges)
+        except BoxTooSmallError as exc:
+            return str(exc)
+
+    got = outcome()
+    with _reference_1d():
+        assert outcome() == got
 
 
 def test_richardson_self_consistency():
