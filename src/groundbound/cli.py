@@ -88,12 +88,14 @@ class System:
     parses the flag and config values.  A command whose builders are all
     ``None`` does not support the system:
 
-    - ``field(params)`` builds one parameter set's field, and building a
-      set's fields is its check (non-finite floats are refused for every
-      system).  ``trials`` maps each ``variant`` to the ``(lower, upper)``
-      variants its two bounds come from; without it a system has one trial
-      of one field.  ``bounds`` and ``sweep`` search every set's fields as
-      one stack, which ``rows(param_sets)`` may evaluate row by row (see
+    - ``field(params)`` builds one parameter set's field.  A run builds each
+      set it uses once, before any search or solve, and that build is the
+      set's check (non-finite floats are refused for every system), so a
+      ``sweep`` checks its swept sets, not the base value they replace.
+      ``trials`` maps each ``variant`` to the ``(lower, upper)`` variants
+      its two bounds come from; without it a system has one trial of one
+      field.  ``bounds`` and ``sweep`` search every set's fields as one
+      stack, which ``rows(param_sets)`` may evaluate row by row (see
       ``search._stacked_bounds``); ``field`` dumps the lower field under
       ``columns``;
     - ``bounds(param_sets, cfg)`` is the closed form of a system with no
@@ -255,28 +257,30 @@ def _bounds(system: System, param_sets: list[dict], cfg: SearchConfig) -> list[B
     """One :class:`BoundsResult` per parameter set, from one stacked search
     of every set's trial fields."""
     if system.field is None:
-        return system.bounds(param_sets, cfg)
+        return _built(system.bounds, param_sets, cfg)
     members, pairs = [], []
     for params in param_sets:
         sets = _trial(system, params)
         pairs.append((len(members), len(members) + len(sets) - 1))
         members += sets
-    fields = [_whole(system.field(p), cfg) for p in members]
+    fields = [_whole(_built(system.field, p), cfg) for p in members]
     return _stacked_bounds(fields, cfg, system.rows(members), pairs)
 
 
-def _checked(system: System, params: dict) -> dict:
-    """``params`` if they are valid for ``system``, else a :class:`SpecError`."""
+def _built(build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``, a system builder or ``SearchConfig``: the
+    build checks its parameters, so its ``ValueError`` is a :class:`SpecError`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
+
+
+def _checked(params: dict) -> dict:
+    """``params``, if every float is finite; the run's own build checks the rest."""
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise SpecError(f"parameter {key} must be finite, got {value!r}")
-    try:
-        for p in _trial(system, params) if system.field else ():
-            system.field(p)
-        if system.bounds:  # a closed form checks its own parameters
-            system.bounds([params], SearchConfig())
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
     return params
 
 
@@ -368,16 +372,14 @@ class _Merger:
 def _search_config(m: _Merger, system: System, command: Command) -> SearchConfig:
     box_text = m.get("box", None)
     box = _parse_box(box_text, system.dim) if box_text else None
-    try:
-        return SearchConfig(
-            grid_points_per_axis=m.get("grid-n", getattr(system, command.grid), int),
-            refinement_levels=m.get("levels", command.levels, int),
-            multistart_count=m.get("multistarts", command.multistarts, int),
-            box=box,
-            rng_seed=m.get("seed", 0, int),
-        )
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    return _built(
+        SearchConfig,
+        grid_points_per_axis=m.get("grid-n", getattr(system, command.grid), int),
+        refinement_levels=m.get("levels", command.levels, int),
+        multistart_count=m.get("multistarts", command.multistarts, int),
+        box=box,
+        rng_seed=m.get("seed", 0, int),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +400,7 @@ class Command:
     ``builders`` names the :class:`System` builders that serve the command
     (any one will do) and ``grid`` the field holding its default ``--grid-n``.
     ``flags`` lists the command's own ``(flag, add_argument keywords)``, and
-    ``extras(m, system, params)`` reads them into ``RunSpec.extras``.
+    ``extras(m, system)`` reads them into ``RunSpec.extras``.
     """
 
     help: str
@@ -410,7 +412,7 @@ class Command:
     levels: int = 3
     multistarts: int = 8
     flags: tuple[tuple[str, dict], ...] = ()
-    extras: Callable[[_Merger, System, dict], dict] = lambda m, system, params: {}
+    extras: Callable[[_Merger, System], dict] = lambda m, system: {}
     unbounded: Callable[[dict], bool] = lambda result: False
 
 
@@ -450,7 +452,7 @@ def _bounds_csv(result: dict) -> tuple[list[str], list[list]]:
 
 
 def cmd_refine(spec: RunSpec) -> tuple[dict, dict]:
-    h, base, asym = SYSTEMS[spec.system].refine(spec.params)
+    h, base, asym = _built(SYSTEMS[spec.system].refine, spec.params)
     centers, sigma = spec.extras["centers"], spec.extras["sigma"]
     state = new_refinement_state(h, base, asym, cfg=spec.search)
     history = [{"step": 0, "center": None, "s_star": None, "lower_bound": state.current_lower}]
@@ -471,7 +473,7 @@ def cmd_sweep(spec: RunSpec) -> tuple[dict, dict]:
 def cmd_field(spec: RunSpec) -> tuple[dict, dict]:
     system = SYSTEMS[spec.system]
     params = _trial(system, spec.params)[0]  # the lower field, under its own variant
-    field = system.field(params)
+    field = _built(system.field, params)
     qs = grid_points(spec.search.box_for(field.domain), spec.search.grid_points_per_axis)
     qs = qs[field.domain.interior_mask(qs)]
     vals = field.evaluate_with_limits(qs, singular_as_nan=spec.extras["singular"] == "nan")
@@ -480,10 +482,7 @@ def cmd_field(spec: RunSpec) -> tuple[dict, dict]:
 
 
 def cmd_oracle(spec: RunSpec) -> tuple[dict, dict]:
-    try:
-        res = SYSTEMS[spec.system].oracle(spec.params, spec.search)
-    except ValueError as exc:  # grid validation
-        raise SpecError(str(exc)) from exc
+    res = _built(SYSTEMS[spec.system].oracle, spec.params, spec.search)  # the builder also checks its grid
     return {}, asdict(res)  # energy, error_bar, coarse_value, fine_value, detail
 
 
@@ -522,7 +521,7 @@ def _run(spec: RunSpec) -> int:
     return EXIT_UNBOUNDED if command.unbounded(result) else EXIT_OK
 
 
-def _refine_extras(m: _Merger, system: System, params: dict) -> dict:
+def _refine_extras(m: _Merger, system: System) -> dict:
     centers = m.get("centers", None)
     centers = None if centers is None else _parse_float_list(centers)
     sigma = m.get("sigma", 1.0, float)
@@ -535,7 +534,7 @@ def _refine_extras(m: _Merger, system: System, params: dict) -> dict:
     return {"centers": default_centers(sweeps=sweeps) if centers is None else centers, "sigma": sigma}
 
 
-def _sweep_extras(m: _Merger, system: System, params: dict) -> dict:
+def _sweep_extras(m: _Merger, system: System) -> dict:
     param = m.args["param"]
     # every float parameter sweeps
     sweepable = [key for key, (default, _) in system.params.items() if isinstance(default, float)]
@@ -547,8 +546,6 @@ def _sweep_extras(m: _Merger, system: System, params: dict) -> dict:
     values = _parse_float_list(m.get("values", ""))
     if not values:
         raise SpecError("--values needs at least one value")
-    for v in values:
-        _checked(system, {**params, param: v})
     return {"param": param, "values": values}
 
 
@@ -594,7 +591,7 @@ _COMMANDS: dict[str, Command] = {
         builders=("field",),
         flags=(("--singular", {"choices": ["limit", "nan"],
                                "help": "emit declared limits or nan inside singular tubes"}),),
-        extras=lambda m, system, params: {"singular": m.get("singular", "limit", _one_of("limit", "nan"))},
+        extras=lambda m, system: {"singular": m.get("singular", "limit", _one_of("limit", "nan"))},
     ),
     "oracle": Command(
         help="independent finite-difference reference energy",
@@ -662,7 +659,7 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
     given = sorted(key for key in foreign if m.args[key] is not None)
     if given:
         raise SpecError(f"system {args.system!r} has no parameter {', '.join('--' + key for key in given)}")
-    params = _checked(system, {
+    params = _checked({
         key: m.get(key, default, type(default)) for key, (default, _) in system.params.items()
     })
     spec = RunSpec(
@@ -670,7 +667,7 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
         system=args.system,
         params=params,
         search=_search_config(m, system, command),
-        extras=command.extras(m, system, params),
+        extras=command.extras(m, system),
         format=m.get("format", command.format, _one_of("json", "csv")),
         out=_writable(m.get("out", None)),
         timing=bool(args.timing),

@@ -74,6 +74,11 @@ class ConvergenceError(RuntimeError):
     """An iterative eigensolve exhausted its budget."""
 
 
+def _check_axis(lo: float, hi: float) -> None:
+    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+        raise ValueError(f"empty or infinite interval [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid on [x_min, x_max] with n points (edges included)."""
@@ -85,8 +90,7 @@ class Grid1D:
     def __post_init__(self) -> None:
         if self.n < 100:
             raise ValueError("use at least 100 grid points")
-        if not self.x_max > self.x_min:
-            raise ValueError("empty interval")
+        _check_axis(self.x_min, self.x_max)
 
     @property
     def spacing(self) -> float:
@@ -107,6 +111,8 @@ class Grid2D:
     def __post_init__(self) -> None:
         if self.n < 32:
             raise ValueError("use at least 32 points per axis")
+        for lo, hi in self.box:
+            _check_axis(lo, hi)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         (x0, x1), (y0, y1) = self.box
@@ -672,13 +678,12 @@ def _interp_double(u: np.ndarray, n_fine: int) -> np.ndarray:
 def solve_2d_dirichlet_ground_state(domain: Domain, grid: Grid2D) -> OracleResult:
     """Lowest Dirichlet eigenvalue of ``-(1/2) Laplacian`` on ``b < 0``.
 
-    Solves on ``n`` and ``2n`` points per axis, climbing a grid pyramid so
-    each level starts from the interpolated eigenvector of the previous one
-    (only the final pair enters the result).  The staircase mask makes the
-    leading eigenvalue error O(h), so the pair is extrapolated linearly and
-    ``|fine - coarse|`` is reported as the error bar.
+    Solves on ``n`` points per axis from a flat start, then on ``2n`` from
+    the bilinear interpolation of that eigenvector.  The staircase mask
+    makes the leading eigenvalue error O(h), so the pair is extrapolated
+    linearly and ``|fine - coarse|`` is reported as the error bar.
 
-    Each level is one LOBPCG run: Rayleigh-Ritz on the iterate, the
+    Each solve is one LOBPCG run: Rayleigh-Ritz on the iterate, the
     V-cycle-preconditioned residual and the previous step, until
     ``|H x - lam x| <= 1e-9 |lam|`` (``ConvergenceError`` after
     ``LOBPCG_MAX_ITER`` steps).  The V-cycle coarsens to every other node,
@@ -686,14 +691,7 @@ def solve_2d_dirichlet_ground_state(domain: Domain, grid: Grid2D) -> OracleResul
     """
     if domain.kind != "bounded":
         raise ValueError("the 2D oracle needs a bounded domain")
-    sizes = [grid.n]
-    while sizes[0] > 96:
-        sizes.insert(0, (sizes[0] + 1) // 2)
-    u = None
-    for n in sizes:
-        level = Grid2D(grid.box, n)
-        coarse, vec = _solve_2d_once(domain, level, x0=None if u is None else _interp_double(u, n))
-        u = vec
+    coarse, u = _solve_2d_once(domain, grid)
     fine_grid = Grid2D(grid.box, 2 * grid.n)
     fine, _ = _solve_2d_once(domain, fine_grid, x0=_interp_double(u, fine_grid.n))
     value = 2.0 * fine - coarse

@@ -501,6 +501,78 @@ def test_systems_check_their_own_parameters(tmp_path, capsys, case, how):
     assert all(text in err for text in named)
 
 
+# run -> the builds it makes, one per field it uses: the field builders and
+# helium's closed form, counted through the names the commands reach them by
+FEW = ["--grid-n", "11", "--levels", "1", "--multistarts", "1"]
+BUILDS = {
+    "bounds-billiard": (["bounds", "--system", "annular-billiard", *FEW], {"billiard_local_energy_field": 1}),
+    "bounds-quartic": (["bounds", "--system", "quartic", *FEW], {"quartic_field": 1}),
+    "bounds-hydrogen": (["bounds", "--system", "hydrogen", *FEW], {"hydrogen_radial_field": 1}),
+    "bounds-magnetic-improved": (["bounds", "--system", "magnetic-hydrogen", "--B", "2", "--variant", "improved",
+                                  *FEW], {"magnetic_hydrogen_field": 1}),
+    "bounds-magnetic-trivial": (["bounds", "--system", "magnetic-hydrogen", "--B", "2", *FEW],
+                                {"magnetic_hydrogen_field": 2}),
+    "sweep-magnetic-B": (["sweep", "--system", "magnetic-hydrogen", "--param", "B", "--values", "0.5,1,2,4", *FEW],
+                         {"magnetic_hydrogen_field": 8}),
+    "bounds-helium": (["bounds", "--system", "helium"], {"helium_bounds": 1}),
+    "field-billiard": (["field", "--system", "annular-billiard", "--grid-n", "11"], {"billiard_local_energy_field": 1}),
+    "field-quartic": (["field", "--system", "quartic", "--grid-n", "11"], {"quartic_field": 1}),
+    "field-hydrogen-radial": (["field", "--system", "hydrogen-radial", "--grid-n", "11"], {"hydrogen_radial_field": 1}),
+    "field-magnetic-trivial": (["field", "--system", "magnetic-hydrogen", "--grid-n", "11"],
+                               {"magnetic_hydrogen_field": 1}),
+    "refine-quartic": (["refine", "--system", "quartic", "--centers", "0", "--grid-n", "101"], {"quartic_field": 1}),
+    "oracle-billiard": (["oracle", "--system", "annular-billiard", "--grid-n", "40"],
+                        {"billiard_local_energy_field": 1}),
+    "oracle-disk": (["oracle", "--system", "disk", "--grid-n", "40"], {"unit_disk_field": 1}),
+    "oracle-hydrogen-radial": (["oracle", "--system", "hydrogen-radial", "--grid-n", "400"],
+                               {"hydrogen_radial_field": 1}),
+    "oracle-quartic": (["oracle", "--system", "quartic", "--grid-n", "200"], {}),
+}
+
+
+@pytest.mark.parametrize("case", BUILDS)
+def test_a_run_builds_each_field_once(tmp_path, monkeypatch, case):
+    argv, want = BUILDS[case]
+    builds = {}
+    for name in ("billiard_local_energy_field", "magnetic_hydrogen_field", "quartic_field",
+                 "hydrogen_radial_field", "unit_disk_field", "helium_bounds"):
+        def counted(*args, _name=name, _build=getattr(cli, name)):
+            builds[_name] = builds.get(_name, 0) + 1
+            return _build(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert run(tmp_path, *argv)[0] in (0, 3)
+    assert builds == want
+
+
+# the swept value replaces the base value, which the sweep never runs
+@pytest.mark.parametrize("base, param, values", [
+    (["--system", "annular-billiard", "--r", "0.95"], "delta", ["0.0", "0.01"]),
+    (["--system", "magnetic-hydrogen", "--variant", "improved", "--B", "0"], "B", ["1.0", "2.0"]),
+])
+def test_a_sweep_checks_only_the_sets_it_runs(tmp_path, base, param, values):
+    argv = [*base, "--grid-n", "41", "--levels", "1", "--multistarts", "1", "--format", "json"]
+    code, text = run(tmp_path, "sweep", *argv, "--param", param, "--values", ",".join(values), name="sweep")
+    assert code == 3  # each trial's supremum diverges
+    rows = json.loads(text)["result"]["rows"]
+    assert [row["value"] for row in rows] == [float(v) for v in values]
+    for row, value in zip(rows, values):
+        _, one = run(tmp_path, "bounds", *argv, f"--{param}", value, name="bounds")
+        result = json.loads(one)["result"]
+        assert (row["lower"], row["upper"]) == (result["lower"], result["upper"])
+
+
+def _searched(*args, **kwargs):
+    raise AssertionError("searched a sweep with a bad value")
+
+
+def test_a_bad_swept_value_exits_2_before_the_search(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_stacked_bounds", _searched)
+    argv = ["sweep", "--system", "annular-billiard", "--param", "delta", "--values", "0.1,0.3"]
+    assert run(tmp_path, *argv) == (2, None)
+    assert "need delta + r < 1 for a nondegenerate annulus" in capsys.readouterr().err
+
+
 def test_trivial_magnetic_bounds_accept_B_0(tmp_path):
     code, text = run(tmp_path, "bounds", "--system", "magnetic-hydrogen", "--variant", "trivial", "--B", "0")
     assert code == 0

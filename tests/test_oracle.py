@@ -39,6 +39,24 @@ def test_grid_validation():
         Grid2D(((-1, 1), (-1, 1)), 16)
 
 
+def test_grid1d_refuses_an_infinite_end():
+    with pytest.raises(ValueError):
+        Grid1D(0.0, math.inf, 100)
+
+
+# a degenerate axis ended in a ZeroDivisionError in the V-cycle; an infinite
+# end in a numpy warning and then an empty interior mask
+@pytest.mark.parametrize("box", [
+    ((0.0, 0.0), (-1.0, 1.0)),
+    ((-1.0, 1.0), (1.0, -1.0)),
+    ((-1.0, math.inf), (-1.0, 1.0)),
+    ((-1.0, 1.0), (math.nan, 1.0)),
+], ids=["degenerate", "reversed", "infinite", "nan"])
+def test_grid2d_refuses_an_empty_or_infinite_axis(box):
+    with pytest.raises(ValueError):
+        Grid2D(box, 40)
+
+
 def test_harmonic_oscillator():
     res = solve_1d_ground_state(harmonic, Grid1D(-10.0, 10.0, 2000))
     assert res.energy == pytest.approx(0.5, abs=1e-6)
@@ -515,7 +533,7 @@ def test_every_level_matches_sparse_eigsh(name, monkeypatch):
 
     monkeypatch.setattr(oracle, "_solve_2d_once", recording)
     solve_2d_dirichlet_ground_state(domain, Grid2D(domain.box, 100))
-    assert [grid.n for grid, _ in levels] == [50, 100, 200]
+    assert [grid.n for grid, _ in levels] == [100, 200]
     for grid, lam in levels:
         reference = _sparse_lowest_eigenvalue(oracle._mask_from_domain(domain, grid), *grid.spacings)
         assert lam == pytest.approx(reference, rel=1e-8)
