@@ -9,9 +9,13 @@ For a kinetic quadratic form ``sum_ij a_ij p_i p_j`` and ``S = ln phi`` this is
 
     E_loc(q) = V(q) - sum_ij a_ij (d_i d_j S + d_i S d_j S)
 
-which reduces to ``V - (lap S + |grad S|^2) / 2`` for ``a = I/2``.  The global
-infimum and supremum of this field bracket the ground-state energy, which is
-what the rest of the package computes.
+The engine evaluates ``a = I/2``, the one kinetic form of every system it
+builds (``H = -Delta/2 + V``), where this reduces to
+
+    E_loc(q) = V(q) - (lap S + |grad S|^2) / 2
+
+The global infimum and supremum of this field bracket the ground-state
+energy, which is what the rest of the package computes.
 
 All evaluators are vectorized: a batch of points is an array of shape
 ``(n, dim)`` and scalar fields return shape ``(n,)``.
@@ -19,7 +23,6 @@ All evaluators are vectorized: a batch of points is an array of shape
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +42,7 @@ __all__ = [
 ]
 
 SAMPLE_ROUNDS = 200  # rejection-sampling draws before sample_interior gives up
+KINETIC = 0.5  # the kinetic coefficient c of H = -c Delta + V
 
 
 class SingularEvaluationError(ValueError):
@@ -161,37 +165,10 @@ class Domain:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Kinetic quadratic form ``sum_ij a_ij p_i p_j`` plus a potential.
+    """``H = -Delta/2 + V``: the potential ``V`` on a domain."""
 
-    ``inverse_mass_form`` is the symmetric positive-definite matrix ``a`` in
-    units of inverse mass; ``H = -Delta/2 + V`` corresponds to ``a = I/2``.
-    """
-
-    inverse_mass_form: np.ndarray
     potential: Callable[[np.ndarray], np.ndarray]
     domain: Domain
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.inverse_mass_form, dtype=float)
-        if a.shape != (self.domain.dimension, self.domain.dimension):
-            raise ValueError("inverse_mass_form must be dim x dim")
-        if not np.array_equal(a, a.T):
-            raise ValueError("inverse_mass_form must be symmetric")
-        if np.linalg.eigvalsh(a).min() <= 0.0:
-            raise ValueError("inverse_mass_form must be positive definite")
-        object.__setattr__(self, "inverse_mass_form", a)
-
-    @classmethod
-    def isotropic(cls, coefficient: float, potential, domain: Domain) -> "Hamiltonian":
-        """Hamiltonian with ``a = coefficient * I`` (``1/2`` for ``-Delta/2 + V``)."""
-        return cls(coefficient * np.eye(domain.dimension), potential, domain)
-
-    @functools.cached_property
-    def isotropic_coefficient(self) -> float | None:
-        """The scalar ``c`` if ``a == c*I`` exactly, else ``None`` (computed once)."""
-        a = self.inverse_mass_form
-        c = a[0, 0]
-        return c if np.array_equal(a, c * np.eye(a.shape[0])) else None
 
 
 @dataclass(frozen=True)
@@ -199,15 +176,12 @@ class LogTrialFunction:
     """Trial state ``S = ln phi``, given by its analytic derivatives alone.
 
     The local energy needs only the gradient and the Laplacian of ``S``,
-    never ``S`` itself.  ``derivs(qs)`` returns ``(grad, second)`` for a
-    batch of points: the gradient of ``S``, shape ``(n, dim)``, and either
-    its Laplacian, shape ``(n,)``, or its full Hessian, shape
-    ``(n, dim, dim)``.  The Hessian is only needed when the Hamiltonian's
-    inverse-mass form is not a multiple of the identity.
+    never ``S`` itself.  ``derivs(qs)`` returns ``(grad, lap)`` for a batch
+    of points: the gradient of ``S``, shape ``(n, dim)``, and its Laplacian,
+    shape ``(n,)``.
     """
 
     derivs: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    normalizable: bool = True
 
 
 @dataclass(frozen=True)
@@ -298,29 +272,14 @@ class BoundsResult:
 # local-energy evaluation
 
 
-def _laplacian(second: np.ndarray) -> np.ndarray:
-    """The Laplacian from the second output of ``derivs``, tracing a Hessian."""
-    return second if second.ndim == 1 else np.trace(second, axis1=1, axis2=2)
-
-
 def local_energy_log_batch(h: Hamiltonian, trial: LogTrialFunction, qs: np.ndarray) -> np.ndarray:
-    """Vectorized ``V - sum_ij a_ij (d_i d_j S + d_i S d_j S)``; no validity checks."""
+    """Vectorized ``V - (lap S + |grad S|^2) / 2``; no validity checks."""
     qs = as_batch(qs, h.domain.dimension)
     v = np.asarray(h.potential(qs), dtype=float)
-    g, second = trial.derivs(qs)
+    g, lap = trial.derivs(qs)
     g = np.asarray(g, dtype=float)
-    second = np.asarray(second, dtype=float)
-    c = h.isotropic_coefficient
-    if c is not None:
-        return v - c * (_laplacian(second) + (g * g).sum(axis=1))
-    if second.ndim == 1:
-        raise ValueError(
-            "trial supplies no Hessian but the inverse-mass form is not a multiple "
-            "of the identity; the Laplacian alone cannot contract against it"
-        )
-    a = h.inverse_mass_form
-    kin = np.einsum("ij,nij->n", a, second) + np.einsum("ij,ni,nj->n", a, g, g)
-    return v - kin
+    lap = np.asarray(lap, dtype=float)
+    return v - KINETIC * (lap + (g * g).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ take on full counts and ends on the same float.  The ground vector of the
 edge-decay test comes from two inverse-iteration solves at a shift within
 ``1e-10 max(1, |e0|)`` of the eigenvalue: each damps every other component
 by the spectral gap over that distance, a factor of at least about 1e6.
+A ground vector that over- or underflows to a non-finite value fails the
+solve with ``FloatingPointError`` rather than passing that test.
 
 Node layout of the 2D path: a vector on a grid holds the mask's interior
 nodes only, in row-major order of the box array, plus one trailing zero
@@ -273,7 +275,14 @@ def _solve_1d_once(
     diag = 1.0 / (h * h) + v
     off = np.full(x.shape[0] - 1, -0.5 / (h * h))
     e0 = _lowest_eigenvalue_tridiag(diag, off)
-    vec = _ground_vector(diag, off, e0)
+    # a vector that over- or underflows is refused below, without a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vec = _ground_vector(diag, off, e0)
+    if not np.all(np.isfinite(vec)):
+        raise FloatingPointError(
+            f"the ground vector at eigenvalue {e0:.6g} is not finite, so its "
+            f"edge decay cannot be tested"
+        )
     peak = float(np.max(np.abs(vec)))
     for side, hard in enumerate(dirichlet_edges):
         if hard:

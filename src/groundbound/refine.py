@@ -14,8 +14,8 @@ sum has one term per distinct center however often the schedule revisits it.
 
 Selection is cheap because the local energy is exactly quadratic in one
 amplitude: with the kinetic coefficient ``c`` of ``H = -c d^2/dq^2 + V``
-(``1/2`` for the shipped systems), unit-bump derivatives ``g1, g2`` and the
-committed trial's ``grad S0, lap S0``,
+(the engine evaluates ``c = 1/2``, ``core.KINETIC``), unit-bump derivatives
+``g1, g2`` and the committed trial's ``grad S0, lap S0``,
 
     E_loc(q; s) = [V - c (lap S0 + (grad S0)^2)]
                   - s c (g2 + 2 g1 grad S0)  -  s^2 c g1^2
@@ -46,6 +46,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    KINETIC,
     AsymptoticLimit,
     Hamiltonian,
     LocalEnergyField,
@@ -222,8 +223,7 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
 
     The bump sum is evaluated as one broadcast over the stacked (s, a, sigma)
     arrays, so hundreds of bumps stay cheap.  Repeated centers are allowed and
-    simply add, although refinement itself commits one bump per center.  The
-    base trial's ``derivs`` must return a Laplacian, not a Hessian.
+    simply add, although refinement itself commits one bump per center.
     """
     base, bumps = state.base, state.bumps
     if not bumps:
@@ -240,7 +240,7 @@ def perturbed_trial(state: RefinementState) -> LogTrialFunction:
         grad = np.asarray(g0, dtype=float)[:, 0] + d1
         return grad[:, None], np.asarray(lap0, dtype=float) + d2
 
-    return LogTrialFunction(derivs=derivs, normalizable=base.normalizable)
+    return LogTrialFunction(derivs=derivs)
 
 
 def perturbed_field(state: RefinementState) -> LocalEnergyField:
@@ -340,7 +340,7 @@ def _selection_grid(state: RefinementState, cfg: SearchConfig) -> _SelectionGrid
         sig_arr = np.array([b.sigma for b in bumps])
         d1, d2 = _summed_derivs(t, ex * s_arr, sig_arr, sig_arr**2)
         grad0, lap = s1 + d1, s2 + d2
-    alpha = v - h.isotropic_coefficient * (lap + grad0 * grad0)
+    alpha = v - KINETIC * (lap + grad0 * grad0)
     return _SelectionGrid(h, state.base, bumps, box, n, grid, grad0, alpha, v, s1, s2, t, ex)
 
 
@@ -420,10 +420,9 @@ class _AmplitudeCurve:
     ):
         self.selection = sel = _selection_grid(state, cfg)
         self.grid, self.alpha = sel.grid, sel.alpha
-        c = state.hamiltonian.isotropic_coefficient
         g1, g2 = _bump_derivs(self.grid, 1.0, a, sigma)
-        self.beta = -c * (g2 + 2.0 * sel.grad0 * g1)
-        self.gamma = -c * g1 * g1
+        self.beta = -KINETIC * (g2 + 2.0 * sel.grad0 * g1)
+        self.gamma = -KINETIC * g1 * g1
         # |q - a| is monotone on either side of a, so the window is one slice
         inside = np.flatnonzero(np.abs(self.grid - a) <= LOCAL_WINDOW_SIGMAS * sigma)
         self.window = slice(inside[0], inside[-1] + 1) if inside.size else None
@@ -497,11 +496,13 @@ def optimize_bump_amplitude(
         return float(curve.score(s)[0])
 
     s_star = _golden_max(score1, lo_b, hi_b, AMPLITUDE_RESOLUTION)
-    # ties across the coarse plateau: prefer the best local lift among them
-    # (each amplitude is scored on its own, so the scan's scores serve)
+    # ties across the coarse plateau: unless the golden section beats the
+    # plateau, keep the scan's best amplitude, its first global maximum
+    # ``coarse[i]`` (each amplitude is scored on its own, so the scan's
+    # scores serve)
     plateau = np.flatnonzero(np.abs(scores - scores[i]) <= 1e-12)
     if plateau.size > 1 and scores[plateau[-1]] >= score1(s_star) - 1e-12:
-        s_star = float(coarse[plateau[np.argmax(scores[plateau])]])
+        s_star = float(coarse[i])
     if abs(s_star) < AMPLITUDE_RESOLUTION:
         s_star = 0.0
     if s_star == 0.0:

@@ -5,9 +5,7 @@ from .billiard import AnnularBilliard, billiard_local_energy_field, unit_disk_fi
 from .coulomb import (
     CoulombSystem,
     coulomb_field,
-    coulomb_hamiltonian,
     coulomb_local_energy_batch,
-    coulomb_log_trial,
     helium_bounds,
     helium_search_field,
     helium_system,
@@ -31,9 +29,7 @@ __all__ = [
     "VARIANTS",
     "billiard_local_energy_field",
     "coulomb_field",
-    "coulomb_hamiltonian",
     "coulomb_local_energy_batch",
-    "coulomb_log_trial",
     "cusp_defects",
     "helium_bounds",
     "helium_search_field",

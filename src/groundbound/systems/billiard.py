@@ -70,7 +70,7 @@ class AnnularBilliard:
         )
 
     def hamiltonian(self) -> Hamiltonian:
-        return Hamiltonian.isotropic(0.5, lambda qs: np.zeros(qs.shape[0]), self.domain())
+        return Hamiltonian(lambda qs: np.zeros(qs.shape[0]), self.domain())
 
 
 def billiard_local_energy_field(ab: AnnularBilliard) -> LocalEnergyField:

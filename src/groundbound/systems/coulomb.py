@@ -24,21 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import (
-    BoundsResult,
-    Domain,
-    Hamiltonian,
-    LocalEnergyField,
-    LogTrialFunction,
-    SingularSet,
-)
+from ..core import BoundsResult, Domain, LocalEnergyField, SingularSet
 from ..search import ExtremumReport
 
 __all__ = [
     "CoulombSystem",
     "coulomb_local_energy_batch",
-    "coulomb_log_trial",
-    "coulomb_hamiltonian",
     "coulomb_field",
     "helium_system",
     "helium_bounds",
@@ -46,7 +37,7 @@ __all__ = [
 ]
 
 COINCIDENCE_TUBE = 1e-6
-BOX_HALF_WIDTH = 3.0  # the search box of coulomb_hamiltonian, per flat coordinate
+BOX_HALF_WIDTH = 3.0  # the search box of the flat domain, per flat coordinate
 NORMALIZABLE_DIRECTIONS = 256  # random unit configurations of trial_is_normalizable
 NORMALIZABLE_SEED = 7
 
@@ -162,7 +153,7 @@ def coulomb_local_energy_batch(cs: CoulombSystem, positions: np.ndarray) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# trial function and Hamiltonian in flat relative coordinates
+# the field in flat relative coordinates
 
 
 def _flat_to_positions(cs: CoulombSystem, qs: np.ndarray) -> np.ndarray:
@@ -193,54 +184,6 @@ def trial_is_normalizable(cs: CoulombSystem) -> bool:
     return bool(np.all(s < 0))
 
 
-def coulomb_log_trial(cs: CoulombSystem, check_normalizable: bool = True) -> LogTrialFunction:
-    """The pair-exponential trial S = -sum_{i<j} lam_ij r_ij with analytic
-    gradient and full Hessian over the flat coordinates.
-
-    The Hessian, not just its trace, is needed because a finite nucleus mass
-    couples the relative coordinates in the inverse-mass form.
-    """
-    lam = cs.cusp_coefficients
-    n, d = cs.n_particles, cs.space_dim
-
-    def derivs(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pos = _flat_to_positions(cs, qs)
-        m = pos.shape[0]
-        x = np.concatenate([np.zeros((m, 1, d)), pos], axis=1)
-        r = _batch_distances(pos)
-        g = np.zeros((m, n - 1, d))
-        h = np.zeros((m, n - 1, d, n - 1, d))
-        eye = np.eye(d)
-        for k in range(1, n):
-            for j in range(n):
-                if j == k:
-                    continue
-                unit = (x[:, k] - x[:, j]) / r[:, k, j][:, None]
-                g[:, k - 1] += -lam[k, j] * unit
-                rr = r[:, k, j][:, None, None]
-                proj = (eye[None, :, :] - unit[:, :, None] * unit[:, None, :]) / rr
-                h[:, k - 1, :, k - 1, :] += -lam[k, j] * proj
-                if j >= 1:
-                    h[:, k - 1, :, j - 1, :] += lam[k, j] * proj
-        return g.reshape(m, cs.flat_dim), h.reshape(m, cs.flat_dim, cs.flat_dim)
-
-    normalizable = _checked_normalizable(cs) if check_normalizable else True
-    return LogTrialFunction(derivs=derivs, normalizable=normalizable)
-
-
-def _checked_normalizable(cs: CoulombSystem) -> bool:
-    """:func:`trial_is_normalizable`, with a warning when it is not."""
-    normalizable = trial_is_normalizable(cs)
-    if not normalizable:
-        warnings.warn(
-            "pair-exponential trial is not square integrable for these "
-            "masses/charges; treat its exponent as the first Taylor order "
-            "near each coalescence and the bounds as formal",
-            stacklevel=3,
-        )
-    return normalizable
-
-
 def _coincidence_tube(cs: CoulombSystem):
     iu = np.triu_indices(cs.n_particles, k=1)
 
@@ -260,38 +203,16 @@ def _coulomb_domain(cs: CoulombSystem) -> Domain:
     return Domain(dimension=cs.flat_dim, kind="unbounded", box=box, excluded_singular_sets=(coincide,))
 
 
-def coulomb_hamiltonian(cs: CoulombSystem) -> Hamiltonian:
-    """Eq-form Hamiltonian on flat relative coordinates.
-
-    The inverse-mass form has diagonal blocks I/(2 m_{0k}) and off-diagonal
-    blocks I/(2 m_0); the latter vanish exactly for an infinite nucleus mass.
-    """
-    n, d = cs.n_particles, cs.space_dim
-    inv_m = cs.inverse_masses
-    blocks = np.zeros((n - 1, n - 1))
-    for k in range(1, n):
-        for l in range(1, n):
-            if k == l:
-                blocks[k - 1, l - 1] = 1.0 / (2.0 * cs.reduced_masses[0, k])
-            else:
-                blocks[k - 1, l - 1] = inv_m[0] / 2.0
-    a = np.kron(blocks, np.eye(d))
-    e = cs.charges
-    iu = np.triu_indices(n, k=1)
-    pair_charge = (e[:, None] * e[None, :])[iu]
-
-    def potential(qs: np.ndarray) -> np.ndarray:
-        r = _batch_distances(_flat_to_positions(cs, qs))
-        return np.sum(pair_charge / r[:, iu[0], iu[1]], axis=1)
-
-    return Hamiltonian(a, potential, _coulomb_domain(cs))
-
-
 def coulomb_field(cs: CoulombSystem, check_normalizable: bool = True) -> LocalEnergyField:
     """Closed-form field of the pair-exponential trial over flat coordinates;
     warns, unless told not to check, when the trial is not normalizable."""
-    if check_normalizable:
-        _checked_normalizable(cs)
+    if check_normalizable and not trial_is_normalizable(cs):
+        warnings.warn(
+            "pair-exponential trial is not square integrable for these "
+            "masses/charges; treat its exponent as the first Taylor order "
+            "near each coalescence and the bounds as formal",
+            stacklevel=2,
+        )
 
     def closed(qs: np.ndarray) -> np.ndarray:
         return coulomb_local_energy_batch(cs, _flat_to_positions(cs, qs))

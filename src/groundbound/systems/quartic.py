@@ -76,7 +76,7 @@ class QuarticOscillator:
         return Domain(dimension=1, kind="unbounded", box=self.box())
 
     def hamiltonian(self) -> Hamiltonian:
-        return Hamiltonian.isotropic(0.5, self.potential, self.domain())
+        return Hamiltonian(self.potential, self.domain())
 
     def _s_derivs(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """S0' and S0'' at the points ``q``, without building S0 itself.
@@ -112,7 +112,7 @@ class QuarticOscillator:
             s1, s2 = self._s_derivs(coordinate_1d(qs))
             return s1[:, None], s2
 
-        return LogTrialFunction(derivs=derivs, normalizable=True)
+        return LogTrialFunction(derivs=derivs)
 
 
 def quartic_system(qo: QuarticOscillator) -> tuple[Hamiltonian, LogTrialFunction]:

@@ -8,6 +8,9 @@ nothing more.  The tests check those against what is kept here:
   compares with their ``evaluate``;
 - the 3D hydrogen trial and Hamiltonian, the magnetic trial in 3D, and the
   magnetic regular part written as one joint formula;
+- the Coulomb pair-exponential trial with its full Hessian, and its
+  Hamiltonian with the general inverse-mass form that a finite nucleus mass
+  gives, contracted here rather than by the package's ``-Delta/2 + V``;
 - the refinement schedule as one loop over its centers;
 - the 1D oracle's bisection on the full Sturm count of every step, and its
   ground vector from four inverse-iteration solves.
@@ -16,6 +19,7 @@ nothing more.  The tests check those against what is kept here:
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,9 +28,7 @@ from groundbound.core import (
     Hamiltonian,
     LogTrialFunction,
     SingularSet,
-    _laplacian,
     coordinate_1d,
-    local_energy_log_batch,
     sample_interior,
 )
 from groundbound.oracle import _tridiag_solve
@@ -63,8 +65,8 @@ def cross_check(field, alternates, n_samples: int, seed: int) -> float:
 
 def derivative_consistency(derivs, s, qs) -> tuple[float, float]:
     """Max relative error of the gradient from ``derivs`` vs central
-    differences of the values ``s``, and of its Laplacian (a Hessian's trace)
-    vs the finite-difference divergence of the gradient.
+    differences of the values ``s``, and of its Laplacian (or a full
+    Hessian's trace) vs the finite-difference divergence of the gradient.
 
     The steps ``FD_STEP_GRAD`` and ``FD_STEP_LAP`` follow the usual
     central-difference optimum; the tests compare the returned pair against
@@ -74,7 +76,8 @@ def derivative_consistency(derivs, s, qs) -> tuple[float, float]:
     n, dim = qs.shape
     g, second = derivs(qs)
     g = np.asarray(g, dtype=float)
-    lap = _laplacian(np.asarray(second, dtype=float))
+    second = np.asarray(second, dtype=float)
+    lap = second if second.ndim == 1 else np.trace(second, axis1=1, axis2=2)
 
     g_fd = np.empty_like(g)
     div_fd = np.zeros(n)
@@ -142,7 +145,7 @@ def hydrogen_trial_3d(lam: float = 1.0) -> LogTrialFunction:
         r = np.linalg.norm(qs, axis=1)
         return -lam * qs / r[:, None], -2.0 * lam / r
 
-    return LogTrialFunction(derivs=derivs, normalizable=lam > 0)
+    return LogTrialFunction(derivs=derivs)
 
 
 def hydrogen_hamiltonian_3d() -> Hamiltonian:
@@ -157,7 +160,7 @@ def hydrogen_hamiltonian_3d() -> Hamiltonian:
         box=((-20.0, 20.0),) * 3,
         excluded_singular_sets=(origin,),
     )
-    return Hamiltonian.isotropic(0.5, lambda qs: -1.0 / np.linalg.norm(qs, axis=1), dom)
+    return Hamiltonian(lambda qs: -1.0 / np.linalg.norm(qs, axis=1), dom)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +179,92 @@ def billiard_ratio_form(ab):
     return ratio_form
 
 
+# ---------------------------------------------------------------------------
+# the Coulomb log form under its inverse-mass form
+
+
+class CoulombHamiltonian(NamedTuple):
+    """``sum_ij a_ij p_i p_j + V`` over the flat relative coordinates."""
+
+    inverse_mass_form: np.ndarray
+    potential: Callable[[np.ndarray], np.ndarray]
+    domain: Domain
+
+
+def coulomb_hamiltonian(cs) -> CoulombHamiltonian:
+    """The Hamiltonian on flat relative coordinates, on the field's domain.
+
+    The inverse-mass form has diagonal blocks I/(2 m_{0k}) and off-diagonal
+    blocks I/(2 m_0); the latter vanish exactly for an infinite nucleus mass.
+    """
+    n, d = cs.n_particles, cs.space_dim
+    inv_m = cs.inverse_masses
+    blocks = np.zeros((n - 1, n - 1))
+    for k in range(1, n):
+        for l in range(1, n):
+            if k == l:
+                blocks[k - 1, l - 1] = 1.0 / (2.0 * cs.reduced_masses[0, k])
+            else:
+                blocks[k - 1, l - 1] = inv_m[0] / 2.0
+    e = cs.charges
+    iu = np.triu_indices(n, k=1)
+    pair_charge = (e[:, None] * e[None, :])[iu]
+
+    def potential(qs: np.ndarray) -> np.ndarray:
+        r = coulomb._batch_distances(coulomb._flat_to_positions(cs, qs))
+        return np.sum(pair_charge / r[:, iu[0], iu[1]], axis=1)
+
+    return CoulombHamiltonian(np.kron(blocks, np.eye(d)), potential, coulomb._coulomb_domain(cs))
+
+
+def coulomb_log_trial(cs):
+    """``derivs`` of the pair-exponential trial S = -sum_{i<j} lam_ij r_ij:
+    its gradient and full Hessian over the flat coordinates.
+
+    The Hessian, not just its trace, is needed because a finite nucleus mass
+    couples the relative coordinates in the inverse-mass form.
+    """
+    lam = cs.cusp_coefficients
+    n, d = cs.n_particles, cs.space_dim
+
+    def derivs(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pos = coulomb._flat_to_positions(cs, qs)
+        m = pos.shape[0]
+        x = np.concatenate([np.zeros((m, 1, d)), pos], axis=1)
+        r = coulomb._batch_distances(pos)
+        g = np.zeros((m, n - 1, d))
+        h = np.zeros((m, n - 1, d, n - 1, d))
+        eye = np.eye(d)
+        for k in range(1, n):
+            for j in range(n):
+                if j == k:
+                    continue
+                unit = (x[:, k] - x[:, j]) / r[:, k, j][:, None]
+                g[:, k - 1] += -lam[k, j] * unit
+                rr = r[:, k, j][:, None, None]
+                proj = (eye[None, :, :] - unit[:, :, None] * unit[:, None, :]) / rr
+                h[:, k - 1, :, k - 1, :] += -lam[k, j] * proj
+                if j >= 1:
+                    h[:, k - 1, :, j - 1, :] += lam[k, j] * proj
+        return g.reshape(m, cs.flat_dim), h.reshape(m, cs.flat_dim, cs.flat_dim)
+
+    return derivs
+
+
+def anisotropic_local_energy(h: CoulombHamiltonian, derivs, qs) -> np.ndarray:
+    """``V - sum_ij a_ij (d_i d_j S + d_i S d_j S)`` from a gradient and a
+    full Hessian."""
+    v = np.asarray(h.potential(qs), dtype=float)
+    g, hess = derivs(qs)
+    a = h.inverse_mass_form
+    return v - (np.einsum("ij,nij->n", a, hess) + np.einsum("ij,ni,nj->n", a, g, g))
+
+
 def coulomb_logform(cs):
-    """The generic log-form local energy of the pair-exponential trial over
-    flat coordinates, contracting its Hessian against the inverse-mass form."""
-    h = coulomb.coulomb_hamiltonian(cs)
-    trial = coulomb.coulomb_log_trial(cs, check_normalizable=False)
-    return lambda qs: local_energy_log_batch(h, trial, qs)
+    """The log-form local energy of the pair-exponential trial over flat
+    coordinates, contracting its Hessian against the inverse-mass form."""
+    h, derivs = coulomb_hamiltonian(cs), coulomb_log_trial(cs)
+    return lambda qs: anisotropic_local_energy(h, derivs, qs)
 
 
 def helium_logform(z: float):

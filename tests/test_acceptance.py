@@ -14,7 +14,6 @@ import pytest
 
 from groundbound import cli
 from groundbound.cli import main
-from groundbound.core import local_energy_log_batch
 from groundbound.oracle import Grid1D, Grid2D, solve_1d_ground_state, solve_2d_dirichlet_ground_state
 from groundbound.refine import GaussianBump, default_centers, new_refinement_state, perturbed_field
 from groundbound.search import SearchConfig, bounds_of_field, global_max, global_min
@@ -24,9 +23,7 @@ from groundbound.systems import (
     MagneticHydrogen,
     QuarticOscillator,
     billiard_local_energy_field,
-    coulomb_hamiltonian,
     coulomb_local_energy_batch,
-    coulomb_log_trial,
     cusp_defects,
     helium_bounds,
     helium_search_field,
@@ -35,7 +32,7 @@ from groundbound.systems import (
     quartic_system,
 )
 from dataclasses import replace
-from reference import refine_schedule
+from reference import anisotropic_local_energy, coulomb_hamiltonian, coulomb_log_trial, refine_schedule
 
 QUARTIC = dict(r=1.0 / math.sqrt(2.0), eta=-1, delta2=8.0)
 REFINE_CFG = SearchConfig(grid_points_per_axis=401, refinement_levels=2, multistart_count=1)
@@ -97,10 +94,10 @@ def test_criterion_04_coulomb_closed_form_equivalence():
             charges = rng.uniform(0.5, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
             cs = CoulombSystem(n, d, masses, charges)
             h = coulomb_hamiltonian(cs)
-            trial = coulomb_log_trial(cs, check_normalizable=False)
+            derivs = coulomb_log_trial(cs)
             pos = rng.uniform(-2.0, 2.0, size=(100, n - 1, d))
             closed = coulomb_local_energy_batch(cs, pos)
-            logform = local_energy_log_batch(h, trial, pos.reshape(100, cs.flat_dim))
+            logform = anisotropic_local_energy(h, derivs, pos.reshape(100, cs.flat_dim))
             scale = np.maximum(np.abs(closed), np.abs(logform))
             worst = max(worst, float(np.max(np.abs(closed - logform) / scale)))
         assert worst <= 1e-8, worst

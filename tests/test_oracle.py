@@ -293,6 +293,17 @@ def test_the_cli_oracles_and_their_box_retries_match_the_references(system, box)
     assert bool(got[3]) == (box is not None)  # a small box has to grow
 
 
+@pytest.mark.parametrize("delta2", ["1e180", "1e200", "1e300"])
+def test_a_non_finite_ground_vector_exits_4(delta2):
+    # the quartic well is deeper than the box there; its ground vector
+    # underflows to NaN, which the edge-decay test would let through
+    code, out, diagnostics, box_messages = _main(["oracle", "--system", "quartic", "--delta2", delta2])
+    assert (code, out, box_messages) == (4, "", [])
+    assert len(diagnostics) == 1
+    assert diagnostics[0].startswith("numerical failure: the ground vector")
+    assert "not finite" in diagnostics[0]
+
+
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(
     kind=st.sampled_from(["polynomial", "coulomb"]),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groundbound import refine
-from groundbound.core import Hamiltonian, coordinate_1d
+from groundbound.core import coordinate_1d
 from groundbound.refine import (
     DEFAULT_AMPLITUDE_RANGE,
     LOCAL_TIEBREAK_WEIGHT,
@@ -61,19 +61,9 @@ def test_bump_validation_and_derivatives():
     assert all(np.all(np.isfinite(f)) for f in parts(wide))
 
 
-@pytest.mark.parametrize(
-    "sigma, coefficient",
-    [(1.0, 0.5), (0.7, 0.5), (1.0, 0.25), (0.7, 0.25)],
-    ids=["1.0", "0.7", "1.0-c0.25", "0.7-c0.25"],
-)
-def test_amplitude_curve_matches_the_bumped_field(quartic_state, sigma, coefficient):
-    # H = -c d^2/dq^2 + V: the curve's alpha, beta and gamma all carry c
-    h = quartic_state.hamiltonian
-    state = replace(
-        quartic_state,
-        hamiltonian=Hamiltonian.isotropic(coefficient, h.potential, h.domain),
-        bumps=(GaussianBump(0.3, -1.0, 1.0), GaussianBump(-0.2, 1.5, 0.7)),
-    )
+@pytest.mark.parametrize("sigma", [1.0, 0.7])
+def test_amplitude_curve_matches_the_bumped_field(quartic_state, sigma):
+    state = replace(quartic_state, bumps=(GaussianBump(0.3, -1.0, 1.0), GaussianBump(-0.2, 1.5, 0.7)))
     curve = _AmplitudeCurve(state, 0.5, sigma, CFG, DEFAULT_AMPLITUDE_RANGE)
     qs = curve.grid[:, None]
     for s in (-1.3, -0.4, 0.25, 1.1):
@@ -122,11 +112,9 @@ def test_blocked_score_equals_the_full_broadcast(quartic_state, where, data):
         bumps = _with_bump(bumps, b)
     a = data.draw(_candidate_centers[where], label="a")
     sigma = data.draw(st.floats(0.3, 2.0), label="sigma")
-    c = data.draw(st.sampled_from([0.5, 0.25, 1.0]), label="c")
     s_lo = data.draw(st.floats(-3.0, 1.0), label="s_lo")
     s_hi = s_lo + data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), label="width")
-    h = quartic_state.hamiltonian
-    state = replace(quartic_state, hamiltonian=Hamiltonian.isotropic(c, h.potential, h.domain), bumps=bumps)
+    state = replace(quartic_state, bumps=bumps)
     curve = _AmplitudeCurve(state, a, sigma, CFG, (s_lo, s_hi))
     window = np.flatnonzero(np.abs(curve.grid - a) <= LOCAL_WINDOW_SIGMAS * sigma)
     if where == "outside":
@@ -227,7 +215,7 @@ def reference_selection(state, cfg):
     v = np.asarray(h.potential(qs), dtype=float)
     grad, lap = reference_derivs(state, qs)
     grad0 = grad[:, 0]
-    return qs[:, 0], grad0, v - h.isotropic_coefficient * (lap + grad0 * grad0)
+    return qs[:, 0], grad0, v - 0.5 * (lap + grad0 * grad0)
 
 
 def assert_selection_is_the_reference(sel, state, cfg=CFG):
