@@ -137,6 +137,24 @@ def test_quartic_local_energy_at_origin_matches_symbolic_oracle():
     assert -0.5 * (s2 + s1 * s1) == pytest.approx(EXPECTED_QUARTIC_ELOC_AT_ZERO, abs=1e-6)
 
 
+def test_one_kinetic_form_is_the_general_form_at_a_half():
+    # an infinitely heavy nucleus leaves the inverse-mass form a = I/2, where
+    # the Hessian contraction is KINETIC times the Laplacian
+    cs = helium_system(2.0)
+    h = reference.coulomb_hamiltonian(cs)
+    assert np.array_equal(h.inverse_mass_form, core.KINETIC * np.eye(cs.flat_dim))
+    derivs = reference.coulomb_log_trial(cs)
+
+    def traced(qs):
+        g, hess = derivs(qs)
+        return g, np.trace(hess, axis1=1, axis2=2)
+
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(0.4, 2.5, size=(100, 6)) * rng.choice([-1.0, 1.0], size=(100, 6))
+    engine = local_energy_log_batch(Hamiltonian(h.potential, h.domain), LogTrialFunction(traced), pts)
+    np.testing.assert_allclose(engine, reference.anisotropic_local_energy(h, derivs, pts), rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # local energy, ratio form
 

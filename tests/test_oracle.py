@@ -304,6 +304,19 @@ def test_a_non_finite_ground_vector_exits_4(delta2):
     assert "not finite" in diagnostics[0]
 
 
+def test_a_finite_vector_at_the_box_edge_still_asks_for_a_bigger_box():
+    # a deep well whose ground vector stays finite: the edge-decay test, not
+    # the finiteness test, refuses it, with the reference's message
+    argv = ["oracle", "--system", "quartic", "--delta2", "1e150"]
+    got = _main(argv)
+    with _reference_1d():
+        assert _main(argv) == got
+    code, out, diagnostics, box_messages = got
+    assert (code, out) == (4, "")
+    assert box_messages and all(m.endswith("enlarge the box") for m in box_messages)
+    assert len(diagnostics) == 1 and diagnostics[0].endswith("enlarge the box")
+
+
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(
     kind=st.sampled_from(["polynomial", "coulomb"]),
