@@ -9,7 +9,9 @@ documents are byte-identical across reruns.
 
 Exit codes: 0 success, 2 usage or spec error, 3 unbounded result (an infinite
 ``lower`` or ``upper`` from ``bounds`` or in any ``sweep`` row; the document
-is still written), 4 internal numerical failure.
+is still written), 4 internal numerical failure, which includes any
+floating-point overflow, division by zero or invalid operation during the run
+(underflow is quiet).
 """
 
 from __future__ import annotations
@@ -682,7 +684,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(_build_spec(args))
+        # a floating-point fault (overflow, division by zero, an invalid
+        # operation) is a numerical failure, not a warning beside a number
+        # built from the points that stayed finite; inner errstate blocks
+        # keep their own settings, and underflow stays quiet
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            return _run(_build_spec(args))
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

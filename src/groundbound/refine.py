@@ -55,7 +55,7 @@ from .core import (
     declared_limits,
     make_log_field,
 )
-from .search import SearchConfig, global_min
+from .search import ExtremumReport, SearchConfig, global_min
 
 __all__ = [
     "GaussianBump",
@@ -272,6 +272,7 @@ def censor_guard(
     state: RefinementState,
     candidate: GaussianBump,
     cfg: SearchConfig | None = None,
+    after: ExtremumReport | None = None,
 ) -> str:
     """Classify a candidate bump: ``accept``, ``clip`` or ``reject``.
 
@@ -279,12 +280,15 @@ def censor_guard(
     the bump pushed the field through a bifurcation and grew a distant
     competing minimum: reject.  A decreased bound without the jump means the
     amplitude merely overshot locally: clip it back toward zero.  Anything
-    that keeps the bound is acceptable.
+    that keeps the bound is acceptable.  ``after`` is the global minimum of
+    the field with the candidate added, when the caller has already searched
+    it under ``cfg``; it is searched here otherwise.
     """
     cfg = cfg or SearchConfig()
-    after = global_min(
-        perturbed_field(replace(state, bumps=_with_bump(state.bumps, candidate))), cfg=cfg
-    )
+    if after is None:
+        after = global_min(
+            perturbed_field(replace(state, bumps=_with_bump(state.bumps, candidate))), cfg=cfg
+        )
     if after.value >= state.current_lower - CENSOR_TOL:
         return "accept"
     before = global_min(perturbed_field(state), cfg=cfg)
@@ -509,17 +513,19 @@ def optimize_bump_amplitude(
         return unchanged()
 
     # certify with the full polished search; clip or reject regressions
-    def certified(s: float) -> float:
+    def certified(s: float) -> ExtremumReport:
         bumped = replace(state, bumps=_with_bump(state.bumps, GaussianBump(s, a, sigma)))
-        return global_min(perturbed_field(bumped), cfg=cfg).value
+        return global_min(perturbed_field(bumped), cfg=cfg)
 
-    best = certified(s_star)
+    report = certified(s_star)
+    best = report.value
     if best < state.current_lower:
-        if censor_guard(state, GaussianBump(s_star, a, sigma), cfg) == "reject":
+        # the censor reads this search as its own ``after``
+        if censor_guard(state, GaussianBump(s_star, a, sigma), cfg, report) == "reject":
             return unchanged()
         while s_star != 0.0 and best < state.current_lower:
             s_star = s_star / 2.0 if abs(s_star) > AMPLITUDE_RESOLUTION else 0.0
-            best = certified(s_star) if s_star != 0.0 else state.current_lower
+            best = certified(s_star).value if s_star != 0.0 else state.current_lower
         if s_star == 0.0:
             return unchanged()
 

@@ -4,17 +4,19 @@
 resolution plus a derivative-free polish; the winning candidate is compared
 against every declared singular-set limit and asymptotic limit, so a search
 box on an unbounded domain is legitimate exactly when those limits are
-supplied.  The polish runs the grid winner and every multistart in lockstep:
-each coordinate sends the ``+step`` and ``-step`` candidates of every running
-start to a single batched field call, with a small follow-up call for the
-few starts whose ``-step`` from an accepted ``+step`` misses their old point,
-and each start keeps its own greedy acceptance and step halving, so the
-result is the same as polishing the starts one by one.
+supplied.  The polish walks the grid winner and every multistart as its own
+sequential coordinate descent, held in Python floats, and sends every running
+start's probes of a round to one batched field call: the rest of its
+coordinate (its ``+step`` and ``-step`` candidates, or the ``-step`` it owes
+after taking a ``+step``) and, while a round holds few points, the probes it
+would make next if none of those wins, on through the halving tail.  Each
+start uses its values up to its first acceptance and drops the rest, so the
+result is the same as polishing the starts one by one, bit for bit.
 One search covers a stack of fields that share a dimension and a box, each
 member asking for its own kinds among ``"min"`` and ``"max"`` (the magnetic
 trivial sandwich asks each lower trial for its minimum and each upper trial
 for its maximum): each member's level-0 grid scan serves all its kinds, one
-lockstep polish serves the whole stack, its rows tagged ``(member, kind)``
+polish serves the whole stack, its rows tagged ``(member, kind)``
 and carrying their own sign, and each ``(member, kind)`` keeps its own zoomed
 levels, history and winner.  Every report equals the one a search of that
 field for that kind alone would give, bit for bit.  ``global_min`` and
@@ -26,15 +28,16 @@ CLI's one path for ``bounds`` and ``sweep``, which serves every searched
 system and trial (the magnetic trivial sandwich among them), go through it.
 ``optimize_parameters`` runs the outer sup/inf over a trial family's control
 vector with a full inner extremum search per probe: the initial probes form
-one stack, and so does each call of the same lockstep polish on the outer
-starts, both step directions at once.  A family that supplies
-``evaluate_rows`` has a whole stack evaluated in one call per probe batch.
+one stack, and so does each call of the same polish on the outer starts, run
+without look-ahead (a probe there is a whole inner search).  A family that
+supplies ``evaluate_rows`` has a whole stack evaluated in one call per probe
+batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,6 +69,7 @@ __all__ = [
 
 POLISH_STEP_STOP = 1e-9
 POLISH_VALUE_STOP = 1e-12
+POLISH_ROUND_POINTS = 32  # a round's points up to which each start looks ahead
 RANDOM_PROBE_COUNT = 20  # probes recorded by optimize_parameters for dominance
 
 
@@ -172,120 +176,185 @@ def _signed(vals: np.ndarray, sign: float | np.ndarray) -> np.ndarray:
     return out
 
 
+class _Walk:
+    """One start of :func:`_polish`: its point ``x`` (a list, mirrored in
+    the array row ``row``), signed value ``f``, step list and its largest
+    entry ``top``, next coordinate ``i``, whether that coordinate's
+    ``-step`` probe is next (``minus``) and the value it held when its sweep
+    began, all Python floats.  ``step`` is replaced, never written into, so
+    walks may share their first one."""
+
+    __slots__ = ("x", "row", "f", "step", "top", "i", "minus", "sweep_start")
+
+    def __init__(self, row: np.ndarray, f: float, step: list[float]) -> None:
+        self.x, self.row, self.f, self.step, self.top = row.tolist(), row, f, step, max(step)
+        self.i, self.minus, self.sweep_start = 0, False, f
+
+    def plan(self, count: int, lo: list[float], hi: list[float], coords: list[int], values: list[float]) -> int:
+        """Append the coordinates and values of the probes this walk makes
+        next if none of them wins, and return how many: the rest of its
+        current coordinate, then whole coordinates, across sweep ends, until
+        there are at least ``count`` or the walk would stop.  A sweep without
+        an acceptance always halves the steps."""
+        x, step, i = self.x, self.step, self.i
+        # x stays in the box, so a step up can pass only hi and a step down
+        # only lo; this is exactly min(max(c, lo), hi)
+        down = x[i] - step[i]
+        down = lo[i] if down < lo[i] else down
+        if self.minus:
+            coords.append(i)
+            values.append(down)
+            planned = 1
+        else:
+            up = x[i] + step[i]
+            coords += (i, i)
+            values += (hi[i] if up > hi[i] else up, down)
+            planned = 2
+        if planned >= count:
+            return planned
+        top, dim = self.top, len(x)
+        halve = not self.f < self.sweep_start or self.sweep_start - self.f < POLISH_VALUE_STOP
+        while planned < count:
+            i += 1
+            if i == dim:
+                i = 0
+                if halve:
+                    step, top = [s * 0.5 for s in step], top * 0.5
+                if top < POLISH_STEP_STOP:
+                    break
+                halve = True
+            up, down = x[i] + step[i], x[i] - step[i]
+            coords += (i, i)
+            values += (hi[i] if up > hi[i] else up, lo[i] if down < lo[i] else down)
+            planned += 2
+        return planned
+
+    def take(self, values: list[float], fs: list[float], start: int, stop: int, lo: list[float]) -> int:
+        """Walk through the probes ``values[start:stop]`` it planned and
+        their signed values ``fs[start:stop]`` in order, up to the first that
+        wins; return how many it used.  The rest were planned on the premise
+        that this one loses, so they are dropped."""
+        f, won = self.f, None
+        for k in range(start, stop):
+            if fs[k] < f:  # strictly better
+                won = k
+                break
+        # pass the probes that lost: counted from the current coordinate's
+        # + probe, each two end a coordinate, and one more leaves the - probe
+        # next
+        passed = (stop if won is None else won) - start + self.minus
+        self.minus = passed % 2 == 1
+        for _ in range(passed // 2):
+            self._next_coordinate()
+        if won is None:
+            return stop - start
+        self._accept(values[won], fs[won], lo)
+        return won + 1 - start
+
+    def _accept(self, c: float, fc: float, lo: list[float]) -> None:
+        """Move coordinate ``i`` to ``c``, of signed value ``fc``."""
+        i = self.i
+        old, self.x[i], self.f = self.x[i], c, fc
+        self.row[i] = c
+        if not self.minus:
+            # a won + step owes a - step from the new point; back on the old
+            # point bit for bit, that is a point whose value loses
+            back = c - self.step[i]
+            back = lo[i] if back < lo[i] else back
+            if back != old or math.copysign(1.0, back) != math.copysign(1.0, old):
+                self.minus = True
+                return
+        self.minus = False
+        self._next_coordinate()
+
+    def _next_coordinate(self) -> None:
+        self.i += 1
+        if self.i == len(self.x):
+            self.i = 0
+            # acceptance is strict, so the sweep improved exactly when f < sweep_start;
+            # a walk stuck at +inf gives inf - inf = nan here and halves either way
+            if not self.f < self.sweep_start or self.sweep_start - self.f < POLISH_VALUE_STOP:
+                self.step, self.top = [s * 0.5 for s in self.step], self.top * 0.5
+            self.sweep_start = self.f
+
+
 def _polish(
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     starts: np.ndarray,
     box: Sequence[tuple[float, float]],
     initial_step: np.ndarray,
     signs: np.ndarray | None = None,
+    look_ahead: bool = True,
+    visits: list[list[tuple[float, ...]]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative-free coordinate descent with shrinking steps, run in lockstep.
+    """Derivative-free coordinate descent with shrinking steps from every
+    start, each start's probes of a round sent to one batched call.
 
     ``objective(rows, points)`` maps a ``(k, dim)`` batch of points, the
     candidates of the starts ``rows`` (nondecreasing indices into
     ``starts``), to a new array of ``k`` raw values; it must not write into
-    either argument, which may be views of the polish's own arrays.  Row
-    ``j`` of ``starts`` minimizes ``signs[j] * objective`` (every sign is +1
-    by default), a non-finite product counting as +inf, so one call polishes
-    minima and maxima together.  Starts are clipped into ``box`` and ``initial_step`` is
-    non-negative, so every point stays inside.
-    Each start keeps its own point, value and step vector, and probes each
-    coordinate at ``+step``, then at ``-step`` from wherever the ``+`` probe
-    left it, taking a candidate when it is strictly better.  One call
-    carries both probes: each start's ``+`` candidate and its ``-`` candidate
-    from the point before the ``+`` probe, rows ``np.repeat(rows, 2)``.  A
-    start whose ``+`` candidate wins then owes a ``-`` probe from its new
-    point.  Where that lands bitwise on its old coordinate, its value is the
-    old one, which loses; the rest (after rounding, or after an up step
-    clipped to the box) go to one follow-up call of just those starts.  Only
-    these paired calls repeat rows; the first call is of the starts.
-    A sweep that improves a start by less than ``POLISH_VALUE_STOP`` counts
-    as stalled, so that start's steps keep halving until they drop below
-    ``POLISH_STEP_STOP``, where it stops; this drives each location in to
-    step resolution rather than quitting on the first flat sweep.  When
-    ``objective`` is batch invariant (a row's value does not depend on the
-    other rows) and deterministic, every start follows exactly the
-    trajectory it would follow alone.  Returns the polished points and their
-    signed values.
+    either argument, which may be the polish's own arrays.  Row ``j`` of
+    ``starts`` minimizes ``signs[j] * objective`` (every sign is +1 by
+    default), a non-finite product counting as +inf, so one call polishes
+    minima and maxima together.  Starts are clipped into ``box`` and
+    ``initial_step`` is non-negative, so every point stays inside.
+
+    Each start walks on its own (:class:`_Walk`): it probes each coordinate
+    at ``+step``, then at ``-step`` from wherever the ``+`` probe left it,
+    taking a candidate when it is strictly better.  A ``-`` probe owed after
+    a won ``+`` probe that lands bit for bit on the old point is skipped:
+    that point's value is known to lose.  A sweep that improves a start by
+    less than ``POLISH_VALUE_STOP`` counts as stalled, so that start's steps
+    keep halving until they drop below ``POLISH_STEP_STOP``, where it stops;
+    this drives each location in to step resolution rather than quitting on
+    the first flat sweep.
+
+    A round is one objective call, and every running start is in it.  Each
+    sends the rest of its current coordinate: its ``+`` and ``-`` probes from
+    the point it holds, or the one ``-`` probe it owes.  With
+    ``look_ahead``, each start also sends the probes it would make next if
+    none of its earlier ones wins, whole coordinates across sweep ends at
+    halved steps, until it holds ``POLISH_ROUND_POINTS // running starts``
+    probes or would stop; so the halving tail of a few starts costs a few
+    calls, while a round of many starts holds only their current
+    coordinates.  Each start then uses its values in order up to its first
+    acceptance and drops the rest, the ``-`` probe beside a ``+`` probe that
+    won among them.  When ``objective`` is batch invariant (a row's value
+    does not depend on the other rows) and deterministic, every start
+    follows exactly the trajectory it would follow alone, whatever the
+    rounds hold.  ``visits``, when given, gets each used candidate of start
+    ``j`` appended to ``visits[j]`` as a tuple, in the order the start met
+    it.  Returns the polished points and their signed values.
     """
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    x = np.clip(np.asarray(starts, dtype=float), lo, hi)
+    lo = [float(b[0]) for b in box]
+    hi = [float(b[1]) for b in box]
+    x = np.clip(np.asarray(starts, dtype=float), np.array(lo), np.array(hi))
     sign = np.ones(x.shape[0]) if signs is None else np.asarray(signs, dtype=float)
-    rows = np.arange(x.shape[0])  # output row of each running start
-    fx = _signed(objective(rows, x), sign)
-    dim = x.shape[1]
-    step = np.tile(np.asarray(initial_step, dtype=float), (x.shape[0], 1))
-    out_x, out_f = x.copy(), fx.copy()
-    running = step.max(axis=1) >= POLISH_STEP_STOP
-
-    def probe(sel: np.ndarray, i: int, col: np.ndarray, sel_rows: np.ndarray, sel_sign: np.ndarray) -> np.ndarray:
-        """Signed values of the running starts ``sel`` (output rows
-        ``sel_rows``, signs ``sel_sign``) with coordinate ``i`` set to ``col``.
-        This and the two step helpers read the running arrays as they are at
-        the call."""
-        if dim == 1:
-            cand = col[:, None]
+    fx = _signed(objective(np.arange(x.shape[0]), x), sign)
+    first_step = [float(s) for s in initial_step]
+    walks = [_Walk(row, f, first_step) for row, f in zip(x, fx.tolist())]
+    live = [j for j, w in enumerate(walks) if w.top >= POLISH_STEP_STOP]
+    while live:
+        count = POLISH_ROUND_POINTS // len(live) if look_ahead else 0
+        coords: list[int] = []
+        values: list[float] = []
+        sizes = [walks[j].plan(count, lo, hi, coords, values) for j in live]
+        rows = np.repeat(live, sizes)
+        if len(lo) == 1:
+            batch = np.array(values)[:, None]
         else:
-            cand = x[sel]
-            cand[:, i] = col
-        return _signed(objective(sel_rows, cand), sel_sign)
-
-    # x stays in the box, so a step up can pass only hi and a step down only
-    # lo; this is then exactly min(max(c, lo), hi), which np.clip is not: it
-    # may flip the sign of a zero
-    def up(col: np.ndarray, i: int) -> np.ndarray:
-        col = col + step[:, i]
-        return np.where(col > hi[i], hi[i], col)
-
-    def down(col: np.ndarray, i: int) -> np.ndarray:
-        col = col - step[:, i]
-        return np.where(col < lo[i], lo[i], col)
-
-    # a start stuck at +inf gives inf - inf in the stall test; it stalls either way
-    with np.errstate(invalid="ignore"):
-        both = None
-        while True:
-            if not running.all():
-                out_x[rows[~running]] = x[~running]
-                out_f[rows[~running]] = fx[~running]
-                rows, x, fx, step, sign = (a[running] for a in (rows, x, fx, step, sign))
-                if rows.size == 0:
-                    return out_x, out_f
-                both = None
-            if both is None:  # the running starts changed: pair them anew
-                both = np.repeat(np.arange(rows.size), 2)
-                both_rows, both_sign = rows[both], sign[both]
-            start = fx.copy()
-            for i in range(dim):
-                xi = x[:, i]  # a view: accepted moves land in x
-                col = up(xi, i)
-                # rows 2j and 2j + 1: start j's + candidate and its - candidate
-                # from the point it holds before the + probe
-                pair = np.repeat(col, 2)
-                pair[1::2] = down(xi, i)
-                f = probe(both, i, pair, both_rows, both_sign)
-                f_up, f_down = f[0::2], f[1::2]
-                took = f_up < fx
-                # a start that takes its + candidate probes - from there; back
-                # on its old coordinate bit for bit, that is its old point,
-                # whose value loses to the new one, so only the rest are redone
-                f_down[took] = np.inf
-                back = down(col, i)
-                redo = took & (back.view(np.int64) != xi.view(np.int64))
-                np.copyto(xi, col, where=took)
-                np.copyto(fx, f_up, where=took)
-                # each start's - candidate from the point it now holds
-                col = np.where(took, back, pair[1::2])
-                if redo.any():
-                    again = np.flatnonzero(redo)
-                    f_down[again] = probe(again, i, col[again], rows[again], sign[again])
-                better = f_down < fx
-                np.copyto(xi, col, where=better)
-                np.copyto(fx, f_down, where=better)
-            # acceptance is strict, so a start improved exactly when fx < start
-            step[~(fx < start) | ((start - fx) < POLISH_VALUE_STOP)] *= 0.5
-            running = step.max(axis=1) >= POLISH_STEP_STOP
+            # each probe is its start's point with one coordinate replaced
+            batch = x[rows]
+            batch[np.arange(len(values)), coords] = values
+        fs = _signed(objective(rows, batch), sign[rows]).tolist()
+        at = 0
+        for j, size in zip(live, sizes):
+            used = walks[j].take(values, fs, at, at + size, lo)
+            if visits is not None:
+                visits[j].extend(map(tuple, batch[at : at + used].tolist()))
+            at += size
+        live = [j for j in live if walks[j].top >= POLISH_STEP_STOP]
+    return x, np.array([w.f for w in walks])
 
 
 def _fd_gradient_norm(field: LocalEnergyField, x: np.ndarray) -> float | None:
@@ -312,10 +381,10 @@ def _search_extrema(
 
     The fields share a dimension and a search box.  A member's kinds share
     its level-0 grid scan, one field call per member, and every
-    ``(member, kind)`` shares one lockstep polish, whose rows are the member's
-    grid winner for that kind and the member's multistarts; each keeps its own
+    ``(member, kind)`` shares one polish, whose rows are the member's grid
+    winner for that kind and the member's multistarts; each keeps its own
     zoomed levels, history and winner.  ``rows`` optionally evaluates the
-    stack in one call per polish probe (see :func:`_stack_values`).  Fields
+    stack in one call per polish round (see :func:`_stack_values`).  Fields
     are batch invariant, so each report is the one a search of its field for
     its kind alone would give.
     """
@@ -553,11 +622,14 @@ def optimize_parameters(
     family's builder owns the Hamiltonian.
 
     The initial probes are searched as one stack, and the outer starts are
-    polished in lockstep by :func:`_polish`, each call's new control vectors
-    (every start's ``+step`` and ``-step`` candidates) searched as one stack.
-    Each start follows the trajectory it would follow alone, so the record
-    lists the initial probes and then each start's visits in start order:
-    the order a one-start-at-a-time polish meets them.
+    polished by :func:`_polish` without look-ahead, each call's new control
+    vectors (every start's ``+step`` and ``-step`` candidates of one
+    coordinate, or the ``-step`` it owes) searched as one stack.  Each start
+    follows the trajectory it would follow alone, and the polish reports
+    the candidates it visited, so the record lists the initial probes and
+    then each start's visits in start order: the order a
+    one-start-at-a-time polish meets them.  A ``-step`` candidate searched
+    beside a ``+step`` that won is not visited, so not recorded.
     """
     if objective not in ("maximize-lower", "minimize-upper"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -608,26 +680,11 @@ def optimize_parameters(
     n_starts = min(cfg.multistart_count, len(start_vals))
     starts = np.array([key for _, key in start_vals[:n_starts]])
     visits: list[list[tuple[float, ...]]] = [[] for _ in starts]  # each start's probes, in order
-    held = np.full(n_starts, np.inf)  # each start's signed value, as the polish holds it
 
     def search_rows(rows: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        # in a paired call (rows repeat) a start that takes its + candidate
-        # never visits its - candidate from the old point: searched, not recorded
-        keys = [key_of(lam) for lam in lams]
-        f = search(keys)
-        seen = np.ones(rows.size, dtype=bool)
-        if (np.diff(rows) == 0).any():
-            pair = rows[0::2]
-            took = f[0::2] < held[pair]
-            seen[1::2] = ~took
-            held[pair] = np.where(took, f[0::2], np.minimum(held[pair], f[1::2]))
-        else:
-            held[rows] = np.minimum(held[rows], f)
-        for row, key in compress(zip(rows.tolist(), keys), seen.tolist()):
-            visits[row].append(key)
-        return f
+        return search([key_of(lam) for lam in lams])
 
-    xs, fs = _polish(search_rows, starts, family.control_box, (hi - lo) / 8.0)
+    xs, fs = _polish(search_rows, starts, family.control_box, (hi - lo) / 8.0, look_ahead=False, visits=visits)
     best_x, best_f = None, np.inf
     for x, f in zip(xs, fs):
         if f < best_f:

@@ -613,6 +613,25 @@ def test_an_overflowing_parameter_exits_4(tmp_path, argv):
     assert run(tmp_path, *argv.split(), "--grid-n", "16")[0] == 4
 
 
+@pytest.mark.parametrize("argv", [
+    "bounds --system quartic --delta2 1e-300",
+    "bounds --system quartic --box=-1e300:1e300",
+    "refine --system quartic --centers 1e300",
+    "refine --system quartic --sigma 1e-300 --centers 0",
+])
+def test_a_floating_point_fault_exits_4_without_a_warning(tmp_path, argv, capsys):
+    # a run raises on overflow, division by zero and invalid operations; the
+    # two bounds runs exited 0 with RuntimeWarnings on stderr (the first with
+    # a lower bound of -2.03e31 from the points that stayed finite), and the
+    # two refine runs exited 4 after printing RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, *argv.split())[0] == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "Warning" not in err
+
+
 @pytest.mark.parametrize("variant, want", [("trivial", 0), ("lower", 3), ("upper", 3), ("improved", 3)])
 def test_magnetic_bounds_at_a_strong_field(tmp_path, variant, want):
     # the radial cusp probe shrinks with B; at a fixed radius the quadratic

@@ -1,7 +1,7 @@
-"""The lockstep polish against a one-start reference, the batch invariance of
-every shipped field that lets lockstep reproduce single-start trajectories, a
-stacked search against one search per field, and the lockstep parameter
-optimizer against a sequential reference."""
+"""The batched polish against a one-start reference and a model of its
+rounds, the batch invariance of every shipped field that lets batched rounds
+reproduce single-start trajectories, a stacked search against one search per
+field, and the batched parameter optimizer against a sequential reference."""
 
 import math
 from dataclasses import replace
@@ -16,6 +16,7 @@ from groundbound.refine import GaussianBump, RefinementState, perturbed_field
 from groundbound import search
 from groundbound.systems import magnetic
 from groundbound.search import (
+    POLISH_ROUND_POINTS,
     POLISH_STEP_STOP,
     POLISH_VALUE_STOP,
     RANDOM_PROBE_COUNT,
@@ -47,9 +48,10 @@ def reference_polish(objective, x0, box, initial_step):
     """Greedy coordinate descent from one start, one point per call.
 
     Returns the polished point, its value, the number of sweeps taken and
-    the ``(sweep, coordinate)`` probes at which the lockstep polish owes this
-    start a follow-up call: the ``+`` step won and the ``-`` step from the
-    new point does not land on the old coordinate bit for bit.
+    the start's probes as the polish makes them, in order, as ``(plus,
+    wins)`` pairs: whether the probe is a ``+`` step, and whether it was
+    taken.  A ``-`` step owed after a won ``+`` step that lands bit for bit
+    on the old point is evaluated here but not listed: the polish skips it.
     """
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -57,7 +59,7 @@ def reference_polish(objective, x0, box, initial_step):
     fx = objective(x)
     step = np.asarray(initial_step, dtype=float).copy()
     sweeps = 0
-    redo = set()
+    probes = []
     while np.max(step) >= POLISH_STEP_STOP:
         sweeps += 1
         start = fx
@@ -67,16 +69,51 @@ def reference_polish(objective, x0, box, initial_step):
             for up, s in ((True, +step[i]), (False, -step[i])):
                 cand = x.copy()
                 cand[i] = min(max(cand[i] + s, lo[i]), hi[i])
-                if took_up and cand[i].tobytes() != old.tobytes():
-                    redo.add((sweeps, i))
+                skipped = took_up and cand[i].tobytes() == old.tobytes()
                 fc = objective(cand)
-                if fc < fx:
+                wins = fc < fx
+                if wins:
                     x, fx = cand, fc
                     improved = True
                     took_up = up
+                if not skipped:
+                    probes.append((up, wins))
         if not improved or (start - fx) < POLISH_VALUE_STOP:
             step *= 0.5
-    return x, fx, sweeps, redo
+    return x, fx, sweeps, probes
+
+
+def owed_probes(probes):
+    """How many of a start's probes are ``-`` steps owed after a won ``+``."""
+    return sum(plus and wins and not next_plus for (plus, wins), (next_plus, _) in zip(probes, probes[1:]))
+
+
+def polish_calls(traces, look_ahead):
+    """The objective calls :func:`_polish` makes for starts whose probes are
+    ``traces`` (as :func:`reference_polish` lists them).
+
+    One call holds the start values.  Then each round is one call, and every
+    start with probes left is in it: it plans the rest of its coordinate (2
+    probes, or 1 when it owes a ``-`` step), then, with look-ahead, whole
+    coordinates until it has ``POLISH_ROUND_POINTS // starts`` or more, and
+    uses them up to its first win.
+    """
+    at = [0] * len(traces)
+    calls = 1
+    while True:
+        live = [j for j, probes in enumerate(traces) if at[j] < len(probes)]
+        if not live:
+            return calls
+        calls += 1
+        count = POLISH_ROUND_POINTS // len(live) if look_ahead else 0
+        for j in live:
+            probes, p = traces[j], at[j]
+            planned = 2 if probes[p][0] else 1
+            while planned < count:
+                planned += 2
+            chunk = probes[p : p + planned]
+            wins = [k for k, (_, won) in enumerate(chunk) if won]
+            at[j] = p + (wins[0] + 1 if wins else len(chunk))
 
 
 def wells(qs):
@@ -97,6 +134,16 @@ def wells_nan(qs):
     return np.where(in_masked_disk(qs), np.nan, wells(qs))
 
 
+BOX_1D = ((-2.0, 2.0),)
+
+
+def wells_1d(qs):
+    """Two Gaussian wells on a shallow bowl, NaN on a masked interval."""
+    x = qs[:, 0]
+    v = 0.05 * x * x - np.exp(-((x + 1.0) ** 2) / 0.3) - 0.7 * np.exp(-((x - 0.4) ** 2) / 0.2)
+    return np.where(np.abs(x - 1.5) < 0.55, np.nan, v)
+
+
 def counted(fn):
     """``fn`` as a polish objective, recording each batch size; the rows
     named with a batch are nondecreasing, one per point."""
@@ -110,33 +157,36 @@ def counted(fn):
     return wrapper, calls
 
 
-def assert_matches_reference(starts, step, signs=None, fn=wells):
-    """The lockstep polish of ``fn`` against one reference polish per start
-    of ``sign * fn``, a non-finite value counting as +inf.
+def assert_matches_reference(starts, step, signs=None, fn=wells, box=BOX, look_ahead=True):
+    """The polish of ``fn`` against one reference polish per start of
+    ``sign * fn``, a non-finite value counting as +inf, and its objective
+    calls against :func:`polish_calls`.
 
-    Returns the signed values, each start's sweep count and the number of
-    follow-up calls the polish made.
+    Returns the signed values, each start's sweep count and each start's
+    probes.
     """
     signs = np.ones(len(starts)) if signs is None else np.asarray(signs, dtype=float)
     objective, calls = counted(fn)
-    xs, fs = _polish(objective, starts, BOX, step, signs)
-    sweeps, redo = [], set()
+    xs, fs = _polish(objective, starts, box, step, signs, look_ahead=look_ahead)
+    sweeps, traces = [], []
     for j, x0 in enumerate(starts):
 
         def one(q, sign=signs[j]):
             v = sign * fn(q[None, :])[0]
             return v if math.isfinite(v) else math.inf
 
-        x, f, n, owed = reference_polish(one, x0, BOX, step)
+        x, f, n, probes = reference_polish(one, x0, box, step)
         assert xs[j].tobytes() == x.tobytes()
         assert np.float64(fs[j]).tobytes() == np.float64(f).tobytes()
         sweeps.append(n)
-        redo |= owed
-    # one batched call for the start values, then per coordinate of each sweep
-    # of the longest run: one call for both directions plus one follow-up
-    # call when any start owes one
-    assert len(calls) == 1 + len(BOX) * max(sweeps) + len(redo)
-    return fs, sweeps, len(redo)
+        traces.append(probes)
+    assert calls[0] == len(starts)
+    assert len(calls) == polish_calls(traces, look_ahead)
+    if not look_ahead:
+        # a round per coordinate of each sweep, and one more per owed - step,
+        # of the longest-running start
+        assert len(calls) == 1 + max(len(box) * n + owed_probes(p) for n, p in zip(sweeps, traces))
+    return fs, sweeps, traces
 
 
 MIXED_STARTS = np.array([
@@ -149,15 +199,16 @@ MIXED_STARTS = np.array([
 
 
 def test_lockstep_matches_reference_with_unequal_sweeps_clipping_and_masked_starts():
-    _, sweeps, _ = assert_matches_reference(MIXED_STARTS, np.array([0.04, 0.03]))
-    assert len(set(sweeps)) > 1
+    for look_ahead in (True, False):
+        _, sweeps, _ = assert_matches_reference(MIXED_STARTS, np.array([0.04, 0.03]), look_ahead=look_ahead)
+        assert len(set(sweeps)) > 1
     assert wells(MIXED_STARTS[3:4])[0] == math.inf
 
 
 def test_paired_polish_evaluates_a_minus_step_that_misses_the_old_point():
     # a slope that rewards every step up, with a pit at each point the - step
-    # from an accepted + step reaches instead of the start: the follow-up
-    # call is the only way to find the pits
+    # from an accepted + step reaches instead of the start: the owed - step
+    # is the only way to find the pits
     s = 0.3
     pits = [
         (0.1 + s) - s,   # rounding: 0.10000000000000003, not 0.1
@@ -175,10 +226,11 @@ def test_paired_polish_evaluates_a_minus_step_that_misses_the_old_point():
 
     starts = np.array([[0.1, 0.0], [1.9, -1.0], [-0.0, 0.5], [0.0, -0.5], [-1.0, 0.2]])
     assert np.signbit(np.clip(starts[2], -2.0, 2.0)[0])
-    fs, _, redo = assert_matches_reference(starts, np.array([s, s]), fn=pitted)
-    assert redo > 0
-    # every start ends in a pit; the one at +0.0 begins in one
-    assert np.all(fs < -9.0)
+    for look_ahead in (True, False):
+        fs, _, traces = assert_matches_reference(starts, np.array([s, s]), fn=pitted, look_ahead=look_ahead)
+        assert sum(map(owed_probes, traces)) > 0
+        # every start ends in a pit; the one at +0.0 begins in one
+        assert np.all(fs < -9.0)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -209,6 +261,41 @@ def test_lockstep_with_mixed_signs_matches_reference_polish(starts, stuck_signs,
     signs = np.array([r[2] for r in rows])
     fs, _, _ = assert_matches_reference(points, np.array(step), signs, wells_nan)
     assert np.all(fs[len(starts):] == math.inf)
+
+
+@pytest.mark.parametrize("look_ahead", [True, False])
+@pytest.mark.parametrize("stack", [(1, 4), (40, 48)], ids=["few", "many"])
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(data=st.data())
+def test_look_ahead_on_both_sides_of_the_point_budget_matches_reference(look_ahead, stack, dim, data):
+    # 1 to 4 starts look ahead several coordinates a round; 40 or more send
+    # only the rest of their coordinate until most of them have stopped
+    box, fn = (BOX_1D, wells_1d) if dim == 1 else (BOX, wells_nan)
+    n = data.draw(st.integers(*stack), label="starts")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(-2.5, 2.5, (n, dim))
+    stuck = (1.5,) if dim == 1 else (1.6, 1.0)  # inside the masked set: +inf for good
+    starts[rng.random(n) < 0.1] = stuck
+    signs = rng.choice([1.0, -1.0], n)
+    step = rng.uniform(0.02, 0.5, dim)
+    fs, _, _ = assert_matches_reference(starts, step, signs, fn, box, look_ahead)
+    assert np.all(fs[(starts == stuck).all(axis=1)] == math.inf)
+
+
+def test_look_ahead_halves_through_the_tail_in_few_calls():
+    # from a polished well bottom no probe wins, so one start only halves its
+    # step from 0.04 to below 1e-9: 26 sweeps of one coordinate, a call each
+    # without look-ahead, and POLISH_ROUND_POINTS probes (16 sweeps) a call
+    # with it
+    bottom, _ = _polish(lambda rows, qs: wells_1d(qs), np.array([[-0.5]]), BOX_1D, np.array([0.04]))
+    objective, alone = counted(wells_1d)
+    _polish(objective, bottom, BOX_1D, np.array([0.04]), look_ahead=False)
+    assert alone == [1] + [2] * 26
+    objective, ahead = counted(wells_1d)
+    _polish(objective, bottom, BOX_1D, np.array([0.04]))
+    assert ahead == [1, POLISH_ROUND_POINTS, 2 * 26 - POLISH_ROUND_POINTS]
 
 
 def _bumped_quartic():
@@ -410,7 +497,7 @@ def test_hydrogen_evaluate_rows_equals_each_member_field(lams, seed):
 
 
 # ---------------------------------------------------------------------------
-# the lockstep parameter optimizer against a sequential reference
+# the batched parameter optimizer against a sequential reference
 
 
 def reference_optimize(family, objective, cfg):
@@ -494,42 +581,54 @@ def test_lockstep_optimizer_matches_reference_over_a_2d_control_box():
     assert_optimizer_matches_reference(family, "maximize-lower", cfg)
 
 
-def test_lockstep_optimizer_follow_up_after_a_step_clipped_to_the_box(monkeypatch):
-    # below lam = 1 the exponent family's upper bound is -lam^2 / 2, least at
-    # the top of this control box: a + step that clips there wins, and the -
-    # step from it misses the start's old point, so that start owes a
-    # follow-up call
-    family = hydrogen_exponent_family((0.3, 1.0))
-    outer = []  # (rows, control vectors) of each objective call of the optimizer's polish
+def watch_outer_polish(monkeypatch, control_box):
+    """Record ``(rows, control vectors)`` of each objective call of the
+    optimizer's polish over ``control_box``."""
+    outer = []
     polish = search._polish
 
-    def watched(objective, starts, box, *args):
-        if box != family.control_box:  # an inner search's polish
-            return polish(objective, starts, box, *args)
+    def watched(objective, starts, box, *args, **kwargs):
+        if box != control_box:  # an inner search's polish
+            return polish(objective, starts, box, *args, **kwargs)
 
         def seen(rows, lams):
             outer.append((rows.copy(), lams.copy()))
             return objective(rows, lams)
 
-        return polish(seen, starts, box, *args)
+        return polish(seen, starts, box, *args, **kwargs)
 
     monkeypatch.setattr(search, "_polish", watched)
+    return outer
+
+
+def test_lockstep_optimizer_follow_up_after_a_step_clipped_to_the_box(monkeypatch):
+    # below lam = 1 the exponent family's upper bound is -lam^2 / 2, least at
+    # the top of this control box: a + step that clips there wins, and the -
+    # step from it misses the start's old point, so that start owes a - step
+    # in the next call
+    family = hydrogen_exponent_family((0.3, 1.0))
+    outer = watch_outer_polish(monkeypatch, family.control_box)
     cfg = SearchConfig(grid_points_per_axis=24, refinement_levels=2, multistart_count=2, rng_seed=0)
     assert_optimizer_matches_reference(family, "minimize-upper", cfg)
-    # a call whose rows repeat is paired; one with distinct rows right after
-    # it is its follow-up, of the starts that took their + candidate there
+    # without look-ahead a start sends its + and - candidates of a coordinate
+    # together, or the one - candidate it owes: a row named once in a call
+    # owes, and its + candidate in the call before is the one it took
     clipped = 0
-    for (rows, lams), (after, _) in zip(outer, outer[1:]):
-        if (np.diff(rows) == 0).any() and not (np.diff(after) == 0).any():
-            plus = dict(zip(rows[0::2].tolist(), lams[0::2, 0].tolist()))
-            clipped += sum(plus[row] == 1.0 for row in after.tolist())
+    for (before, lams), (rows, _) in zip(outer[1:], outer[2:]):
+        plus = {}
+        for row, lam in zip(before.tolist(), lams[:, 0].tolist()):
+            plus.setdefault(row, lam)  # a row's first candidate in a call
+        owing = [row for row in set(rows.tolist()) if rows.tolist().count(row) == 1]
+        assert all(row in plus for row in owing)
+        clipped += sum(plus[row] == 1.0 for row in owing)
     assert clipped > 0
 
 
 def test_optimizer_searches_each_sweep_coordinate_as_one_stack(monkeypatch):
     # the optimize-hydrogen benchmark case: one stack of initial probes, then
-    # one per paired call of the outer polish and per follow-up call that
-    # has uncached candidates (a polish probing one direction per call made 83)
+    # one per call of the outer polish that has uncached candidates; a call
+    # holds each running start's + and - candidates of one coordinate, or
+    # the - candidate it owes (a polish probing one direction per call made 83)
     stacks = []
     extrema = search._search_extrema
 
@@ -537,8 +636,17 @@ def test_optimizer_searches_each_sweep_coordinate_as_one_stack(monkeypatch):
         stacks.append(None)
         return extrema(*args)
 
+    family = hydrogen_exponent_family((0.5, 2.0))
+    outer = watch_outer_polish(monkeypatch, family.control_box)
     monkeypatch.setattr(search, "_search_extrema", stacked)
     cfg = SearchConfig(multistart_count=2, rng_seed=0)
-    res = optimize_parameters(hydrogen_exponent_family((0.5, 2.0)), None, "maximize-lower", cfg)
+    res = optimize_parameters(family, None, "maximize-lower", cfg)
     assert len(res.probes) == 136
-    assert len(stacks) == 42
+    seen = {key for key, _ in res.probes[:RANDOM_PROBE_COUNT + 3]}  # the initial probes
+    fresh = 0
+    for _, lams in outer:
+        keys = {tuple(lam) for lam in lams.tolist()}
+        fresh += not keys <= seen
+        seen |= keys
+    assert len(outer) == 48
+    assert len(stacks) == 1 + fresh == 42

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundbound import refine
+from groundbound import cli, refine, search
 from groundbound.core import coordinate_1d
 from groundbound.refine import (
     DEFAULT_AMPLITUDE_RANGE,
@@ -340,6 +340,44 @@ def test_censor_rejects_distant_bifurcation(quartic_state):
     # minimum: bound drops and the minimizer jumps by much more than 3 sigma
     verdict = censor_guard(quartic_state, GaussianBump(-2.0, 4.0, 1.0), CFG)
     assert verdict == "reject"
+
+
+def test_censor_handed_the_bumped_search_makes_only_the_committed_one(quartic_state, monkeypatch):
+    candidate = GaussianBump(-2.0, 4.0, 1.0)
+    after = global_min(perturbed_field(replace(quartic_state, bumps=_with_bump(quartic_state.bumps, candidate))), CFG)
+    searched = []
+    monkeypatch.setattr(refine, "global_min", lambda field, cfg: searched.append(field) or global_min(field, cfg))
+    assert censor_guard(quartic_state, candidate, CFG, after) == "reject"
+    assert len(searched) == 1  # ``before``, the committed field's minimum
+    assert censor_guard(quartic_state, candidate, CFG) == "reject"
+    assert len(searched) == 3
+
+
+def test_default_refine_polishes_in_pinned_calls_and_each_censor_searches_once(monkeypatch, capsys):
+    # the default quartic run: the 122 searches' polishes make 2,241
+    # objective calls (126 searches made 4,992 when each call held one
+    # coordinate's probes and the censor searched the bumped field again),
+    # and each censor call that does not accept searches only the committed
+    # field, since its caller hands it the bumped field's search
+    calls, censored = [], []
+    polish, censor = search._polish, refine.censor_guard
+
+    def counted(objective, *args, **kwargs):
+        return polish(lambda rows, qs: calls.append(None) or objective(rows, qs), *args, **kwargs)
+
+    def watched(*args):
+        before = len(calls)
+        verdict = censor(*args)
+        censored.append((verdict, len(calls) > before))
+        return verdict
+
+    monkeypatch.setattr(search, "_polish", counted)
+    monkeypatch.setattr(refine, "censor_guard", watched)
+    assert cli.main(["refine", "--system", "quartic"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2241
+    assert len(censored) == 4
+    assert all(searched == (verdict != "accept") for verdict, searched in censored)
 
 
 def test_amplitude_turnover_exists_at_the_saddle(quartic_state):
