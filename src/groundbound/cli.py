@@ -7,7 +7,8 @@ CSV; infinities become the strings "+inf"/"-inf".  Wall time goes to stderr
 (and into a JSON document only under ``--timing``, which CSV refuses) so that
 documents are byte-identical across reruns.
 
-Exit codes: 0 success, 2 usage or spec error, 3 unbounded result (an infinite
+Exit codes: 0 success, 2 usage or spec error (out of memory among them: a
+run's size comes from its inputs), 3 unbounded result (an infinite
 ``lower`` or ``upper`` from ``bounds`` or in any ``sweep`` row; the document
 is still written), 4 internal numerical failure, which includes any
 floating-point overflow, division by zero or invalid operation during the run
@@ -52,7 +53,7 @@ from .systems import (
     quartic_system,
     unit_disk_field,
 )
-from .systems.magnetic import TRIALS, _trivial_rows
+from .systems.magnetic import TRIALS
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -97,9 +98,9 @@ class System:
       ``trials`` maps each ``variant`` to the ``(lower, upper)`` variants
       its two bounds come from; without it a system has one trial of one
       field.  ``bounds`` and ``sweep`` search every set's fields as one
-      stack, which ``rows(param_sets)`` may evaluate row by row (see
-      ``search._stacked_bounds``); ``field`` dumps the lower field under
-      ``columns``;
+      stack (see ``search._stacked_bounds``), in one call per polish round
+      where the fields declare one row form; ``field`` dumps the lower field
+      under ``columns``;
     - ``bounds(param_sets, cfg)`` is the closed form of a system with no
       searched field, one :class:`BoundsResult` per parameter set;
     - ``oracle(params, cfg)`` returns an :class:`OracleResult` on a grid of
@@ -115,7 +116,6 @@ class System:
     oracle_grid_n: int | None = None  # reference solves want finer grids
     field: Callable[[dict], LocalEnergyField] | None = None
     trials: dict[str, tuple[str, str]] | None = None
-    rows: Callable[[list[dict]], Callable | None] = lambda param_sets: None
     bounds: Callable[[list[dict], SearchConfig], list[BoundsResult]] | None = None
     columns: tuple[str, ...] = ()
     oracle: Callable[[dict, SearchConfig], OracleResult] | None = None
@@ -173,6 +173,19 @@ def _dirichlet_2d(field: LocalEnergyField, cfg: SearchConfig) -> OracleResult:
 _HARMONIC_DOMAIN = Domain(dimension=1, kind="unbounded", box=((-10.0, 10.0),))
 
 
+def _hydrogen_oracle(p: dict, cfg: SearchConfig) -> OracleResult:
+    """The radial problem ``-u''/2 - u/r`` with its hard wall at the nucleus.
+
+    A box starting anywhere else would move that wall and spread ``-1/r``
+    over another region, an eigenvalue of a different problem, so it is
+    refused.
+    """
+    line = _line(hydrogen_radial_field(1.0).domain, cfg)
+    if line.x_min != 0.0:
+        raise ValueError(f"the hydrogen oracle's box must start at the nucleus r = 0, got {line.x_min!r}")
+    return solve_1d_ground_state(lambda r: -1.0 / r, line, dirichlet_edges=(True, False))
+
+
 # the radial profile of hydrogen's exact trial, under two names
 _HYDROGEN = System(
     dim=1,
@@ -181,9 +194,7 @@ _HYDROGEN = System(
     oracle_grid_n=4000,
     field=lambda p: hydrogen_radial_field(1.0),
     columns=("r", "e_loc"),
-    oracle=lambda p, cfg: solve_1d_ground_state(
-        lambda r: -1.0 / r, _line(hydrogen_radial_field(1.0).domain, cfg), dirichlet_edges=(True, False)
-    ),
+    oracle=_hydrogen_oracle,
 )
 
 SYSTEMS: dict[str, System] = {
@@ -211,7 +222,6 @@ SYSTEMS: dict[str, System] = {
         grid_n=161,
         field=lambda p: magnetic_hydrogen_field(MagneticHydrogen(p["B"]), p["variant"]),
         trials=TRIALS,
-        rows=lambda ps: _trivial_rows([(MagneticHydrogen(p["B"]), p["variant"]) for p in ps]),
         columns=("rho", "z", "e_loc"),
     ),
     "quartic": System(
@@ -266,7 +276,7 @@ def _bounds(system: System, param_sets: list[dict], cfg: SearchConfig) -> list[B
         pairs.append((len(members), len(members) + len(sets) - 1))
         members += sets
     fields = [_whole(_built(system.field, p), cfg) for p in members]
-    return _stacked_bounds(fields, cfg, system.rows(members), pairs)
+    return _stacked_bounds(fields, cfg, pairs)
 
 
 def _built(build: Callable, *args, **kwargs):
@@ -692,6 +702,11 @@ def main(argv: list[str] | None = None) -> int:
             return _run(_build_spec(args))
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SPEC
+    except MemoryError as exc:
+        # the run's size comes from its inputs (a grid, a box), so asking
+        # for more memory than there is is a spec error
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except (BoxTooSmallError, ConvergenceError, EmptySearchRegionError,
             SingularEvaluationError, FloatingPointError, OverflowError) as exc:

@@ -191,11 +191,18 @@ class LocalEnergyField:
     ``evaluate`` is the field's one evaluator.  The singular sets are the
     domain's ``excluded_singular_sets``; a field declares only its
     asymptotic limits.
+
+    ``row_form = (formula, params)``, when given, writes the field as one
+    member of a family: ``formula(qs, *params)`` equals ``evaluate(qs)`` bit
+    for bit, also with each param an array of one value per row of ``qs``,
+    and fields that share a ``formula`` share a valid mask.  A search then
+    evaluates a stack of such fields in one call (see :mod:`.search`).
     """
 
     domain: Domain
     evaluate: Callable[[np.ndarray], np.ndarray]
     asymptotic_limits: tuple[AsymptoticLimit, ...] = ()
+    row_form: tuple[Callable[..., np.ndarray], tuple] | None = None
 
     def singular_mask(self, qs: np.ndarray) -> np.ndarray:
         """Points inside any of the domain's declared singular tubes."""

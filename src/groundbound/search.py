@@ -29,9 +29,11 @@ system and trial (the magnetic trivial sandwich among them), go through it.
 ``optimize_parameters`` runs the outer sup/inf over a trial family's control
 vector with a full inner extremum search per probe: the initial probes form
 one stack, and so does each call of the same polish on the outer starts, run
-without look-ahead (a probe there is a whole inner search).  A family that
-supplies ``evaluate_rows`` has a whole stack evaluated in one call per probe
-batch.
+without look-ahead (a probe there is a whole inner search).  A stack whose
+members share a row form (``LocalEnergyField.row_form``: the magnetic lower
+and upper trials over ``B``, the hydrogen exponent over ``lam``) is
+evaluated in one call per polish round; any other stack calls each member's
+field in turn.
 """
 
 from __future__ import annotations
@@ -142,30 +144,35 @@ def _field_values(field: LocalEnergyField, qs: np.ndarray) -> np.ndarray:
     return evaluate_masked(field.domain.valid_mask(qs), field.evaluate, qs)
 
 
-def _stack_values(
-    fields: Sequence[LocalEnergyField],
-    rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
-    members: np.ndarray,
-    qs: np.ndarray,
-) -> np.ndarray:
-    """Raw values of member ``members[j]`` of a stack at ``qs[j]``, NaN where
-    that member's field may not be evaluated.  ``members`` is nondecreasing.
+def _stack_values(fields: Sequence[LocalEnergyField]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``values(members, qs)``: the raw value of member ``members[j]`` of a
+    stack at ``qs[j]``, NaN where that member's field may not be evaluated.
+    ``members`` is nondecreasing.
 
-    ``rows(members, qs)`` evaluates every member at its own points in one
-    call; its members share one valid mask, so one mask covers the batch.
-    Without it each member present evaluates its own run of points, a slice
-    of ``qs``; a stack of one field evaluates ``qs`` as it is.
+    A stack of one field evaluates ``qs`` with its own ``evaluate``.  When
+    every member declares a row form with one ``formula``, the stack is one
+    call of it under the first member's valid mask, each row given its
+    member's params; the row-form contract makes each value that member's
+    own.  Any other stack evaluates each member present at its own run of
+    points, a slice of ``qs``.
     """
-    if rows is not None:
-        return evaluate_masked(fields[0].domain.valid_mask(qs), rows, members, qs)
     if len(fields) == 1:
-        return _field_values(fields[0], qs)
-    vals = np.empty(qs.shape[0])
-    ends = np.searchsorted(members, np.arange(len(fields) + 1)).tolist()
-    for m, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
-        if a < b:
-            vals[a:b] = _field_values(fields[m], qs[a:b])
-    return vals
+        return lambda members, qs: _field_values(fields[0], qs)
+    forms = [field.row_form for field in fields]
+    if all(form is not None and form[0] is forms[0][0] for form in forms):
+        formula, valid_mask = forms[0][0], fields[0].domain.valid_mask
+        params = np.array([form[1] for form in forms], dtype=float).T  # one row per param
+        return lambda members, qs: evaluate_masked(valid_mask(qs), formula, qs, *params[:, members])
+
+    def each(members: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        vals = np.empty(qs.shape[0])
+        ends = np.searchsorted(members, np.arange(len(fields) + 1)).tolist()
+        for m, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+            if a < b:
+                vals[a:b] = _field_values(fields[m], qs[a:b])
+        return vals
+
+    return each
 
 
 def _signed(vals: np.ndarray, sign: float | np.ndarray) -> np.ndarray:
@@ -374,7 +381,6 @@ def _search_extrema(
     fields: Sequence[LocalEnergyField],
     cfg: SearchConfig,
     kinds: Sequence[tuple[str, ...]],
-    rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> list[list[ExtremumReport]]:
     """For each field of a stack, one report per entry of its own tuple of
     ``kinds`` (``"min"`` or ``"max"``), in order.
@@ -383,10 +389,9 @@ def _search_extrema(
     its level-0 grid scan, one field call per member, and every
     ``(member, kind)`` shares one polish, whose rows are the member's grid
     winner for that kind and the member's multistarts; each keeps its own
-    zoomed levels, history and winner.  ``rows`` optionally evaluates the
-    stack in one call per polish round (see :func:`_stack_values`).  Fields
-    are batch invariant, so each report is the one a search of its field for
-    its kind alone would give.
+    zoomed levels, history and winner; the polish evaluates the stack as
+    :func:`_stack_values` says.  Fields are batch invariant, so each report
+    is the one a search of its field for its kind alone would give.
     """
     if len(kinds) != len(fields):
         raise ValueError("a stack needs one tuple of kinds per field")
@@ -449,11 +454,8 @@ def _search_extrema(
 
     # polish every (member, kind)'s grid winner and multistarts together
     sizes = [len(s) for s in starts]
-    row_member = np.repeat(group_member, sizes)
-
-    def objective(polished: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        return _stack_values(fields, rows, row_member[polished], qs)
-
+    row_member, values = np.repeat(group_member, sizes), _stack_values(fields)
+    objective = lambda polished, qs: values(row_member[polished], qs)
     xs, vs = _polish(objective, np.concatenate(starts), box, spacing, np.repeat(group_sign, sizes))
     ends = np.cumsum(sizes)[:-1]
     groups = iter(zip(histories, np.split(xs, ends), np.split(vs, ends)))
@@ -538,7 +540,6 @@ def bounds_of_field(field: LocalEnergyField, cfg: SearchConfig | None = None) ->
 def _stacked_bounds(
     fields: Sequence[LocalEnergyField],
     cfg: SearchConfig,
-    rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     pairs: Sequence[tuple[int, int]] | None = None,
 ) -> list[BoundsResult]:
     """One :class:`BoundsResult` per ``(lower, upper)`` pair of indices into
@@ -548,8 +549,6 @@ def _stacked_bounds(
 
     Each field is searched only for the kinds its pairs ask of it, and the
     fields that share a search box are searched as one stack.
-    ``rows(members, qs)``, when given, evaluates ``fields[members[j]]`` at
-    ``qs[j]`` (see :func:`_stack_values`).
     """
     pairs = [(i, i) for i in range(len(fields))] if pairs is None else pairs
     lows, highs = {lo for lo, _ in pairs}, {hi for _, hi in pairs}
@@ -560,11 +559,7 @@ def _stacked_bounds(
     reports: dict[tuple[int, str], ExtremumReport] = {}
     for members in by_box.values():
         kinds = [("min",) * (i in lows) + ("max",) * (i in highs) for i in members]
-        stack_rows = rows
-        if rows is not None and len(members) < len(fields):
-            index = np.array(members)  # the stack's member j is field index[j]
-            stack_rows = lambda stacked, qs, index=index: rows(index[stacked], qs)
-        found = _search_extrema([fields[i] for i in members], cfg, kinds, stack_rows)
+        found = _search_extrema([fields[i] for i in members], cfg, kinds)
         for i, member_kinds, member_reports in zip(members, kinds, found):
             reports.update(zip([(i, kind) for kind in member_kinds], member_reports))
     results = []
@@ -584,20 +579,13 @@ class TrialFamily:
 
     ``build(lam)`` must return the annotated local-energy field of the family
     member ``lam``.  An empty ``control_box`` denotes a frozen family.
-
-    ``evaluate_rows(controls, qs)``, when given, evaluates member
-    ``controls[j]`` at point ``qs[j]`` for every row ``j`` in one call, so a
-    stack of members is searched with one call per probe batch instead of
-    one per member.  Its contract: each value equals
-    ``build(controls[j]).evaluate(qs[j:j+1])`` bit for bit, it is only asked
-    for points where the members' fields are valid, and every member's
-    domain has the same ``valid_mask`` and box.
+    Members whose fields declare one row form (``LocalEnergyField.row_form``)
+    are searched with one call per probe batch instead of one per member.
     """
 
     control_box: tuple[tuple[float, float], ...]
     build: Callable[[np.ndarray], LocalEnergyField]
     label: str = ""
-    evaluate_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -662,11 +650,8 @@ def optimize_parameters(
         """Signed objective of each key, searching the new ones as stacks."""
         new = [key for key in dict.fromkeys(keys) if key not in cache]
         if new:
-            controls = np.array(new)
-            rows = None if family.evaluate_rows is None else (
-                lambda members, qs: family.evaluate_rows(controls[members], qs))
             fields = [family.build(np.array(key)) for key in new]
-            cache.update(zip(new, _stacked_bounds(fields, inner_cfg, rows)))
+            cache.update(zip(new, _stacked_bounds(fields, inner_cfg)))
         return np.array([signed_value(key) for key in keys])
 
     random_probes = rng.uniform(lo, hi, size=(RANDOM_PROBE_COUNT, lo.shape[0]))

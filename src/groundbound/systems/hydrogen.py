@@ -53,26 +53,18 @@ def hydrogen_radial_field(lam: float = 1.0) -> LocalEnergyField:
         excluded_singular_sets=(origin,),
     )
 
-    def evaluate(qs: np.ndarray) -> np.ndarray:
-        return _radial(lam, qs[:, 0])
-
     return LocalEnergyField(
         domain=dom,
-        evaluate=evaluate,
+        evaluate=lambda qs: _radial(qs, lam),
         asymptotic_limits=(AsymptoticLimit("r -> inf", tail),),
+        row_form=(_radial, (lam,)),
     )
 
 
-def _radial(lam: float | np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The radial local energy ``(lam - 1) / r - lam^2 / 2``, for one ``lam``
-    or one ``lam`` per point."""
-    return (lam - 1.0) / r + (-lam * lam / 2.0)
-
-
-def _radial_rows(controls: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Member ``controls[j]`` at ``qs[j]``; the same formula as the members'
-    fields, so the values match bit for bit."""
-    return _radial(controls[:, 0], qs[:, 0])
+def _radial(qs: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
+    """The radial local energy ``(lam - 1) / r - lam^2 / 2`` at ``r = qs[:, 0]``,
+    for one ``lam`` or one ``lam`` per point."""
+    return (lam - 1.0) / qs[:, 0] + (-lam * lam / 2.0)
 
 
 def hydrogen_exponent_family(box: tuple[float, float] = (0.5, 2.0)) -> TrialFamily:
@@ -80,5 +72,4 @@ def hydrogen_exponent_family(box: tuple[float, float] = (0.5, 2.0)) -> TrialFami
         control_box=(box,),
         build=lambda lam: hydrogen_radial_field(float(lam[0])),
         label="hydrogen exponential family",
-        evaluate_rows=_radial_rows,
     )

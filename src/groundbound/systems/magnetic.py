@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -159,7 +158,7 @@ def _improved_derivs(k, rho: np.ndarray, z: np.ndarray, r: np.ndarray):
     return t_r, t_z, t_rr, t_r_over_rho, t_zz
 
 
-def _cancelled_local_energy(b2, beta, k, qs: np.ndarray) -> np.ndarray:
+def _cancelled_local_energy(qs: np.ndarray, b2, beta, k=None) -> np.ndarray:
     """The cancelled local energy from ``B^2`` and U's ``(beta, k)``; ``B^2``
     and ``beta`` are each a float or one value per point, ``k`` as for
     :func:`_u_derivs`."""
@@ -170,20 +169,6 @@ def _cancelled_local_energy(b2, beta, k, qs: np.ndarray) -> np.ndarray:
     grad2 = u_r * u_r + u_z * u_z
     radial = (rho * u_r + z * u_z) / r
     return b2 * rho * rho / 8.0 - 0.5 * (1.0 + lap_u + grad2) + radial
-
-
-def _trivial_rows(members: Sequence[tuple[MagneticHydrogen, str]]):
-    """Row evaluator of a stack of lower and upper fields: member ``m`` is
-    the ``members[m][1]`` trial at ``members[m][0]``.  Each row passes its
-    member's ``B^2`` and ``beta`` to the field's ``_cancelled_local_energy``,
-    so its value equals that field's ``evaluate`` bit for bit.  ``None`` for
-    a stack with an improved member, whose term in ``k`` has no row form:
-    such a stack evaluates member by member."""
-    if any(variant == "improved" for _, variant in members):
-        return None
-    beta = np.array([_trial_params(mh, variant)[0] for mh, variant in members])
-    b2 = np.array([mh.B**2 for mh, _ in members])  # squared as the field squares it
-    return lambda stacked, qs: _cancelled_local_energy(b2[stacked], beta[stacked], None, qs)
 
 
 def cusp_defects(mh: MagneticHydrogen, variant: str) -> tuple[float, float]:
@@ -296,6 +281,9 @@ def magnetic_hydrogen_field(mh: MagneticHydrogen, variant: str) -> LocalEnergyFi
 
     return LocalEnergyField(
         domain=_domain(mh, singular),
-        evaluate=lambda qs: _cancelled_local_energy(b2, beta, k, qs),
+        evaluate=lambda qs: _cancelled_local_energy(qs, b2, beta, k),
         asymptotic_limits=asym,
+        # the improved term's scaled branch is chosen on one k per call, so
+        # it has no row form
+        row_form=None if k is not None else (_cancelled_local_energy, (b2, beta)),
     )

@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
 
@@ -76,6 +79,22 @@ def test_a_box_that_holds_a_bounded_domain_is_accepted(tmp_path):
     code, text = run(tmp_path, "oracle", "--system", "disk", "--grid-n", "64", "--box=-1.5:1.5,-1.5:1.5")
     assert code == 0
     assert json.loads(text)["result"]["energy"] == pytest.approx(2.8916, abs=0.1)
+
+
+# the hydrogen oracle puts its hard wall at the box's lower end, so a box off
+# the nucleus solved another problem: -0.24453 at 0.5:40, -0.00179 at -1:40
+# and -32.145 at -2:40, each with an error bar below 1e-5
+@pytest.mark.parametrize("box", ["-1:40", "0.5:40"])
+def test_a_hydrogen_oracle_box_off_the_nucleus_is_refused(tmp_path, capsys, box):
+    assert run(tmp_path, "oracle", "--system", "hydrogen-radial", f"--box={box}") == (2, None)
+    assert "box must start at the nucleus" in capsys.readouterr().err
+
+
+def test_a_hydrogen_oracle_box_from_the_nucleus_is_accepted(tmp_path):
+    code, text = run(tmp_path, "oracle", "--system", "hydrogen-radial", "--box=0:60")
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert abs(result["energy"] + 0.5) <= result["error_bar"]
 
 
 def test_bounds_magnetic_upper_variant(tmp_path, schema):
@@ -416,6 +435,47 @@ def test_a_failed_write_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["bounds", "--system", "helium", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}: ")
     assert not out.exists()
+
+
+# a run that asks for more memory than there is: its size comes from its
+# inputs, so it is a spec error.  The disk oracle at --grid-n 20000 runs out
+# the same way, after about 13 s of building its grid; 40000 runs out at once
+MEMORY_CAP = 1 << 30  # bytes of address space
+OUT_OF_MEMORY = {
+    "field-billiard": ["field", "--system", "annular-billiard", "--grid-n", "100000"],
+    "oracle-disk": ["oracle", "--system", "disk", "--grid-n", "40000"],
+}
+
+
+def _run_capped(tmp_path, argv):
+    """``main(argv)`` in a child process whose address space is capped at
+    ``MEMORY_CAP``, with one BLAS thread so the cap does not depend on the
+    core count; returns the exit code, stderr and the ``--out`` text."""
+    out = tmp_path / "capped.out"
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+            "from groundbound.cli import main; sys.exit(main(sys.argv[1:]))" % (MEMORY_CAP, MEMORY_CAP))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return done.returncode, done.stderr, out.read_text() if out.exists() else None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the address space on Linux")
+@pytest.mark.parametrize("case", sorted(OUT_OF_MEMORY))
+def test_running_out_of_memory_exits_2_without_a_traceback(tmp_path, case):
+    code, err, text = _run_capped(tmp_path, OUT_OF_MEMORY[case])
+    assert (code, text) == (2, None), err
+    assert "error: out of memory: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the address space on Linux")
+def test_a_default_run_fits_under_the_memory_cap(tmp_path):
+    code, err, text = _run_capped(tmp_path, ["bounds", "--system", "quartic"])
+    assert code == 0, err
+    assert json.loads(text)["result"]["lower"] < 0.0
 
 
 def test_exit_codes_for_bad_specs(tmp_path):

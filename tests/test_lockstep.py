@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from groundbound.core import sample_interior
 from groundbound.refine import GaussianBump, RefinementState, perturbed_field
-from groundbound import search
-from groundbound.systems import magnetic
+from groundbound import cli, search
+from groundbound.systems import hydrogen, magnetic
 from groundbound.search import (
     POLISH_ROUND_POINTS,
     POLISH_STEP_STOP,
@@ -353,34 +353,29 @@ def test_batched_gradient_norm_matches_pairwise_differences(name):
 # a stack of fields searched at once against one search per field
 
 
-def _hydrogen_rows(lams):
-    controls = np.array([[lam] for lam in lams])
-    family = hydrogen_exponent_family()
-    return lambda members, qs: family.evaluate_rows(controls[members], qs)
+def _member_loop(build):
+    """``build`` with each member's row form dropped, so a stack of its
+    members evaluates member by member."""
+    return lambda p: replace(build(p), row_form=None)
 
 
-def _magnetic_trivial_rows(members):
-    return magnetic._trivial_rows([(MagneticHydrogen(b), variant) for b, variant in members])
-
-
-# family -> (member parameters, member builder, stacked evaluator or None);
-# the members of a family share a search box
+# family -> (member parameters, member builder); the members of a family
+# share a search box.  The magnetic and hydrogen members declare a row form,
+# so their stacks evaluate in one call per polish round; the families built
+# through _member_loop keep the member loop covered for the same fields
 STACKED_FAMILIES = {
-    "billiard": ((0.3, 0.45, 0.6, 0.75, 0.85),
-                 lambda r: billiard_local_energy_field(AnnularBilliard(r, 0.1)), None),
-    "quartic": ((2.0, 4.0, 8.0, 12.0),
-                lambda d2: quartic_field(QuarticOscillator(1.0 / math.sqrt(2.0), -1, d2)), None),
+    "billiard": ((0.3, 0.45, 0.6, 0.75, 0.85), lambda r: billiard_local_energy_field(AnnularBilliard(r, 0.1))),
+    "quartic": ((2.0, 4.0, 8.0, 12.0), lambda d2: quartic_field(QuarticOscillator(1.0 / math.sqrt(2.0), -1, d2))),
     "magnetic-lower": ((0.5, 1.0, 2.0, 4.0, 8.0),
-                       lambda b: magnetic_hydrogen_field(MagneticHydrogen(b), "lower"), None),
+                       _member_loop(lambda b: magnetic_hydrogen_field(MagneticHydrogen(b), "lower"))),
     "magnetic-upper": ((0.5, 1.0, 2.0, 4.0, 8.0),
-                       lambda b: magnetic_hydrogen_field(MagneticHydrogen(b), "upper"), None),
+                       _member_loop(lambda b: magnetic_hydrogen_field(MagneticHydrogen(b), "upper"))),
     "magnetic-improved": ((0.5, 1.0, 2.0, 4.0, 8.0),
-                          lambda b: magnetic_hydrogen_field(MagneticHydrogen(b), "improved"), None),
+                          lambda b: magnetic_hydrogen_field(MagneticHydrogen(b), "improved")),
     "magnetic-trivial-rows": (tuple((b, v) for b in (0.0, 0.5, 2.0, 8.0) for v in ("lower", "upper")),
-                              lambda p: magnetic_hydrogen_field(MagneticHydrogen(p[0]), p[1]),
-                              _magnetic_trivial_rows),
-    "hydrogen-radial": ((0.5, 0.8, 1.0, 1.25, 2.0), hydrogen_radial_field, None),
-    "hydrogen-radial-rows": ((0.5, 0.8, 1.0, 1.25, 2.0), hydrogen_radial_field, _hydrogen_rows),
+                              lambda p: magnetic_hydrogen_field(MagneticHydrogen(p[0]), p[1])),
+    "hydrogen-radial": ((0.5, 0.8, 1.0, 1.25, 2.0), _member_loop(hydrogen_radial_field)),
+    "hydrogen-radial-rows": ((0.5, 0.8, 1.0, 1.25, 2.0), hydrogen_radial_field),
 }
 
 
@@ -406,7 +401,7 @@ def assert_same_report(got, want):
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(data=st.data())
 def test_stacked_search_equals_one_search_per_field(family, data):
-    choices, build, stacked_rows = STACKED_FAMILIES[family]
+    choices, build = STACKED_FAMILIES[family]
     params = data.draw(st.lists(st.sampled_from(choices), min_size=1, max_size=4), label="members")
     kinds = [
         data.draw(st.sampled_from([("min",), ("max",), ("min", "max"), ("max", "min")]), label="kinds")
@@ -419,8 +414,7 @@ def test_stacked_search_equals_one_search_per_field(family, data):
         rng_seed=data.draw(st.integers(0, 2**32 - 1), label="rng_seed"),
     )
     fields = [build(p) for p in params]
-    rows = None if stacked_rows is None else stacked_rows(params)
-    stacked = _search_extrema(fields, cfg, kinds, rows)
+    stacked = _search_extrema(fields, cfg, kinds)
     assert len(stacked) == len(fields)
     for field, member_kinds, reports in zip(fields, kinds, stacked):
         solo = _search_extrema([field], cfg, [member_kinds])
@@ -439,13 +433,14 @@ def _hydrogen_radial_over_two_boxes():
     lams = (0.5, 0.8, 1.0, 1.25, 2.0)
     fields = [hydrogen_radial_field(lam) for lam in lams]
     boxes = [((0.0, 40.0 if i % 2 else 20.0),) for i in range(len(lams))]
-    return [replace(f, domain=replace(f.domain, box=box)) for f, box in zip(fields, boxes)], _hydrogen_rows(lams)
+    return [replace(f, domain=replace(f.domain, box=box)) for f, box in zip(fields, boxes)]
 
 
-# stack -> (fields over two search boxes, stacked evaluator or None)
+# stack -> fields over two search boxes; the hydrogen fields share a row form,
+# so each box's stack evaluates in one call per polish round
 PAIRED_STACKS = {
-    "billiard": lambda: ([billiard_local_energy_field(AnnularBilliard(r, d))
-                          for r, d in ((0.3, 0.0), (0.5, 0.1), (0.6, 0.0), (0.4, 0.2))], None),
+    "billiard": lambda: [billiard_local_energy_field(AnnularBilliard(r, d))
+                         for r, d in ((0.3, 0.0), (0.5, 0.1), (0.6, 0.0), (0.4, 0.2))],
     "hydrogen-radial-rows": _hydrogen_radial_over_two_boxes,
 }
 
@@ -456,7 +451,7 @@ PAIRED_STACKS = {
 def test_stacked_bounds_pairs_equal_global_min_and_max(stack, data):
     # each pair's lower is its first field's minimum and its upper its second
     # field's maximum, bit for bit, whichever box group each field falls in
-    fields, rows = PAIRED_STACKS[stack]()
+    fields = PAIRED_STACKS[stack]()
     index = st.integers(0, len(fields) - 1)
     pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=4), label="pairs")
     cfg = SearchConfig(
@@ -465,7 +460,7 @@ def test_stacked_bounds_pairs_equal_global_min_and_max(stack, data):
         multistart_count=data.draw(st.integers(1, 3), label="multistarts"),
         rng_seed=data.draw(st.integers(0, 2**32 - 1), label="rng_seed"),
     )
-    results = search._stacked_bounds(fields, cfg, rows, pairs)
+    results = search._stacked_bounds(fields, cfg, pairs)
     assert len(results) == len(pairs)
     for (lo, hi), got in zip(pairs, results):
         assert_same_report(got.lower_witness, search.global_min(fields[lo], cfg))
@@ -474,26 +469,133 @@ def test_stacked_bounds_pairs_equal_global_min_and_max(stack, data):
         assert got.resolution_caveat.box == cfg.box_for(fields[lo].domain)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(
-    lams=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=6),
-    seed=st.integers(0, 2**32 - 1),
+# ---------------------------------------------------------------------------
+# row forms: a stack of fields that share one evaluates in one call
+
+
+_TUBE = magnetic.ORIGIN_TUBE
+_EDGE = magnetic.BOX_HALF_WIDTH
+_rho_z = st.floats(0.0, _EDGE)
+_outside = st.floats(-_EDGE, -1e-11)
+# generic points, the axis rho = 0, the plane z = 0, inside the origin tube
+# and just past its rim, the corners, and exterior points
+_MAGNETIC_POINTS = st.one_of(
+    st.tuples(_rho_z, _rho_z),
+    st.tuples(st.just(0.0), _rho_z),
+    st.tuples(_rho_z, st.just(0.0)),
+    st.builds(lambda a, t: (t * math.cos(a), t * math.sin(a)),
+              st.floats(0.0, math.pi / 2), st.floats(0.0, 1.01 * _TUBE)),
+    st.sampled_from([(0.0, 0.0), (0.0, _EDGE), (_EDGE, 0.0), (_EDGE, _EDGE)]),
+    st.tuples(_outside, _rho_z),
+    st.tuples(_rho_z, _outside),
 )
-def test_hydrogen_evaluate_rows_equals_each_member_field(lams, seed):
-    family = hydrogen_exponent_family()
-    rng = np.random.default_rng(seed)
-    # radii across the box, some inside the origin tube and some exterior
-    qs = np.concatenate([rng.uniform(0.0, 40.0, 48), rng.uniform(-1e-6, 2e-6, 8), [0.0, -1.0, 40.0]])[:, None]
-    fields = [family.build(np.array([lam])) for lam in lams]
-    ok = fields[0].domain.valid_mask(qs)
+# radii across the box, inside the origin tube and past it, its ends, and
+# exterior radii
+_RADIAL_POINTS = st.one_of(
+    st.floats(0.0, 40.0),
+    st.floats(0.0, 2.0 * hydrogen.ORIGIN_TUBE),
+    st.sampled_from([0.0, 40.0]),
+    st.floats(-40.0, -1e-300),
+).map(lambda r: (r,))
+
+# every shipped row form -> (one member's field from a drawn parameter, the
+# parameter, points)
+ROW_FORMS = {
+    "magnetic": (lambda p: magnetic_hydrogen_field(MagneticHydrogen(p[0]), p[1]),
+                 st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), st.sampled_from(["lower", "upper"])),
+                 _MAGNETIC_POINTS),
+    "hydrogen-radial": (hydrogen_radial_field, st.floats(0.5, 2.0), _RADIAL_POINTS),
+}
+
+
+def _never(qs):
+    raise AssertionError("a stack with one row form called a member's evaluate")
+
+
+def _one_by_one(fields, members, qs):
+    """Each row's value from its own member's field alone."""
+    return np.concatenate([search._field_values(fields[m], qs[j:j + 1]) for j, m in enumerate(members.tolist())])
+
+
+@pytest.mark.parametrize("form", sorted(ROW_FORMS))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_row_form_stack_equals_each_member_bit_for_bit(form, data):
+    build, param, points = ROW_FORMS[form]
+    fields = [build(p) for p in data.draw(st.lists(param, min_size=2, max_size=6), label="members")]
+    rows = data.draw(st.lists(st.tuples(st.integers(0, len(fields) - 1), points), min_size=1, max_size=12),
+                     label="rows")
+    rows.sort(key=lambda row: row[0])
+    members = np.array([m for m, _ in rows])
+    qs = np.array([q for _, q in rows], dtype=float)
     for field in fields[1:]:
-        assert np.array_equal(field.domain.valid_mask(qs), ok)
+        assert field.row_form[0] is fields[0].row_form[0]
+        assert np.array_equal(field.domain.valid_mask(qs), fields[0].domain.valid_mask(qs))
         assert field.domain.box == fields[0].domain.box
-    valid = qs[ok]
-    controls = np.repeat(np.array(lams)[:, None], valid.shape[0], axis=0)
-    got = family.evaluate_rows(controls, np.tile(valid, (len(lams), 1)))
-    want = np.concatenate([field.evaluate(valid) for field in fields])
-    assert got.tobytes() == want.tobytes()
+    # the stack evaluates through the shared formula alone
+    stack = [replace(field, evaluate=_never) for field in fields]
+    got = search._stack_values(stack)(members, qs)
+    assert got.tobytes() == _one_by_one(fields, members, qs).tobytes()
+
+
+@pytest.mark.parametrize("other", ["improved-member", "two-formulas"])
+def test_a_stack_without_one_row_form_takes_the_member_loop(other):
+    lower = magnetic_hydrogen_field(MagneticHydrogen(1.0), "lower")
+    if other == "improved-member":
+        second = magnetic_hydrogen_field(MagneticHydrogen(2.0), "improved")
+    else:
+        # the same values from another formula: nothing tells the search they agree
+        upper = magnetic_hydrogen_field(MagneticHydrogen(2.0), "upper")
+        formula, params = upper.row_form
+        second = replace(upper, row_form=(lambda qs, *p: formula(qs, *p), params))
+    calls = []
+
+    def watched(m, field):
+        def evaluate(qs):
+            calls.append((m, qs.shape[0]))
+            return field.evaluate(qs)
+        return replace(field, evaluate=evaluate)
+
+    members = np.array([0, 0, 0, 1, 1])
+    qs = np.array([[0.5, 0.5], [1.0, 2.0], [3.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    got = search._stack_values([watched(0, lower), watched(1, second)])(members, qs)
+    assert calls == [(0, 3), (1, 2)]
+    assert got.tobytes() == _one_by_one([lower, second], members, qs).tobytes()
+
+
+def _optimize_hydrogen(tmp_path):
+    optimize_parameters(hydrogen_exponent_family((0.5, 2.0)), None, "maximize-lower",
+                        SearchConfig(multistart_count=2, rng_seed=0))
+    return 0
+
+
+# the three runs whose stacks share a row form -> their evaluation calls at
+# seed 0 (570, 2,608 and 12,943 when each stack loops over its members)
+ROW_STACK_RUNS = {
+    "bounds-magnetic-trivial": (lambda tmp_path: cli.main(
+        ["bounds", "--system", "magnetic-hydrogen", "--B", "2", "--variant", "trivial",
+         "--out", str(tmp_path / "bounds.json")]), 289),
+    "sweep-magnetic-B": (lambda tmp_path: cli.main(
+        ["sweep", "--system", "magnetic-hydrogen", "--param", "B", "--values", "0.5,1,2,4",
+         "--out", str(tmp_path / "sweep.csv")]), 347),
+    "optimize-hydrogen": (_optimize_hydrogen, 4318),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_STACK_RUNS))
+def test_row_form_stacks_evaluate_in_one_call_per_round(tmp_path, monkeypatch, case):
+    # every grid scan and polish round of a search is one search.evaluate_masked call
+    run, want = ROW_STACK_RUNS[case]
+    calls = []
+    evaluate_masked = search.evaluate_masked
+
+    def counted(*args):
+        calls.append(None)
+        return evaluate_masked(*args)
+
+    monkeypatch.setattr(search, "evaluate_masked", counted)
+    assert run(tmp_path) == 0
+    assert len(calls) == want
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +650,11 @@ def assert_optimizer_matches_reference(family, objective, cfg):
 
 @pytest.mark.parametrize("objective", ["maximize-lower", "minimize-upper"])
 @pytest.mark.parametrize("multistarts", [1, 2, 3, 4])
-@pytest.mark.parametrize("stacked_rows", [True, False], ids=["evaluate-rows", "member-loop"])
-def test_lockstep_optimizer_matches_sequential_reference(objective, multistarts, stacked_rows):
+@pytest.mark.parametrize("row_form", [True, False], ids=["row-form", "member-loop"])
+def test_lockstep_optimizer_matches_sequential_reference(objective, multistarts, row_form):
     family = hydrogen_exponent_family((0.5, 2.0))
-    if not stacked_rows:
-        family = replace(family, evaluate_rows=None)
+    if not row_form:
+        family = replace(family, build=_member_loop(family.build))
     cfg = SearchConfig(grid_points_per_axis=41, multistart_count=multistarts, rng_seed=multistarts)
     assert_optimizer_matches_reference(family, objective, cfg)
 
@@ -566,7 +668,7 @@ def test_lockstep_optimizer_matches_reference_when_member_boxes_differ():
         return replace(base, domain=replace(base.domain, box=((-lam[0], lam[0]),)))
 
     family = hydrogen_exponent_family()
-    family = replace(family, control_box=((1.0, 6.0),), build=build, evaluate_rows=None)
+    family = replace(family, control_box=((1.0, 6.0),), build=build)
     cfg = SearchConfig(grid_points_per_axis=24, refinement_levels=2, multistart_count=3, rng_seed=5)
     assert_optimizer_matches_reference(family, "maximize-lower", cfg)
 

@@ -81,42 +81,6 @@ def test_trivial_bounds_of_no_entries():
     assert _trivial_bounds([]) == []
 
 
-_TUBE = magnetic.ORIGIN_TUBE
-_EDGE = magnetic.BOX_HALF_WIDTH
-_coord = st.floats(0.0, _EDGE)
-# generic points, the axis rho = 0, the plane z = 0, just outside the origin
-# tube (and on its rim, which rounding may put on either side) and the corners
-_points = st.one_of(
-    st.tuples(_coord, _coord),
-    st.tuples(st.just(0.0), _coord),
-    st.tuples(_coord, st.just(0.0)),
-    st.builds(
-        lambda a, t: (t * math.cos(a), t * math.sin(a)),
-        st.floats(0.0, math.pi / 2),
-        st.floats(_TUBE, 1.01 * _TUBE),
-    ),
-    st.sampled_from([(0.0, 0.0), (0.0, _EDGE), (_EDGE, 0.0), (_EDGE, _EDGE)]),
-)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(
-    Bs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=1, max_size=4),
-    rows=st.lists(st.tuples(st.integers(0, 7), _points), min_size=1, max_size=12),
-)
-def test_trivial_rows_equal_each_member_field(Bs, rows):
-    members = [(MagneticHydrogen(B), variant) for B in Bs for variant in ("lower", "upper")]
-    fields = [magnetic_hydrogen_field(mh, variant) for mh, variant in members]
-    stacked = np.array(sorted(m % len(members) for m, _ in rows))
-    qs = np.array([q for _, q in rows], dtype=float)
-    for field in fields[1:]:
-        assert np.array_equal(field.domain.valid_mask(qs), fields[0].domain.valid_mask(qs))
-    with np.errstate(all="ignore"):  # the origin corner is 0/0 in both
-        got = magnetic._trivial_rows(members)(stacked, qs)
-        want = np.concatenate([fields[m].evaluate(qs[j:j + 1]) for j, m in enumerate(stacked)])
-    assert got.tobytes() == want.tobytes()
-
-
 def test_lower_variant_infimum_and_off_axis_divergence():
     f = magnetic_hydrogen_field(MagneticHydrogen(1.0), "lower")
     rep = global_min(f, cfg=SearchConfig())
@@ -245,6 +209,7 @@ def assert_same_values(got, want):
                           np.where(both_zero, 0.0, want).view(np.int64))
 
 
+_TUBE = magnetic.ORIGIN_TUBE
 # a tensor grid with the axis, the plane z = 0, the origin and tiny radii
 _AXIS = np.concatenate([[0.0, 1e-12, 1e-6], np.linspace(0.01, 10.0, 37)])
 _GRID = np.stack([g.ravel() for g in np.meshgrid(_AXIS, _AXIS)], axis=1)
@@ -270,7 +235,7 @@ def test_u_derivs_match_the_joint_formula_bit_for_bit(B, variant):
         want = magnetic_u_parts(mh, variant, rho, z)
         for got, ref in zip(magnetic._u_derivs(*params, rho, z, r), want[1:], strict=True):
             same(got, ref)
-        assert_same_bits(magnetic._cancelled_local_energy(mh.B**2, *params, _GRID),
+        assert_same_bits(magnetic._cancelled_local_energy(_GRID, mh.B**2, *params),
                          magnetic_cancelled_local_energy(mh, variant, _GRID))
 
 
@@ -280,18 +245,6 @@ def test_field_matches_the_joint_formula_bit_for_bit(B, variant):
     field = magnetic_hydrogen_field(mh, variant)
     with np.errstate(divide="ignore", invalid="ignore"):
         assert_same_bits(field.evaluate(_GRID), magnetic_cancelled_local_energy(mh, variant, _GRID))
-
-
-def test_trivial_rows_match_the_joint_formula_bit_for_bit():
-    members = [(MagneticHydrogen(B), variant) for B in _BS for variant in ("lower", "upper")]
-    stacked = np.arange(_GRID.shape[0]) % len(members)
-    order = np.argsort(stacked, kind="stable")
-    stacked, qs = stacked[order], _GRID[order]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        got = magnetic._trivial_rows(members)(stacked, qs)
-        want = np.concatenate([magnetic_cancelled_local_energy(*members[m], qs[j:j + 1])
-                               for j, m in enumerate(stacked)])
-    assert_same_bits(got, want)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
